@@ -7,29 +7,13 @@ Exit codes: 0 success, 2 validation error, 3 bound-check hard failure under
 from __future__ import annotations
 
 import argparse
-import ctypes
-import os
 import sys
-
-
-def _cap_threads(k: int) -> None:
-    # env covers subprocesses and not-yet-loaded pools; the loaded OpenBLAS
-    # (numpy is already imported by the package) needs the runtime call
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(k)
-    for lib in ("libopenblas.so.0", "libopenblas.so", "libopenblasp-r0.so.0"):
-        try:
-            ctypes.CDLL(lib).openblas_set_num_threads(int(k))
-            return
-        except (OSError, AttributeError):
-            continue
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="latentgraph",
                                  description="latent distance estimation from graph hops")
     ap.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    ap.add_argument("--threads", type=int, default=None, help="cap worker/BLAS threads")
     ap.add_argument("--out", default=".", help="output directory (default .)")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -248,8 +232,6 @@ def _run(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        _cap_threads(args.threads)
     try:
         return _run(args)
     except (ValueError, FileNotFoundError) as exc:

@@ -2,12 +2,13 @@
 
 Points travel as CSV with header ``x0,x1,...`` and shortest round-trip
 decimal floats.  Adjacency has a text edge-list form (``n=<count>`` header,
-then ``i j`` lines, 0-based, i < j) and a binary form: magic ``LGA1``, u64
-little-endian node count, then the strict upper triangle row-major as packed
-bits (little bit order).  Hop matrices: magic ``LGH1``, u64 n, row-major u16
-little-endian with 0xFFFF for infinity.  Dense float matrices: CSV or magic
-``LGD1``, u64 n, row-major f64 little-endian.  Manifests are flat JSON
-objects with sorted keys so equal runs produce byte-identical files.
+then ``i j`` lines, 0-based, i < j, each pair once) and a binary form: magic
+``LGA1``, u64 little-endian node count, then the strict upper triangle
+row-major as packed bits (little bit order).  Hop matrices: magic ``LGH1``,
+u64 n, row-major u16 little-endian with 0xFFFF for infinity.  Dense float
+matrices: CSV or magic ``LGD1``, u64 n, row-major f64 little-endian.
+Manifests are flat JSON objects with sorted keys so equal runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -75,8 +76,37 @@ def read_edge_list(path: str | Path) -> Adjacency:
     if not lines or not lines[0].startswith("n="):
         raise ValueError(f"{path}: expected an 'n=<count>' header line")
     n = int(lines[0][2:])
-    edges = np.array([[int(t) for t in line.split()] for line in lines[1:]], dtype=np.int64)
-    return Adjacency.from_edges(n, edges.reshape(-1, 2))
+    edges = np.empty((0, 2), dtype=np.int64)
+    if len(lines) > 1:
+        try:
+            edges = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if edges.shape != (len(lines) - 1, 2):
+        raise ValueError(f"{path}: every edge line must hold exactly two integers 'i j'")
+    i, j = edges[:, 0], edges[:, 1]
+    if not ((0 <= i) & (i < j) & (j < n)).all():
+        raise ValueError(f"{path}: every edge must satisfy 0 <= i < j < n={n}")
+    keys = np.sort(i * n + j)
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError(f"{path}: repeated edge")
+    return Adjacency.from_edges(n, edges)
+
+
+def _read_binary(path: str | Path, magic: bytes, payload_bytes) -> tuple[int, memoryview]:
+    """Node count and payload of a binary file; ``payload_bytes(n)`` is the
+    exact payload length the format needs, checked before any n-sized
+    allocation."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != magic:
+        raise ValueError(f"{path}: bad magic, expected {magic.decode()}")
+    if len(raw) < 12:
+        raise ValueError(f"{path}: header is {len(raw)} bytes, expected 12")
+    n = struct.unpack("<Q", raw[4:12])[0]
+    expected = payload_bytes(n)
+    if len(raw) - 12 != expected:
+        raise ValueError(f"{path}: payload is {len(raw) - 12} bytes, n={n} needs {expected}")
+    return n, memoryview(raw)[12:]
 
 
 def _upper_bits(adj: Adjacency) -> np.ndarray:
@@ -94,12 +124,9 @@ def write_adjacency_binary(path: str | Path, adj: Adjacency) -> None:
 
 
 def read_adjacency_binary(path: str | Path) -> Adjacency:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC_ADJ:
-        raise ValueError(f"{path}: bad magic, expected LGA1")
-    n = struct.unpack("<Q", raw[4:12])[0]
+    n, payload = _read_binary(path, _MAGIC_ADJ, lambda n: (n * (n - 1) // 2 + 7) // 8)
     m = n * (n - 1) // 2
-    bits = np.unpackbits(np.frombuffer(raw[12:], dtype=np.uint8), count=m, bitorder="little")
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=m, bitorder="little")
     dense = np.zeros((n, n), dtype=bool)
     dense[np.triu_indices(n, 1)] = bits.astype(bool)
     return Adjacency.from_dense(dense | dense.T)
@@ -113,11 +140,8 @@ def write_hops_binary(path: str | Path, hops: HopMatrix) -> None:
 
 
 def read_hops_binary(path: str | Path) -> HopMatrix:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC_HOP:
-        raise ValueError(f"{path}: bad magic, expected LGH1")
-    n = struct.unpack("<Q", raw[4:12])[0]
-    hops = np.frombuffer(raw[12:], dtype="<u2", count=n * n).reshape(n, n)
+    n, payload = _read_binary(path, _MAGIC_HOP, lambda n: 2 * n * n)
+    hops = np.frombuffer(payload, dtype="<u2").reshape(n, n)
     return HopMatrix(n, hops.astype(np.uint16))
 
 
@@ -133,11 +157,8 @@ def write_matrix_binary(path: str | Path, values: np.ndarray) -> None:
 
 
 def read_matrix_binary(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC_DEN:
-        raise ValueError(f"{path}: bad magic, expected LGD1")
-    n = struct.unpack("<Q", raw[4:12])[0]
-    return np.frombuffer(raw[12:], dtype="<f8", count=n * n).reshape(n, n).copy()
+    n, payload = _read_binary(path, _MAGIC_DEN, lambda n: 8 * n * n)
+    return np.frombuffer(payload, dtype="<f8").reshape(n, n).copy()
 
 
 def write_matrix_csv(path: str | Path, values: np.ndarray) -> None:

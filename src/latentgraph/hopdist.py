@@ -29,7 +29,6 @@ __all__ = [
     "check_general_bound",
     "check_knn_bounds",
     "check_simple_bound",
-    "hops_to_float",
     "monotone_path_check",
     "scale_hops",
     "shortest_path_nodes",
@@ -66,10 +65,6 @@ class HopMatrix:
 
     def is_connected(self) -> bool:
         return bool(self.finite_mask().all())
-
-
-def hops_to_float(hops: HopMatrix) -> np.ndarray:
-    return hops.to_float()
 
 
 def _packed_words(adj: Adjacency) -> np.ndarray:

@@ -1,6 +1,13 @@
 """Experiment presets: fully scripted pipelines from sampling through graph
 construction, hop estimation, bound checks and embeddings.
 
+Each runner composes the same stages, and each artifact is built once:
+``_sample`` writes the points, ``_truth_and_eps`` computes the true distances
+and the coverage radius of a sample, ``_estimate`` turns one graph into hops,
+estimate, bound report, edge list and aligned embedding and hands the hops
+and the embedding on, and ``_indicator_variant`` adds an indicator graph's
+hop and estimate files.
+
 Every preset is determined by (name, seed): two runs write byte-identical
 artifacts and manifests.  ``scale_n`` shrinks a preset proportionally for
 fast runs; default sizes match the original experiments.
@@ -10,15 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fileio
 from .cities import ingest_cities
-from .embed import classical_mds, localize, procrustes_align, smacof
+from .embed import EmbeddingResult, classical_mds, localize, procrustes_align, smacof
 from .geometry import (
     Box,
+    CoverageBracket,
     PointConfig,
     RectangleWithHole,
     coverage_radius,
@@ -27,6 +35,8 @@ from .geometry import (
     sample_uniform,
 )
 from .hopdist import (
+    BoundReport,
+    EstimateMatrix,
     HopMatrix,
     all_pairs_hops,
     check_boundary_bias,
@@ -50,47 +60,49 @@ class ExperimentPreset:
     needs_cities: bool = False
 
 
-def _components(hops: HopMatrix) -> np.ndarray:
-    # nodes share a component exactly when their hop distance is finite;
-    # label each node by the smallest index it reaches
-    finite = hops.finite_mask()
-    return finite.argmax(axis=1)
+class _GraphEstimate(NamedTuple):
+    hops: HopMatrix
+    est: EstimateMatrix
+    keep: np.ndarray  # nodes of the largest component, ascending
+    embedding: EmbeddingResult | None  # classical scaling of ``keep``; None when too small
 
 
-def _largest_component(hops: HopMatrix) -> np.ndarray:
-    labels = _components(hops)
-    uniq, counts = np.unique(labels, return_counts=True)
-    return np.flatnonzero(labels == uniq[counts.argmax()])
+# report fields copied to the manifest; a None field is left out
+_REPORT_FIELDS = ("pairs_connected", "pairs_disconnected", "lower_violations", "upper_violations",
+                  "max_residual", "max_relative_error", "fitted_constant", "asserted",
+                  "lower_checked_pairs")
 
 
-def _put_report(man: dict, tag: str, rep) -> None:
-    man[f"{tag}.bound.pairs_connected"] = rep.pairs_connected
-    man[f"{tag}.bound.pairs_disconnected"] = rep.pairs_disconnected
-    man[f"{tag}.bound.lower_violations"] = rep.lower_violations
-    if rep.upper_violations is not None:
-        man[f"{tag}.bound.upper_violations"] = rep.upper_violations
-    man[f"{tag}.bound.max_residual"] = rep.max_residual
-    man[f"{tag}.bound.max_relative_error"] = rep.max_relative_error
-    man[f"{tag}.bound.fitted_constant"] = rep.fitted_constant
-    man[f"{tag}.bound.asserted"] = rep.asserted
-    if rep.lower_checked_pairs is not None:
-        man[f"{tag}.bound.lower_checked_pairs"] = rep.lower_checked_pairs
+def _put_report(man: dict, tag: str, rep: BoundReport) -> None:
+    for field in _REPORT_FIELDS:
+        value = getattr(rep, field)
+        if value is not None:
+            man[f"{tag}.bound.{field}"] = value
 
 
-def _embed_and_align(
-    config: PointConfig,
-    hops: HopMatrix,
-    est_values: np.ndarray,
-    out: Path,
-    tag: str,
-    man: dict,
-) -> None:
-    keep = _largest_component(hops)
+# ---------------------------------------------------------------------------
+# stages
+
+
+def _sample(config: PointConfig, out: Path, man: dict) -> None:
+    man["n"] = config.n
+    fileio.write_points_csv(out / "truth.csv", config.points)
+    man["truth.points_file"] = "truth.csv"
+
+
+def _truth_and_eps(config: PointConfig) -> tuple[np.ndarray, CoverageBracket]:
+    """True distances and the coverage radius of the sample's convex hull."""
+    span = config.points.max(axis=0) - config.points.min(axis=0)
+    grid_step = float(span.max() / 400.0)
+    return pairwise_distances(config), coverage_radius(config, "convex_hull", grid_step)
+
+
+def _embed_and_align(config: PointConfig, est: EstimateMatrix, keep: np.ndarray,
+                     out: Path, tag: str, man: dict) -> EmbeddingResult | None:
     man[f"{tag}.n_embedded"] = int(keep.size)
     if keep.size < max(3, config.dim + 1):
-        return  # nothing meaningful to embed at this sparsity
-    sub = est_values[np.ix_(keep, keep)]
-    emb = classical_mds(sub, v=config.dim if config.dim >= 2 else 2)
+        return None  # nothing meaningful to embed at this sparsity
+    emb = classical_mds(est.values[np.ix_(keep, keep)], v=max(config.dim, 2))
     truth_pts = config.points[keep]
     if config.dim == 1:
         truth_pts = np.column_stack([truth_pts[:, 0], np.zeros(keep.size)])
@@ -103,45 +115,70 @@ def _embed_and_align(
     man[f"{tag}.aligned.points_file"] = ali_name
     man[f"{tag}.rmse_aligned"] = fit.rmse
     man[f"{tag}.procrustes_scale"] = fit.scale
+    return emb
 
 
-def _grid_step(config: PointConfig) -> float:
-    span = config.points.max(axis=0) - config.points.min(axis=0)
-    return float(span.max() / 400.0)
-
-
-def _indicator_variant(
-    config: PointConfig,
-    truth: np.ndarray,
-    adj: Adjacency,
-    r: float,
-    out: Path,
-    tag: str,
-    man: dict,
-) -> None:
+def _estimate(config: PointConfig, adj: Adjacency, r: float, eps: CoverageBracket,
+              check: Callable[[EstimateMatrix], BoundReport],
+              out: Path, tag: str, man: dict) -> _GraphEstimate:
+    """One graph's estimate at scale ``r``; ``check`` gives its bound report."""
     hops = all_pairs_hops(adj)
     est = scale_hops(hops, r)
-    eps = coverage_radius(config, "convex_hull", _grid_step(config))
-    rep = check_simple_bound(est, truth, eps.upper, r)
+    # nodes share a component exactly when their hop distance is finite;
+    # label each node by the smallest index it reaches
+    labels = hops.finite_mask().argmax(axis=1)
+    uniq, counts = np.unique(labels, return_counts=True)
     man[f"{tag}.r"] = r
     man[f"{tag}.edge_count"] = adj.edge_count()
-    man[f"{tag}.components"] = int(np.unique(_components(hops)).size)
+    man[f"{tag}.components"] = int(uniq.size)
     man[f"{tag}.eps_lower"] = eps.lower
     man[f"{tag}.eps_upper"] = eps.upper
     man[f"{tag}.eps_over_r"] = eps.upper / r
-    _put_report(man, tag, rep)
-    adj_name, hop_name, est_name = f"{tag}_edges.txt", f"{tag}_hops.bin", f"{tag}_est.bin"
+    _put_report(man, tag, check(est))
+    adj_name = f"{tag}_edges.txt"
     fileio.write_edge_list(out / adj_name, adj)
-    fileio.write_hops_binary(out / hop_name, hops)
-    fileio.write_matrix_binary(out / est_name, np.where(np.isfinite(est.values), est.values, -1.0))
     man[f"{tag}.adjacency_file"] = adj_name
+    keep = np.flatnonzero(labels == uniq[counts.argmax()])
+    return _GraphEstimate(hops, est, keep, _embed_and_align(config, est, keep, out, tag, man))
+
+
+def _indicator_variant(config: PointConfig, truth: np.ndarray, eps: CoverageBracket,
+                       r: float, seed: int, out: Path, man: dict) -> _GraphEstimate:
+    """``_estimate`` of the indicator graph at radius ``r`` under the simple
+    bound, plus its hop and estimate files."""
+    tag = _tag("r", r)
+    adj = generate_graph(config, Indicator(r), seed)
+    g = _estimate(config, adj, r, eps, lambda est: check_simple_bound(est, truth, eps.upper, r),
+                  out, tag, man)
+    hop_name, est_name = f"{tag}_hops.bin", f"{tag}_est.bin"
+    fileio.write_hops_binary(out / hop_name, g.hops)
+    fileio.write_matrix_binary(out / est_name, np.where(np.isfinite(g.est.values), g.est.values, -1.0))
     man[f"{tag}.hops_file"] = hop_name
     man[f"{tag}.estimate_file"] = est_name
-    _embed_and_align(config, hops, est.values, out, tag, man)
+    return g
 
 
 def _tag(prefix: str, value: float) -> str:
     return f"{prefix}{value:g}"
+
+
+def _hole_domain() -> RectangleWithHole:
+    return RectangleWithHole(rectangle(2.0, 1.0), Box(np.array([0.5, 0.25]), np.array([1.5, 0.75])))
+
+
+def _cities(cities_file, n: int, seed: int) -> PointConfig:
+    if cities_file is None:
+        raise ValueError("this preset needs a cities CSV (pass cities_file)")
+    return ingest_cities(cities_file, n, seed)
+
+
+def _knn_strip(seed: int, out: Path, n: int, man: dict) -> tuple[PointConfig, int, Adjacency]:
+    """Sample the [0,4]x[0,1] strip and draw its symmetrized kNN graph."""
+    kappa = 25 if n >= 200 else 2
+    config = sample_uniform(rectangle(4.0, 1.0), n, seed)
+    _sample(config, out, man)
+    man["kappa"] = kappa
+    return config, kappa, symmetrize_union(knn_graph(config, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -159,126 +196,69 @@ def _run_rectangles(seed: int, out: Path, n: int, man: dict, **_) -> None:
     patch2 = Box(np.array([1.25, 0.0]), np.array([1.5, 1.0]))
     pts = np.vstack([base.sample(rng, n0), patch1.sample(rng, n1), patch2.sample(rng, n2)])
     config = PointConfig(pts, base, provenance=f"sampled(seed={seed})")
-    truth = pairwise_distances(config)
-    man["n"] = config.n
-    fileio.write_points_csv(out / "truth.csv", config.points)
-    man["truth.points_file"] = "truth.csv"
+    _sample(config, out, man)
+    truth, eps = _truth_and_eps(config)
     for r in (0.05, 0.1, 0.2):
-        adj = generate_graph(config, Indicator(r), seed)
-        _indicator_variant(config, truth, adj, r, out, _tag("r", r), man)
+        _indicator_variant(config, truth, eps, r, seed, out, man)
 
 
 def _run_hole(seed: int, out: Path, n: int, man: dict, **_) -> None:
     """Rectangle with a rectangular hole: the convexity requirement bites."""
-    domain = RectangleWithHole(
-        rectangle(2.0, 1.0),
-        Box(np.array([0.5, 0.25]), np.array([1.5, 0.75])),
-    )
-    config = sample_uniform(domain, n, seed)
-    truth = pairwise_distances(config)
-    man["n"] = config.n
-    fileio.write_points_csv(out / "truth.csv", config.points)
-    man["truth.points_file"] = "truth.csv"
-    adj = generate_graph(config, Indicator(0.2), seed)
-    _indicator_variant(config, truth, adj, 0.2, out, "r0.2", man)
+    config = sample_uniform(_hole_domain(), n, seed)
+    _sample(config, out, man)
+    truth, eps = _truth_and_eps(config)
+    _indicator_variant(config, truth, eps, 0.2, seed, out, man)
 
 
 def _run_cities(seed: int, out: Path, n: int, man: dict, cities_file=None, **_) -> None:
     """City coordinates in planar degrees; indicator links at three radii."""
-    if cities_file is None:
-        raise ValueError("this preset needs a cities CSV (pass cities_file)")
-    config = ingest_cities(cities_file, n, seed)
-    truth = pairwise_distances(config)
-    man["n"] = config.n
-    fileio.write_points_csv(out / "truth.csv", config.points)
-    man["truth.points_file"] = "truth.csv"
+    config = _cities(cities_file, n, seed)
+    _sample(config, out, man)
+    truth, eps = _truth_and_eps(config)
     for r in (3.0, 5.0, 7.0):
-        adj = generate_graph(config, Indicator(r), seed)
-        _indicator_variant(config, truth, adj, r, out, _tag("r", r), man)
+        _indicator_variant(config, truth, eps, r, seed, out, man)
 
 
 def _run_cities_thinned(seed: int, out: Path, n: int, man: dict, cities_file=None, **_) -> None:
     """Coupled link levels on one city graph: the lower levels are obtained
     by erasing edges from the p=0.5 graph, never by regenerating."""
-    if cities_file is None:
-        raise ValueError("this preset needs a cities CSV (pass cities_file)")
     r = 5.0
-    config = ingest_cities(cities_file, n, seed)
-    truth = pairwise_distances(config)
-    man["n"] = config.n
+    config = _cities(cities_file, n, seed)
+    _sample(config, out, man)
     man["r"] = r
-    fileio.write_points_csv(out / "truth.csv", config.points)
-    man["truth.points_file"] = "truth.csv"
+    truth, eps = _truth_and_eps(config)
     full = generate_graph(config, Indicator(r), seed)
     half = couple_thin(full, 0.5 / 1.0, seed + 1)
     fifth = couple_thin(half, 0.2 / 0.5, seed + 2)  # keep ratio of levels: emulates p=0.2
-    eps = coverage_radius(config, "convex_hull", _grid_step(config))
     for p, adj in ((1.0, full), (0.5, half), (0.2, fifth)):
-        tag = _tag("p", p)
-        hops = all_pairs_hops(adj)
-        est = scale_hops(hops, r)
-        rep = check_general_bound(est, truth, eps.upper, r, alpha=0.0)
-        man[f"{tag}.r"] = r
-        man[f"{tag}.edge_count"] = adj.edge_count()
-        man[f"{tag}.components"] = int(np.unique(_components(hops)).size)
-        man[f"{tag}.eps_lower"] = eps.lower
-        man[f"{tag}.eps_upper"] = eps.upper
-        man[f"{tag}.eps_over_r"] = eps.upper / r
-        _put_report(man, tag, rep)
-        adj_name = f"{tag}_edges.txt"
-        fileio.write_edge_list(out / adj_name, adj)
-        man[f"{tag}.adjacency_file"] = adj_name
-        _embed_and_align(config, hops, est.values, out, tag, man)
+        _estimate(config, adj, r, eps,
+                  lambda est: check_general_bound(est, truth, eps.upper, r, alpha=0.0),
+                  out, _tag("p", p), man)
 
 
 def _run_knn_band(seed: int, out: Path, n: int, man: dict, literal_omega=False, **_) -> None:
     """Nearest-neighbor graph on a long strip: boundary paths shortcut."""
-    kappa = 25 if n >= 200 else max(2, n // 200)
-    config = sample_uniform(rectangle(4.0, 1.0), n, seed)
+    config, kappa, adj = _knn_strip(seed, out, n, man)
     truth = pairwise_distances(config)
-    man["n"] = config.n
-    man["kappa"] = kappa
-    fileio.write_points_csv(out / "truth.csv", config.points)
-    man["truth.points_file"] = "truth.csv"
-    knn = knn_graph(config, kappa)
-    adj = symmetrize_union(knn)
     scale = knn_scale(config.domain, config.n, kappa, c1=1.0,
                       omega=4.0 if literal_omega else None)
     man["knn.r_circ"] = scale.r_circ
     man["knn.eps"] = scale.eps
     man["knn.omega"] = scale.omega
-    tag = "knn"
-    hops = all_pairs_hops(adj)
-    est = scale_hops(hops, scale.r)
-    rep = check_knn_bounds(est, truth, config, scale.eps, scale.r)
-    man[f"{tag}.r"] = scale.r
-    man[f"{tag}.edge_count"] = adj.edge_count()
-    man[f"{tag}.components"] = int(np.unique(_components(hops)).size)
-    man[f"{tag}.eps_lower"] = scale.eps
-    man[f"{tag}.eps_upper"] = scale.eps
-    man[f"{tag}.eps_over_r"] = scale.eps / scale.r
-    _put_report(man, tag, rep)
+    g = _estimate(config, adj, scale.r, CoverageBracket(scale.eps, scale.eps),
+                  lambda est: check_knn_bounds(est, truth, config, scale.eps, scale.r),
+                  out, "knn", man)
     threshold = min(2.0, 0.5 * float(truth.max()))
-    ratio, pairs = check_boundary_bias(est, truth, threshold)
+    ratio, pairs = check_boundary_bias(g.est, truth, threshold)
     man["knn.bias.threshold"] = threshold
     man["knn.bias.max_ratio"] = ratio
     man["knn.bias.pairs"] = pairs
-    adj_name = f"{tag}_edges.txt"
-    fileio.write_edge_list(out / adj_name, adj)
-    man[f"{tag}.adjacency_file"] = adj_name
-    _embed_and_align(config, hops, est.values, out, tag, man)
 
 
 def _run_knn_paths(seed: int, out: Path, n: int, man: dict, **_) -> None:
     """Shortest neighbor-graph paths for a nearby and a faraway pair; the far
     path hugs the boundary."""
-    kappa = 25 if n >= 200 else max(2, n // 200)
-    config = sample_uniform(rectangle(4.0, 1.0), n, seed)
-    man["n"] = config.n
-    man["kappa"] = kappa
-    fileio.write_points_csv(out / "truth.csv", config.points)
-    man["truth.points_file"] = "truth.csv"
-    adj = symmetrize_union(knn_graph(config, kappa))
+    config, _, adj = _knn_strip(seed, out, n, man)
     pts = config.points
     anchors = {
         "near": (np.array([1.8, 0.5]), np.array([2.2, 0.5])),
@@ -306,45 +286,30 @@ def _run_mds_discrete(seed: int, out: Path, n: int, man: dict, **_) -> None:
     """Hop distances take a handful of values, yet classical scaling of them
     recovers the layout."""
     config = sample_uniform(rectangle(2.0, 1.0), n, seed)
-    truth = pairwise_distances(config)
-    man["n"] = config.n
-    fileio.write_points_csv(out / "truth.csv", config.points)
-    man["truth.points_file"] = "truth.csv"
-    r = 0.5
-    adj = generate_graph(config, Indicator(r), seed)
-    hops = all_pairs_hops(adj)
-    iu = np.triu_indices(config.n, 1)
-    vals, counts = np.unique(hops.hops[iu], return_counts=True)
+    _sample(config, out, man)
+    truth, eps = _truth_and_eps(config)
+    hops = _indicator_variant(config, truth, eps, 0.5, seed, out, man).hops
+    vals, counts = np.unique(hops.hops[np.triu_indices(config.n, 1)], return_counts=True)
     for v, c in zip(vals, counts):
         man[f"hops.hist.{int(v)}"] = int(c)
     man["hops.max"] = hops.max_finite()
-    _indicator_variant(config, truth, adj, r, out, _tag("r", r), man)
 
 
 def _run_hole_local(seed: int, out: Path, n: int, man: dict, **_) -> None:
     """Localization on the hole domain: keep hop estimates up to two hops,
     reconcile with stress majorization from the classical-scaling start."""
-    domain = RectangleWithHole(
-        rectangle(2.0, 1.0),
-        Box(np.array([0.5, 0.25]), np.array([1.5, 0.75])),
-    )
-    config = sample_uniform(domain, n, seed)
-    truth = pairwise_distances(config)
-    man["n"] = config.n
-    fileio.write_points_csv(out / "truth.csv", config.points)
-    man["truth.points_file"] = "truth.csv"
+    config = sample_uniform(_hole_domain(), n, seed)
+    _sample(config, out, man)
+    truth, eps = _truth_and_eps(config)
     r, max_hops = 0.2, 2
-    adj = generate_graph(config, Indicator(r), seed)
-    _indicator_variant(config, truth, adj, r, out, "r0.2", man)
-    hops = all_pairs_hops(adj)
-    keep = _largest_component(hops)
-    sub_hops = HopMatrix(keep.size, hops.hops[np.ix_(keep, keep)])
-    est_sub = scale_hops(sub_hops, r)
-    init = classical_mds(est_sub.values, 2).coords
-    partial = localize(sub_hops, max_hops, r)
+    g = _indicator_variant(config, truth, eps, r, seed, out, man)
+    if g.embedding is None:
+        raise ValueError(f"hole-local needs a component of at least 3 nodes; n={n} is too small")
+    keep = g.keep
+    partial = localize(HopMatrix(keep.size, g.hops.hops[np.ix_(keep, keep)]), max_hops, r)
     man["local.max_hops"] = max_hops
     man["local.present_fraction"] = float(partial.mask.mean())
-    result = smacof(partial, init)
+    result = smacof(partial, g.embedding.coords)
     fit = procrustes_align(result.coords, config.points[keep])
     fileio.write_points_csv(out / "local_recovered.csv", result.coords)
     fileio.write_points_csv(out / "local_aligned.csv", fit.aligned)
@@ -362,46 +327,24 @@ def _run_hole_local(seed: int, out: Path, n: int, man: dict, **_) -> None:
 
 
 _RUNNERS: dict[str, tuple[Callable, ExperimentPreset]] = {
-    "rectangles": (
-        _run_rectangles,
-        ExperimentPreset("rectangles", "uniform rectangle plus two dense patches, "
-                         "indicator radii 0.05/0.1/0.2", 5000),
-    ),
-    "hole": (
-        _run_hole,
-        ExperimentPreset("hole", "rectangle with hole removed, indicator r=0.2 shows "
-                         "non-convexity bias", 5000),
-    ),
-    "cities": (
-        _run_cities,
-        ExperimentPreset("cities", "city coordinates, indicator radii 3/5/7 degrees",
-                         3000, needs_cities=True),
-    ),
-    "cities-thinned": (
-        _run_cities_thinned,
-        ExperimentPreset("cities-thinned", "coupled edge thinning p=1/0.5/0.2 at r=5 degrees",
-                         3000, needs_cities=True),
-    ),
-    "knn-band": (
-        _run_knn_band,
-        ExperimentPreset("knn-band", "25-nearest-neighbor graph on [0,4]x[0,1]: "
-                         "boundary bias checks", 5000),
-    ),
-    "knn-paths": (
-        _run_knn_paths,
-        ExperimentPreset("knn-paths", "shortest-path illustration on the strip "
-                         "neighbor graph", 5000),
-    ),
-    "mds-discrete": (
-        _run_mds_discrete,
-        ExperimentPreset("mds-discrete", "very coarse hop distances still embed well "
-                         "(r=0.5)", 2000),
-    ),
-    "hole-local": (
-        _run_hole_local,
-        ExperimentPreset("hole-local", "thresholded hops + stress majorization fix "
-                         "the hole bias (r=0.2, two hops)", 5000),
-    ),
+    preset.name: (runner, preset) for runner, preset in (
+        (_run_rectangles, ExperimentPreset("rectangles", "uniform rectangle plus two dense patches, "
+                                           "indicator radii 0.05/0.1/0.2", 5000)),
+        (_run_hole, ExperimentPreset("hole", "rectangle with hole removed, indicator r=0.2 shows "
+                                     "non-convexity bias", 5000)),
+        (_run_cities, ExperimentPreset("cities", "city coordinates, indicator radii 3/5/7 degrees",
+                                       3000, needs_cities=True)),
+        (_run_cities_thinned, ExperimentPreset("cities-thinned", "coupled edge thinning p=1/0.5/0.2 "
+                                               "at r=5 degrees", 3000, needs_cities=True)),
+        (_run_knn_band, ExperimentPreset("knn-band", "25-nearest-neighbor graph on [0,4]x[0,1]: "
+                                         "boundary bias checks", 5000)),
+        (_run_knn_paths, ExperimentPreset("knn-paths", "shortest-path illustration on the strip "
+                                          "neighbor graph", 5000)),
+        (_run_mds_discrete, ExperimentPreset("mds-discrete", "very coarse hop distances still embed "
+                                             "well (r=0.5)", 2000)),
+        (_run_hole_local, ExperimentPreset("hole-local", "thresholded hops + stress majorization fix "
+                                           "the hole bias (r=0.2, two hops)", 5000)),
+    )
 }
 
 PRESETS: dict[str, ExperimentPreset] = {k: v[1] for k, v in _RUNNERS.items()}

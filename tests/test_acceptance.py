@@ -378,7 +378,7 @@ def test_criterion_7_oracle_equivalence():
 # -------------------------------------------------------------- criterion 8
 
 
-def test_criterion_8_embedding_quality():
+def test_criterion_8_embedding_quality(tmp_path):
     """Aligned classical-scaling error decreases through n in {500, 1000,
     2000} (3-seed median) on the patched-rectangle preset at r=0.2, and the
     hole preset embeds strictly worse than the convex one at matched (n, r).
@@ -389,7 +389,7 @@ def test_criterion_8_embedding_quality():
         vals = []
         for seed in seeds:
             man = run_preset("rectangles", seed=seed,
-                             out_dir=f"/tmp/lg-acc-rect-{n}-{seed}", scale_n=n)
+                             out_dir=tmp_path / f"rect-{n}-{seed}", scale_n=n)
             vals.append(man["r0.2.rmse_aligned"])
         medians.append(float(np.median(vals)))
     decreasing = medians[0] > medians[1] > medians[2]
@@ -397,10 +397,10 @@ def test_criterion_8_embedding_quality():
     hole_vals, convex_vals = [], []
     for seed in seeds:
         hole_vals.append(run_preset("hole", seed=seed,
-                                    out_dir=f"/tmp/lg-acc-hole-{seed}",
+                                    out_dir=tmp_path / f"hole-{seed}",
                                     scale_n=1200)["r0.2.rmse_aligned"])
         convex_vals.append(run_preset("rectangles", seed=seed,
-                                      out_dir=f"/tmp/lg-acc-conv-{seed}",
+                                      out_dir=tmp_path / f"conv-{seed}",
                                       scale_n=1200)["r0.2.rmse_aligned"])
     hole_median = float(np.median(hole_vals))
     convex_median = float(np.median(convex_vals))
@@ -419,13 +419,13 @@ def test_criterion_8_embedding_quality():
 # -------------------------------------------------------------- criterion 9
 
 
-def test_criterion_9_localized_majorization():
+def test_criterion_9_localized_majorization(tmp_path):
     """Stress is non-increasing on every iteration of the localization
     preset, and its final aligned error beats plain classical scaling on the
     same instance."""
     from latentgraph import fileio
 
-    out = "/tmp/lg-acc-hole-local"
+    out = tmp_path / "hole-local"
     man = run_preset("hole-local", seed=5, out_dir=out, scale_n=1200)
     stress = []
     with open(f"{out}/local_stress.csv", encoding="utf-8") as fh:

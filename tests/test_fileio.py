@@ -43,6 +43,29 @@ class TestEdgeList:
         with pytest.raises(ValueError):
             fileio.read_edge_list(path)
 
+    @pytest.mark.parametrize("body", [
+        "1 0\n",          # i > j would be merged into 0 1
+        "2 2\n",          # self-loop
+        "0 1\n0 1\n",     # repeated pair
+        "0 1\n1 2\n0 1\n",
+        "0 1 2\n",        # three integers
+        "0\n",            # one integer
+        "0 1\n\n1 2\n",   # blank line
+        "0 4\n",          # j >= n
+        "-1 2\n",         # negative index
+        "0 x\n",          # not an integer
+    ])
+    def test_malformed_lines_rejected(self, tmp_path, body):
+        path = tmp_path / "edges.txt"
+        path.write_text("n=4\n" + body)
+        with pytest.raises(ValueError):
+            fileio.read_edge_list(path)
+
+    def test_no_edges(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("n=3\n")
+        assert fileio.read_edge_list(path).edge_count() == 0
+
 
 class TestBinaryFormats:
     def test_adjacency_roundtrip(self, tmp_path):
@@ -75,6 +98,34 @@ class TestBinaryFormats:
         for reader in (fileio.read_adjacency_binary, fileio.read_hops_binary,
                        fileio.read_matrix_binary):
             with pytest.raises(ValueError):
+                reader(path)
+
+    @staticmethod
+    def _write_each_format(tmp_path):
+        """(path, reader) of one file per binary format, with n not a byte multiple."""
+        adj = random_graph(43, 0.3, seed=2)
+        files = []
+        for name, writer, reader, value in (
+            ("adj.bin", fileio.write_adjacency_binary, fileio.read_adjacency_binary, adj),
+            ("hops.bin", fileio.write_hops_binary, fileio.read_hops_binary, all_pairs_hops(adj)),
+            ("m.bin", fileio.write_matrix_binary, fileio.read_matrix_binary, np.ones((43, 43))),
+        ):
+            writer(tmp_path / name, value)
+            files.append((tmp_path / name, reader))
+        return files
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_payload_length_checked(self, tmp_path, delta):
+        for path, reader in self._write_each_format(tmp_path):
+            raw = path.read_bytes()
+            path.write_bytes(raw[:-1] if delta < 0 else raw + b"\0")
+            with pytest.raises(ValueError, match="payload"):
+                reader(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        for path, reader in self._write_each_format(tmp_path):
+            path.write_bytes(path.read_bytes()[:11])
+            with pytest.raises(ValueError, match="header"):
                 reader(path)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from latentgraph import fileio, preset_names, run_preset
+from latentgraph import fileio, preset_names, presets, run_preset
 from latentgraph.cli import main as cli_main
 from latentgraph.plotdata import emit_plotdata, svg_scatter, write_scatter_csv
 
@@ -20,14 +20,37 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown preset"):
             run_preset("nope", seed=0, out_dir=tmp_path)
 
-    def test_all_presets_run_small(self, tmp_path, cities_csv):
+    def test_all_presets_run_small(self, tmp_path, cities_csv, monkeypatch):
+        calls = {"all_pairs_hops": [], "classical_mds": [], "coverage_radius": []}
+
+        def counted(name):
+            original = getattr(presets, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(args[0])  # kept alive, so identities stay unique
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(presets, name, counted(name))
         for name in preset_names():
+            for seen in calls.values():
+                seen.clear()
             out, man = run_small(name, tmp_path, cities_csv=cities_csv, sub=name)
             assert (out / "manifest.json").exists()
             assert man["preset"] == name
             assert man["seed"] == 3
             on_disk = fileio.read_manifest(out / "manifest.json")
             assert on_disk == json.loads(json.dumps(man))
+            # each artifact is built once: one hop computation per estimated
+            # graph, at most one classical scaling per graph, one coverage
+            # radius per sample
+            graphs = sum(key.endswith(".edge_count") for key in man)
+            hopped = calls["all_pairs_hops"]
+            assert len(hopped) == graphs, name
+            assert len({id(adj) for adj in hopped}) == len(hopped), name
+            assert len(calls["classical_mds"]) <= graphs, name
+            assert len(calls["coverage_radius"]) <= 1, name
 
     def test_manifest_carries_bound_outcomes(self, tmp_path):
         _, man = run_small("hole", tmp_path)
