@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="bound checks of estimates against truth")
     c.add_argument("--estimate", required=True, help="LGD1/CSV estimate matrix")
     c.add_argument("--truth", required=True, help="points CSV of true positions")
-    c.add_argument("--kind", choices=["simple", "general", "knn"], default="simple")
+    c.add_argument("--kind", choices=["simple", "general"], default="simple")
     c.add_argument("--eps", type=float, required=True)
     c.add_argument("--r", type=float, required=True)
     c.add_argument("--alpha", type=float, default=0.0)
@@ -186,10 +186,8 @@ def _run(args) -> int:
         est = EstimateMatrix(est_values, scale=args.r)
         if args.kind == "simple":
             rep = check_simple_bound(est, truth, args.eps, args.r)
-        elif args.kind == "general":
-            rep = check_general_bound(est, truth, args.eps, args.r, args.alpha)
         else:
-            raise ValueError("knn checks need the point configuration; use the library API")
+            rep = check_general_bound(est, truth, args.eps, args.r, args.alpha)
         print(f"pairs connected {rep.pairs_connected}, disconnected {rep.pairs_disconnected}")
         print(f"lower violations {rep.lower_violations}")
         if rep.upper_violations is not None:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 from scipy.spatial.distance import pdist, squareform
 
@@ -29,6 +31,8 @@ __all__ = [
 
 # above this size the dense eigensolver loses to Lanczos on the top block
 _DENSE_EIG_LIMIT = 1200
+# SMACOF stops once an iteration lowers the stress by less than this fraction
+_SMACOF_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,39 +169,18 @@ def localize(hops: HopMatrix, max_hops: int, r: float) -> PartialDissimilarity:
     return PartialDissimilarity(values=values, mask=mask)
 
 
-def _mask_connected(mask: np.ndarray) -> bool:
-    n = mask.shape[0]
-    w = mask.copy()
-    np.fill_diagonal(w, False)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0])
-    while frontier.size:
-        nxt = w[frontier].any(axis=0) & ~seen
-        if not nxt.any():
-            break
-        seen |= nxt
-        frontier = np.flatnonzero(nxt)
-    return bool(seen.all())
-
-
-def smacof(
-    partial: PartialDissimilarity,
-    init: np.ndarray,
-    max_iter: int = 500,
-    rel_tol: float = 1e-6,
-) -> EmbeddingResult:
+def smacof(partial: PartialDissimilarity, init: np.ndarray, max_iter: int = 500) -> EmbeddingResult:
     """Metric stress majorization with binary weights on present entries.
 
     Iterates the Guttman transform; with the exact solve used here the
     stress sequence is non-increasing.  Stops at ``max_iter`` or when the
-    relative stress decrease falls below ``rel_tol``.
+    relative stress decrease falls below ``_SMACOF_REL_TOL``.
     """
     n = partial.n
     x = np.array(init, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != n:
         raise ValueError("init must be n-by-v")
-    if not _mask_connected(partial.mask):
+    if connected_components(csr_matrix(partial.mask), return_labels=False) != 1:
         raise ValueError("localization threshold too small: mask graph is disconnected")
     w = partial.mask & ~np.eye(n, dtype=bool)
     delta = partial.values
@@ -234,7 +217,7 @@ def smacof(
         trace.append(s)
         iterations = it
         prev = trace[-2]
-        if prev <= 0 or (prev - s) / prev < rel_tol:
+        if prev <= 0 or (prev - s) / prev < _SMACOF_REL_TOL:
             break
     return EmbeddingResult(
         coords=x,

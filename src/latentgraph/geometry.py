@@ -342,7 +342,7 @@ def minimax_pair(n: int, r: float) -> tuple[PointConfig, PointConfig]:
     m = int(round(m_real))
     if m < 1 or abs(m_real - m) > 1e-9:
         raise ValueError(f"r*(n-1) = {m_real} is not a positive integer")
-    eta = 1.0 / (2 * n + m * (n - m))
+    eta = minimax_eta(n, r)
     i = np.arange(n, dtype=np.float64)
     x1 = i / (n - 1)
     x2 = i * (1.0 - eta * i) / ((n - 1) * (1.0 - eta * (n - 1)))

@@ -1,18 +1,21 @@
 """All-pairs hop distances and scaled-distance error reports.
 
-Hop distances are computed by a per-source breadth-first search over
-bit-packed adjacency rows: the frontier expansion is a word-level OR of the
-rows of the current frontier followed by AND-NOT with the visited set.  At
-n = 5000 this is the dominant cost of every experiment, and word parallelism
-makes it roughly 20x faster here than a heap-based sparse traversal.
+Hop distances and shortest paths come from one single-source breadth-first
+search over bit-packed adjacency rows: the frontier expansion is a word-level
+OR of the rows of the current frontier followed by AND-NOT with the visited
+set.  At n = 5000 this is the dominant cost of every experiment, and word
+parallelism makes it roughly 20x faster here than a heap-based traversal.
 
-Hops are stored as unsigned 16-bit values with 0xFFFF as infinity; desk-scale
-graphs (n <= 2e4) have diameters far below the sentinel.
+Hops are stored as unsigned 16-bit values with 0xFFFF as infinity, so graphs
+have at most 0xFFFF nodes; desk-scale graphs (n <= 2e4) have diameters far
+below the sentinel.  The simple, general and kNN checks share one report
+builder: the excess ``est - d`` against ``a (eps/r)^gamma d + b r``, plus the
+lower bound ``est >= d`` over all connected or over qualifying pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +38,8 @@ __all__ = [
 ]
 
 INF_HOPS = np.uint16(0xFFFF)
+# slack of every bound comparison, recorded in ``BoundReport.tol``
+_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,32 +80,36 @@ def _packed_words(adj: Adjacency) -> np.ndarray:
     return buf.view(np.uint64)
 
 
+def _bfs(words: np.ndarray, source: int, dist: np.ndarray) -> None:
+    """Breadth-first search from ``source`` over packed rows: writes the hop
+    count of every reached node into ``dist``, a row preset to infinity."""
+    n = dist.size
+    dist[source] = 0
+    visited = np.zeros(words.shape[1], dtype=np.uint64)
+    visited[source >> 6] = np.uint64(1) << np.uint64(source & 63)
+    frontier = np.array([source])
+    level = 0
+    while frontier.size:
+        reach = np.bitwise_or.reduce(words[frontier], axis=0)
+        new = reach & ~visited
+        if not new.any():
+            break
+        visited |= new
+        level += 1
+        frontier = np.flatnonzero(np.unpackbits(new.view(np.uint8), count=n, bitorder="little"))
+        dist[frontier] = level
+
+
 def all_pairs_hops(adj: Adjacency) -> HopMatrix:
     """Minimum edge counts between all node pairs (infinity if unreachable)."""
     n = adj.n
+    if n > int(INF_HOPS):
+        # a level reaches n - 1, which would then collide with the sentinel
+        raise ValueError(f"n = {n} exceeds the {int(INF_HOPS)}-node limit of uint16 hop counts")
     words = _packed_words(adj)
-    nwords = words.shape[1]
     hops = np.full((n, n), INF_HOPS, dtype=np.uint16)
-    one = np.uint64(1)
     for s in range(n):
-        dist = hops[s]
-        dist[s] = 0
-        visited = np.zeros(nwords, dtype=np.uint64)
-        visited[s >> 6] = one << np.uint64(s & 63)
-        frontier = np.array([s])
-        level = 0
-        while frontier.size:
-            reach = np.bitwise_or.reduce(words[frontier], axis=0)
-            new = reach & ~visited
-            if not new.any():
-                break
-            visited |= new
-            level += 1
-            idx = np.flatnonzero(
-                np.unpackbits(new.view(np.uint8), count=n, bitorder="little")
-            )
-            dist[idx] = level
-            frontier = idx
+        _bfs(words, s, hops[s])
     return HopMatrix(n, hops)
 
 
@@ -113,22 +122,15 @@ def shortest_path_nodes(adj: Adjacency, source: int, target: int) -> list[int]:
     n = adj.n
     if not (0 <= source < n and 0 <= target < n):
         raise ValueError("node index out of range")
-    dense = adj.dense()
-    parent = np.full(n, -1, dtype=np.int64)
-    parent[source] = source
-    frontier = np.array([source])
-    while frontier.size and parent[target] == -1:
-        reach = dense[frontier].any(axis=0) & (parent == -1)
-        idx = np.flatnonzero(reach)
-        for j in idx:
-            preds = frontier[dense[frontier, j]]
-            parent[j] = preds.min()
-        frontier = idx
-    if parent[target] == -1:
+    dist = np.full(n, INF_HOPS, dtype=np.uint16)
+    _bfs(_packed_words(adj), source, dist)
+    if dist[target] == INF_HOPS:
         raise ValueError(f"nodes {source} and {target} are disconnected")
+    # walk back one level at a time through the smallest-index closer neighbour
     path = [target]
     while path[-1] != source:
-        path.append(int(parent[path[-1]]))
+        nbrs = np.flatnonzero(np.unpackbits(adj.packed[path[-1]], count=n, bitorder="little"))
+        path.append(int(nbrs[dist[nbrs] == dist[path[-1]] - 1][0]))
     return path[::-1]
 
 
@@ -182,7 +184,6 @@ class BoundReport:
     tol: float
     asserted: bool
     lower_checked_pairs: int | None = None
-    residuals: np.ndarray | None = field(default=None, repr=False)
 
 
 def _pair_arrays(est: EstimateMatrix, truth: np.ndarray):
@@ -193,69 +194,60 @@ def _pair_arrays(est: EstimateMatrix, truth: np.ndarray):
     return iu, est.values[iu], truth[iu]
 
 
-def _bound_stats(dhat, d, eps, r, gamma, a, b, tol):
+def _report(n, dhat, d, eps, r, gamma, a, b, asserted, qualifying=None) -> BoundReport:
+    """Bound report over the pair estimates ``dhat`` and true distances ``d``.
+
+    With ``a`` given, the excess is held against ``a (eps/r)^gamma d + b r``.
+    The lower bound ``est >= d`` is counted over all connected pairs, or only
+    over the pairs of the ``qualifying`` mask when one is given.
+    """
     finite = np.isfinite(dhat)
-    resid = dhat[finite] - d[finite]
-    lower_viol = int((resid < -tol).sum())
-    if a is not None:
-        rhs = a * (eps / r) ** gamma * d[finite] + b * r
-        upper_viol = int((resid > rhs + tol).sum())
+    df = d[finite]
+    resid = dhat[finite] - df
+    scale = (eps / r) ** gamma
+    if qualifying is None:
+        lower_viol, checked = int((resid < -_TOL).sum()), None
     else:
-        upper_viol = None
-    pos = d[finite] > 0
-    max_rel = float((np.abs(resid[pos]) / d[finite][pos]).max()) if pos.any() else 0.0
-    fitted = float((resid / ((eps / r) ** gamma * d[finite] + r)).max()) if resid.size else 0.0
-    return finite, resid, lower_viol, upper_viol, max_rel, fitted
+        # disconnected qualifying pairs have est = inf >= d: no violation
+        lower_viol = int((qualifying & (dhat < d - _TOL)).sum())
+        checked = int(qualifying.sum())
+    upper_viol = None if a is None else int((resid > a * scale * df + b * r + _TOL).sum())
+    pos = df > 0
+    return BoundReport(
+        n=n,
+        pairs_total=d.size,
+        pairs_connected=int(finite.sum()),
+        pairs_disconnected=int((~finite).sum()),
+        lower_violations=lower_viol,
+        upper_violations=upper_viol,
+        max_residual=float(resid.max()) if resid.size else 0.0,
+        min_residual=float(resid.min()) if resid.size else 0.0,
+        max_relative_error=float((np.abs(resid[pos]) / df[pos]).max()) if pos.any() else 0.0,
+        fitted_constant=float((resid / (scale * df + r)).max()) if resid.size else 0.0,
+        eps=float(eps),
+        r=float(r),
+        gamma=gamma,
+        a=a,
+        b=b,
+        tol=_TOL,
+        asserted=asserted,
+        lower_checked_pairs=checked,
+    )
 
 
-def check_simple_bound(
-    est: EstimateMatrix,
-    truth: np.ndarray,
-    eps: float,
-    r: float,
-    tol: float = 1e-9,
-    keep_residuals: bool = False,
-) -> BoundReport:
+def check_simple_bound(est: EstimateMatrix, truth: np.ndarray, eps: float, r: float) -> BoundReport:
     """Check ``0 <= est - d <= 4 (eps/r) d + r`` over connected pairs.
 
     The upper inequality is guaranteed for indicator links only when
     ``eps <= r/4`` (coverage at most a quarter radius); otherwise the report
     is informational and ``asserted`` is False.
     """
-    iu, dhat, d = _pair_arrays(est, truth)
-    finite, resid, lv, uv, max_rel, fitted = _bound_stats(dhat, d, eps, r, 1.0, 4.0, 1.0, tol)
-    return BoundReport(
-        n=est.n,
-        pairs_total=d.size,
-        pairs_connected=int(finite.sum()),
-        pairs_disconnected=int((~finite).sum()),
-        lower_violations=lv,
-        upper_violations=uv,
-        max_residual=float(resid.max()) if resid.size else 0.0,
-        min_residual=float(resid.min()) if resid.size else 0.0,
-        max_relative_error=max_rel,
-        fitted_constant=fitted,
-        eps=float(eps),
-        r=float(r),
-        gamma=1.0,
-        a=4.0,
-        b=1.0,
-        tol=tol,
-        asserted=bool(eps <= r / 4),
-        residuals=(est.values - truth) if keep_residuals else None,
-    )
+    _, dhat, d = _pair_arrays(est, truth)
+    return _report(est.n, dhat, d, eps, r, 1.0, 4.0, 1.0, bool(eps <= r / 4))
 
 
-def check_general_bound(
-    est: EstimateMatrix,
-    truth: np.ndarray,
-    eps: float,
-    r: float,
-    alpha: float,
-    c2: float | None = None,
-    tol: float = 1e-9,
-    keep_residuals: bool = False,
-) -> BoundReport:
+def check_general_bound(est: EstimateMatrix, truth: np.ndarray, eps: float, r: float,
+                        alpha: float, c2: float | None = None) -> BoundReport:
     """Report the smallest constant C with
     ``est - d <= C [ (eps/r)^(1/(1+alpha)) d + r ]`` over connected pairs,
     plus the always-required lower bound ``est >= d``.
@@ -264,41 +256,13 @@ def check_general_bound(
     """
     if alpha < 0:
         raise ValueError("need alpha >= 0")
-    gamma = 1.0 / (1.0 + alpha)
-    iu, dhat, d = _pair_arrays(est, truth)
-    finite, resid, lv, uv, max_rel, fitted = _bound_stats(
-        dhat, d, eps, r, gamma, c2, 1.0 if c2 is not None else None, tol
-    )
-    return BoundReport(
-        n=est.n,
-        pairs_total=d.size,
-        pairs_connected=int(finite.sum()),
-        pairs_disconnected=int((~finite).sum()),
-        lower_violations=lv,
-        upper_violations=uv,
-        max_residual=float(resid.max()) if resid.size else 0.0,
-        min_residual=float(resid.min()) if resid.size else 0.0,
-        max_relative_error=max_rel,
-        fitted_constant=fitted,
-        eps=float(eps),
-        r=float(r),
-        gamma=gamma,
-        a=c2,
-        b=1.0 if c2 is not None else None,
-        tol=tol,
-        asserted=False,
-        residuals=(est.values - truth) if keep_residuals else None,
-    )
+    _, dhat, d = _pair_arrays(est, truth)
+    return _report(est.n, dhat, d, eps, r, 1.0 / (1.0 + alpha), c2,
+                   1.0 if c2 is not None else None, False)
 
 
-def check_knn_bounds(
-    est: EstimateMatrix,
-    truth: np.ndarray,
-    config: PointConfig,
-    eps: float,
-    r: float,
-    tol: float = 1e-9,
-) -> BoundReport:
+def check_knn_bounds(est: EstimateMatrix, truth: np.ndarray, config: PointConfig,
+                     eps: float, r: float) -> BoundReport:
     """Check the k-nearest-neighbor bounds.
 
     Upper: ``est - d <= 8 (eps/r) d + r`` over all connected pairs.  Lower:
@@ -307,38 +271,10 @@ def check_knn_bounds(
     the unrestricted lower bound false in dimension 2 and up).
     """
     iu, dhat, d = _pair_arrays(est, truth)
-    finite = np.isfinite(dhat)
-    resid = dhat[finite] - d[finite]
-    rhs = 8.0 * (eps / r) * d[finite] + r
-    upper_viol = int((resid > rhs + tol).sum())
     bdist = boundary_distances(config)
     deep = (bdist[iu[0]] > d / 2) & (bdist[iu[1]] > d / 2)
-    qualifying = (d >= 2 * r) & deep
-    # disconnected qualifying pairs have est = inf >= d: no violation
-    lower_viol = int((qualifying & (dhat < d - tol)).sum())
-    pos = d[finite] > 0
-    max_rel = float((np.abs(resid[pos]) / d[finite][pos]).max()) if pos.any() else 0.0
-    fitted = float((resid / ((eps / r) * d[finite] + r)).max()) if resid.size else 0.0
-    return BoundReport(
-        n=est.n,
-        pairs_total=d.size,
-        pairs_connected=int(finite.sum()),
-        pairs_disconnected=int((~finite).sum()),
-        lower_violations=lower_viol,
-        upper_violations=upper_viol,
-        max_residual=float(resid.max()) if resid.size else 0.0,
-        min_residual=float(resid.min()) if resid.size else 0.0,
-        max_relative_error=max_rel,
-        fitted_constant=fitted,
-        eps=float(eps),
-        r=float(r),
-        gamma=1.0,
-        a=8.0,
-        b=1.0,
-        tol=tol,
-        asserted=False,
-        lower_checked_pairs=int(qualifying.sum()),
-    )
+    return _report(est.n, dhat, d, eps, r, 1.0, 8.0, 1.0, False,
+                   qualifying=(d >= 2 * r) & deep)
 
 
 def check_boundary_bias(

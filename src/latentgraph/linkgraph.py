@@ -178,10 +178,11 @@ class Adjacency:
         return np.column_stack([i, j])
 
     def degrees(self) -> np.ndarray:
-        return np.unpackbits(self.packed, axis=1, count=self.n, bitorder="little").sum(axis=1)
+        # rows are packed from dense rows, so the bits past column n are zero
+        return np.bitwise_count(self.packed).sum(axis=1)
 
     def edge_count(self) -> int:
-        return int(self.degrees().sum() // 2)
+        return int(np.bitwise_count(self.packed).sum()) // 2
 
     def __eq__(self, other) -> bool:
         return (

@@ -29,6 +29,9 @@ __all__ = [
     "solve_mvu",
 ]
 
+# penalty levels in units of the critical coefficient 2 n / lambda_2
+_PENALTY_SCHEDULE = (1.0, 10.0, 100.0, 1000.0)
+
 
 @dataclass(frozen=True, eq=False)
 class MvuSolution:
@@ -62,7 +65,6 @@ def _algebraic_connectivity(adj: Adjacency) -> float:
 def solve_mvu(
     adj: Adjacency,
     rank: int,
-    schedule: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0),
     seed: int = 0,
     steps_per_stage: int = 2000,
 ) -> MvuSolution:
@@ -71,9 +73,9 @@ def solve_mvu(
     Initializes from classical scaling of the hop matrix (shrunk to
     feasibility, plus a small seeded jitter to escape low-rank starts), then
     runs backtracking gradient ascent on the penalized objective for each
-    penalty level ``2 n / lambda_2 * s`` along the schedule.  The ascent is
-    monotone in the penalized objective at fixed penalty.  Requires a
-    connected graph: otherwise the spread is unbounded.
+    penalty level ``2 n / lambda_2 * s``, s in ``_PENALTY_SCHEDULE``.  The
+    ascent is monotone in the penalized objective at fixed penalty.  Requires
+    a connected graph: otherwise the spread is unbounded.
     """
     if rank < 2:
         raise ValueError("need rank >= 2")
@@ -100,7 +102,7 @@ def solve_mvu(
 
     trace = []
     step = 1e-2
-    for stage, s in enumerate(schedule):
+    for stage, s in enumerate(_PENALTY_SCHEDULE):
         mu = mu_base * s
         fcur = penalized(x, mu)
         for it in range(steps_per_stage):

@@ -15,6 +15,9 @@ from .fileio import read_manifest, read_points_csv
 __all__ = ["emit_plotdata", "svg_paths", "svg_scatter", "write_scatter_csv"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+_WIDTH = 640.0  # rendered SVG width in pixels
+# scatter marker radius, in percent of the largest extent of any series
+_MARKER_RADIUS = 0.25
 
 
 def write_scatter_csv(path: str | Path, series: dict[str, np.ndarray]) -> None:
@@ -35,12 +38,7 @@ def _require_points(pts: np.ndarray) -> None:
         raise ValueError("need an n-by-2 coordinate array")
 
 
-def svg_scatter(
-    path: str | Path,
-    series: dict[str, np.ndarray],
-    marker_radius: float = 0.25,
-    width: float = 640.0,
-) -> None:
+def svg_scatter(path: str | Path, series: dict[str, np.ndarray]) -> None:
     """Render point clouds side by side, one panel per series.
 
     Panels share the marker scale; each panel's viewBox matches its own
@@ -55,7 +53,7 @@ def svg_scatter(
         clouds[name] = pts[:, :2]
     spans = {k: p.max(axis=0) - p.min(axis=0) for k, p in clouds.items()}
     unit = max(max(s[0], s[1]) for s in spans.values())
-    rad = marker_radius * unit / 100.0
+    rad = _MARKER_RADIUS * unit / 100.0
     panels = []
     x_cursor = 0.0
     height = 0.0
@@ -75,21 +73,16 @@ def svg_scatter(
         x_cursor += w + 4 * rad
         height = max(height, float(h))
     total_w = x_cursor - 4 * rad
-    scale = width / total_w
+    scale = _WIDTH / total_w
     svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.6g}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.6g}" '
         f'height="{height * scale:.6g}" viewBox="0 0 {total_w:.6g} {height:.6g}" '
         f'preserveAspectRatio="xMidYMid meet">{"".join(panels)}</svg>\n'
     )
     Path(path).write_text(svg, encoding="utf-8")
 
 
-def svg_paths(
-    path: str | Path,
-    cloud: np.ndarray,
-    polylines: dict[str, np.ndarray],
-    width: float = 640.0,
-) -> None:
+def svg_paths(path: str | Path, cloud: np.ndarray, polylines: dict[str, np.ndarray]) -> None:
     """One panel: a point cloud with highlighted polylines over it."""
     cloud = np.atleast_2d(np.asarray(cloud, dtype=np.float64))[:, :2]
     _require_points(cloud)
@@ -111,15 +104,15 @@ def svg_paths(
             f'stroke-width="{2 * rad:.6g}"><title>{name}</title></polyline>'
         )
     svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.6g}" '
-        f'height="{width * h / w:.6g}" viewBox="0 0 {w:.6g} {h:.6g}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.6g}" '
+        f'height="{_WIDTH * h / w:.6g}" viewBox="0 0 {w:.6g} {h:.6g}" '
         f'preserveAspectRatio="xMidYMid meet">'
         f'<g fill="#888888" fill-opacity="0.45">{dots}</g>{"".join(lines)}</svg>\n'
     )
     Path(path).write_text(svg, encoding="utf-8")
 
 
-def emit_plotdata(result_dir: str | Path, manifest_name: str = "manifest.json") -> list[Path]:
+def emit_plotdata(result_dir: str | Path) -> list[Path]:
     """Turn a preset's result directory into scatter CSV and SVG files.
 
     Reads the manifest, groups the point files it references (keys ending in
@@ -127,7 +120,7 @@ def emit_plotdata(result_dir: str | Path, manifest_name: str = "manifest.json") 
     SVG plus a combined scatter CSV per group.  Returns the files written.
     """
     result_dir = Path(result_dir)
-    manifest_path = result_dir / manifest_name
+    manifest_path = result_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"missing manifest: {manifest_path}")
     manifest = read_manifest(manifest_path)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,30 @@ class TestAllPairsHops:
         assert len(path) - 1 == all_pairs_hops(adj).hops[0, 3]
         with pytest.raises(ValueError):
             shortest_path_nodes(Adjacency.from_edges(4, [[0, 1], [2, 3]]), 0, 3)
+
+    def test_shortest_paths_on_tied_lattice(self):
+        # 30x30 unit grid with radius just above the spacing: a 4-neighbour
+        # lattice, where almost every pair has many equally short paths
+        g = np.arange(30.0)
+        pts = np.array([(x, y) for x in g for y in g])
+        adj = generate_graph(PointConfig(pts, rectangle(29.0, 29.0)), Indicator(1.01), 0)
+        hops = all_pairs_hops(adj).hops.astype(np.int64)
+        dense = adj.dense()
+        rng = np.random.default_rng(4)
+        for source, target in rng.integers(0, 900, size=(150, 2)):
+            path = shortest_path_nodes(adj, int(source), int(target))
+            assert path[0] == source and path[-1] == target
+            assert len(path) - 1 == hops[source, target]
+            for prev, node in zip(path, path[1:]):
+                assert dense[prev, node]
+                closer = np.flatnonzero(dense[node] & (hops[source] == hops[source, node] - 1))
+                assert prev == closer[0]
+
+    def test_rejects_more_nodes_than_the_sentinel_allows(self):
+        # a stand-in with only a node count: the guard must fire before any
+        # n-sized allocation
+        with pytest.raises(ValueError, match="65535"):
+            all_pairs_hops(SimpleNamespace(n=0x10000))
 
 
 class TestScaleHops:

@@ -342,3 +342,10 @@ class TestAdjacency:
     def test_degrees(self):
         adj = Adjacency.from_edges(4, [[0, 1], [0, 2], [0, 3]])
         assert adj.degrees().tolist() == [3, 1, 1, 1]
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 70])
+    def test_degrees_and_edge_count_match_dense(self, n):
+        adj = random_graph(n, 0.3, seed=n)
+        dense = adj.dense()
+        assert np.array_equal(adj.degrees(), dense.sum(axis=1))
+        assert adj.edge_count() == int(dense.sum()) // 2 == len(adj.edges())

@@ -191,6 +191,13 @@ class TestCli:
                          "--file", str(cities_csv), "--n", "50"]) == 0
         assert (tmp_path / "cities_points.csv").exists()
 
+    def test_check_kind_knn_is_not_a_choice(self):
+        # the kNN check needs the point configuration, so the CLI does not offer it
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["check", "--estimate", "e.csv", "--truth", "p.csv",
+                      "--kind", "knn", "--eps", "0.05", "--r", "0.4"])
+        assert exc.value.code == 2
+
     def test_validation_error_is_exit_2(self, tmp_path):
         assert cli_main(["--out", str(tmp_path), "generate",
                          "--domain", "triangle:1", "--n", "10",
