@@ -63,7 +63,6 @@ from .linkgraph import (
     knn_graph,
     knn_radii,
     knn_scale,
-    symmetrize,
     symmetrize_union,
     unit_ball_volume,
 )

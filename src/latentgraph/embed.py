@@ -31,8 +31,10 @@ __all__ = [
 
 # above this size the dense eigensolver loses to Lanczos on the top block
 _DENSE_EIG_LIMIT = 1200
-# SMACOF stops once an iteration lowers the stress by less than this fraction
+# SMACOF stops once an iteration lowers the stress by less than this fraction,
+# or after this many iterations
 _SMACOF_REL_TOL = 1e-6
+_SMACOF_MAX_ITER = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,12 +171,14 @@ def localize(hops: HopMatrix, max_hops: int, r: float) -> PartialDissimilarity:
     return PartialDissimilarity(values=values, mask=mask)
 
 
-def smacof(partial: PartialDissimilarity, init: np.ndarray, max_iter: int = 500) -> EmbeddingResult:
+def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     """Metric stress majorization with binary weights on present entries.
 
     Iterates the Guttman transform; with the exact solve used here the
-    stress sequence is non-increasing.  Stops at ``max_iter`` or when the
-    relative stress decrease falls below ``_SMACOF_REL_TOL``.
+    stress sequence is non-increasing.  Each iterate is evaluated once: its
+    distance matrix gives both its stress and the next Guttman step.  Stops
+    after ``_SMACOF_MAX_ITER`` steps or when the relative stress decrease
+    falls below ``_SMACOF_REL_TOL``.
     """
     n = partial.n
     x = np.array(init, dtype=np.float64)
@@ -184,36 +188,29 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray, max_iter: int = 500)
         raise ValueError("localization threshold too small: mask graph is disconnected")
     w = partial.mask & ~np.eye(n, dtype=bool)
     delta = partial.values
+    # present pairs i < j in row-major order, the terms of the stress sum
     iu = np.triu_indices(n, 1)
-    sel = w[iu]
-    full = bool(w[iu].all())
-    if not full:
-        # Guttman step solves V x = B(x) x; V = Laplacian of the mask graph,
-        # made definite by the rank-one centering term (solution stays centered
-        # because B(x) x is orthogonal to the ones vector)
-        vmat = np.diag(w.sum(axis=1).astype(np.float64)) - w
-        factor = cho_factor(vmat + 1.0 / n, lower=True)
-
-    def stress_of(y: np.ndarray) -> float:
-        dis = squareform(pdist(y))
-        diff = (dis - delta)[iu][sel]
-        return float((diff ** 2).sum())
+    present = tuple(k[w[iu]] for k in iu)
+    delta_present = delta[present]
+    # Guttman step solves V x = B(x) x; V = Laplacian of the mask graph,
+    # made definite by the rank-one centering term (solution stays centered
+    # because B(x) x is orthogonal to the ones vector)
+    vmat = np.diag(w.sum(axis=1).astype(np.float64)) - w
+    factor = cho_factor(vmat + 1.0 / n, lower=True)
 
     x = x - x.mean(axis=0)
-    trace = [stress_of(x)]
+    dis = squareform(pdist(x))
+    trace = [float(((dis[present] - delta_present) ** 2).sum())]
     iterations = 0
-    for it in range(1, max_iter + 1):
-        dis = squareform(pdist(x))
+    for it in range(1, _SMACOF_MAX_ITER + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(dis > 0, delta / np.where(dis > 0, dis, 1.0), 0.0) * w
         bmat = -ratio
         np.fill_diagonal(bmat, ratio.sum(axis=1))
-        if full:
-            x = (bmat @ x) / n
-        else:
-            x = cho_solve(factor, bmat @ x)
+        x = cho_solve(factor, bmat @ x)
         x = x - x.mean(axis=0)
-        s = stress_of(x)
+        dis = squareform(pdist(x))
+        s = float(((dis[present] - delta_present) ** 2).sum())
         trace.append(s)
         iterations = it
         prev = trace[-2]

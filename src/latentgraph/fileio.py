@@ -67,7 +67,7 @@ def read_points_csv(path: str | Path) -> np.ndarray:
 
 def write_edge_list(path: str | Path, adj: Adjacency) -> None:
     lines = [f"n={adj.n}"]
-    lines.extend(f"{i} {j}" for i, j in adj.edges())
+    lines.extend(f"{i} {j}" for i, j in adj.edges().tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

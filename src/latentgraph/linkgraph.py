@@ -34,7 +34,6 @@ __all__ = [
     "knn_graph",
     "knn_radii",
     "knn_scale",
-    "symmetrize",
     "symmetrize_union",
     "unit_ball_volume",
 ]
@@ -253,11 +252,6 @@ class KnnAdjacency:
         nb.setflags(write=False)
         object.__setattr__(self, "out_neighbors", nb)
 
-    def dense_directed(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=bool)
-        a[np.repeat(np.arange(self.n), self.kappa), self.out_neighbors.ravel()] = True
-        return a
-
 
 def knn_graph(config: PointConfig, kappa: int) -> KnnAdjacency:
     """k-nearest-neighbor relation under exact Euclidean distances."""
@@ -281,26 +275,12 @@ def knn_radii(config: PointConfig, kappa: int) -> np.ndarray:
     return np.partition(d, kappa - 1, axis=1)[:, kappa - 1]
 
 
-def symmetrize(knn: KnnAdjacency, mode: str = "union") -> Adjacency:
-    """Undirected graph from the directed neighbor relation.
-
-    ``union`` links i and j when either points at the other;
-    ``intersection`` requires both (mutual neighbors).
-    """
-    a = knn.dense_directed()
-    if mode == "union":
-        w = a | a.T
-    elif mode == "intersection":
-        w = a & a.T
-    else:
-        raise ValueError("mode must be 'union' or 'intersection'")
-    np.fill_diagonal(w, False)
-    return Adjacency.from_dense(w)
-
-
 def symmetrize_union(knn: KnnAdjacency) -> Adjacency:
-    """Union-symmetrized neighbor graph (the default traversal graph)."""
-    return symmetrize(knn, "union")
+    """Union-symmetrized neighbor graph (the default traversal graph): i and
+    j are linked when either points at the other."""
+    a = np.zeros((knn.n, knn.n), dtype=bool)
+    a[np.repeat(np.arange(knn.n), knn.kappa), knn.out_neighbors.ravel()] = True
+    return Adjacency.from_dense(a | a.T)
 
 
 def unit_ball_volume(v: int) -> float:

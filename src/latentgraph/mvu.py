@@ -31,6 +31,8 @@ __all__ = [
 
 # penalty levels in units of the critical coefficient 2 n / lambda_2
 _PENALTY_SCHEDULE = (1.0, 10.0, 100.0, 1000.0)
+# absolute slack of the hop-bound check, on top of the propagated edge violation
+_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +58,18 @@ def _edge_lengths(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(x[a] - x[b], axis=1)
 
 
-def _algebraic_connectivity(adj: Adjacency) -> float:
-    w = adj.dense().astype(np.float64)
-    lap = np.diag(w.sum(axis=1)) - w
+def _evaluate(x: np.ndarray, a: np.ndarray, b: np.ndarray, mu: float):
+    # penalized objective with the spread and edge terms it was computed from
+    diff = x[a] - x[b]
+    lengths = np.linalg.norm(diff, axis=1)
+    excess = np.maximum(lengths - 1.0, 0.0)
+    spread = _spread(x)
+    return spread - mu * float((excess ** 2).sum()), spread, diff, lengths, excess
+
+
+def _algebraic_connectivity(n: int, a: np.ndarray, b: np.ndarray) -> float:
+    lap = np.diag(np.bincount(np.concatenate([a, b]), minlength=n).astype(np.float64))
+    lap[a, b] = lap[b, a] = -1.0
     return float(np.sort(eigh(lap, eigvals_only=True))[1])
 
 
@@ -74,8 +85,10 @@ def solve_mvu(
     feasibility, plus a small seeded jitter to escape low-rank starts), then
     runs backtracking gradient ascent on the penalized objective for each
     penalty level ``2 n / lambda_2 * s``, s in ``_PENALTY_SCHEDULE``.  The
-    ascent is monotone in the penalized objective at fixed penalty.  Requires
-    a connected graph: otherwise the spread is unbounded.
+    ascent is monotone in the penalized objective at fixed penalty.  Each
+    trial point is evaluated once: the accepted one's edge lengths feed the
+    next gradient and its trace row.  Requires a connected graph: otherwise
+    the spread is unbounded.
     """
     if rank < 2:
         raise ValueError("need rank >= 2")
@@ -94,59 +107,43 @@ def solve_mvu(
     if ml > 1.0:
         x /= ml
 
-    mu_base = 2.0 * n / _algebraic_connectivity(adj)
-
-    def penalized(xc: np.ndarray, mu: float) -> float:
-        excess = np.maximum(_edge_lengths(xc, a, b) - 1.0, 0.0)
-        return _spread(xc) - mu * float((excess ** 2).sum())
+    mu_base = 2.0 * n / _algebraic_connectivity(n, a, b)
+    # the gradient scatters into the flat bins a*dim + k and b*dim + k
+    dim = x.shape[1]
+    bins_a, bins_b = ((e[:, None] * dim + np.arange(dim)).ravel() for e in (a, b))
 
     trace = []
     step = 1e-2
     for stage, s in enumerate(_PENALTY_SCHEDULE):
         mu = mu_base * s
-        fcur = penalized(x, mu)
+        fcur, _, diff, lengths, excess = _evaluate(x, a, b, mu)
         for it in range(steps_per_stage):
-            lengths = _edge_lengths(x, a, b)
-            excess = np.maximum(lengths - 1.0, 0.0)
             coef = 2.0 * excess / np.where(lengths > 0, lengths, 1.0)
-            pull = coef[:, None] * (x[a] - x[b])
-            gpen = np.empty_like(x)
-            for k in range(x.shape[1]):
-                gpen[:, k] = np.bincount(a, weights=pull[:, k], minlength=n) - np.bincount(
-                    b, weights=pull[:, k], minlength=n
-                )
-            grad = 2.0 * n * x - mu * gpen
+            pull = (coef[:, None] * diff).ravel()
+            gpen = np.bincount(bins_a, pull, n * dim) - np.bincount(bins_b, pull, n * dim)
+            grad = 2.0 * n * x - mu * gpen.reshape(n, dim)
             gnorm2 = float((grad ** 2).sum())
             if gnorm2 < 1e-18:
                 break
-            accepted = False
             for _ in range(60):
                 xn = x + step * grad
                 xn -= xn.mean(axis=0)
-                fn = penalized(xn, mu)
+                fn, spread, *edge_terms = _evaluate(xn, a, b, mu)
                 if fn >= fcur + 1e-4 * step * gnorm2:
-                    accepted = True
                     break
                 step *= 0.5
-            if not accepted:
+            else:
                 break
             rel = (fn - fcur) / max(abs(fcur), 1e-300)
             x, fcur = xn, fn
+            diff, lengths, excess = edge_terms
             step *= 1.3
-            trace.append(
-                (
-                    stage,
-                    it,
-                    _spread(x),
-                    float(np.maximum(_edge_lengths(x, a, b) - 1.0, 0.0).max(initial=0.0)),
-                    fcur,
-                )
-            )
+            trace.append((stage, it, spread, float(excess.max(initial=0.0)), fcur))
             if rel < 1e-12:
                 break
 
     # snap to exact feasibility; any feasible point satisfies the hop bound
-    ml = _edge_lengths(x, a, b).max()
+    ml = lengths.max()
     if ml > 1.0:
         x = x / ml
         x -= x.mean(axis=0)
@@ -169,12 +166,12 @@ class MvuBoundReport:
     tol_base: float
 
 
-def check_mvu_bound(sol: MvuSolution, hops: HopMatrix, tol: float = 1e-9) -> MvuBoundReport:
+def check_mvu_bound(sol: MvuSolution, hops: HopMatrix) -> MvuBoundReport:
     """Count pairs where the unfolded metric exceeds the hop distance.
 
     A feasible point can never exceed it (chain the edges of a shortest
     path); residual edge violations propagate multiplicatively, so the
-    tolerance per pair is ``max_edge_violation * hops + tol``.
+    tolerance per pair is ``max_edge_violation * hops + _TOL``.
     """
     if sol.gamma.shape[0] != hops.n:
         raise ValueError("solution and hop matrix sizes differ")
@@ -183,12 +180,12 @@ def check_mvu_bound(sol: MvuSolution, hops: HopMatrix, tol: float = 1e-9) -> Mvu
     g = sol.gamma[iu]
     finite = np.isfinite(h)
     excess = g[finite] - h[finite]
-    allowed = sol.max_edge_violation * h[finite] + tol
+    allowed = sol.max_edge_violation * h[finite] + _TOL
     return MvuBoundReport(
         pairs=int(finite.sum()),
         violations=int((excess > allowed).sum()),
         max_excess=float(excess.max()) if excess.size else 0.0,
-        tol_base=tol,
+        tol_base=_TOL,
     )
 
 

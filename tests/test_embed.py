@@ -158,7 +158,7 @@ class TestSmacof:
         cfg = sample_uniform(rectangle(2, 1), 40, seed=7)
         truth = pairwise_distances(cfg)
         part = PartialDissimilarity(truth, np.ones_like(truth, dtype=bool))
-        res = smacof(part, cfg.points, max_iter=50)
+        res = smacof(part, cfg.points)
         assert res.stress == pytest.approx(0.0, abs=1e-18)
         assert res.iterations == 1
 
@@ -174,7 +174,7 @@ class TestSmacof:
             return (((pairwise_distances(coords) - est.values)[iu]) ** 2).sum()
 
         rng = np.random.default_rng(0)
-        res = smacof(part, rng.random((60, 2)), max_iter=500)
+        res = smacof(part, rng.random((60, 2)))
         assert res.stress <= full_stress(cm.coords) + 1e-12
 
     def test_stress_non_increasing_on_partial_input(self):
@@ -188,6 +188,26 @@ class TestSmacof:
         trace = np.array(res.stress_trace)
         assert np.all(np.diff(trace) <= 1e-9)
         assert res.stress == trace[-1]
+
+    def test_one_distance_matrix_per_iterate(self, monkeypatch):
+        # an iterate's distances give both its stress and the next Guttman step
+        from latentgraph import embed
+
+        calls = []
+        real_pdist = embed.pdist
+
+        def counting_pdist(x):
+            calls.append(x.shape)
+            return real_pdist(x)
+
+        monkeypatch.setattr(embed, "pdist", counting_pdist)
+        cfg = sample_uniform(rectangle(2, 1), 80, seed=4)
+        hops = all_pairs_hops(generate_graph(cfg, Indicator(0.4), seed=0))
+        part = localize(hops, 2, r=0.4)
+        assert not part.mask.all()
+        res = smacof(part, classical_mds(scale_hops(hops, 0.4).values, v=2).coords)
+        assert res.iterations > 1
+        assert len(calls) == res.iterations + 1
 
     def test_disconnected_mask_rejected(self):
         values = np.zeros((4, 4))

@@ -65,6 +65,8 @@ class TestEdgeList:
         path = tmp_path / "edges.txt"
         path.write_text("n=3\n")
         assert fileio.read_edge_list(path).edge_count() == 0
+        fileio.write_edge_list(path, fileio.read_edge_list(path))
+        assert path.read_text() == "n=3\n"
 
 
 class TestBinaryFormats:

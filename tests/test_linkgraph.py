@@ -22,7 +22,6 @@ from latentgraph import (
     pairwise_distances,
     rectangle,
     sample_uniform,
-    symmetrize,
     symmetrize_union,
     unit_ball_volume,
 )
@@ -240,11 +239,6 @@ class TestSymmetrize:
         adj = symmetrize_union(knn)
         assert np.array_equal(adj.dense(), expect)
         assert adj.edge_count() == int(expect.sum() // 2)
-
-    def test_intersection_mode(self):
-        knn = KnnAdjacency(3, 1, np.array([[1], [0], [1]], dtype=np.int32))
-        adj = symmetrize(knn, "intersection")
-        assert adj.edges().tolist() == [[0, 1]]
 
 
 class TestKnnScale:

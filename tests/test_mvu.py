@@ -67,6 +67,19 @@ class TestSolveMvu:
             rows = trace[trace[:, 0] == stage]
             assert np.all(np.diff(rows[:, 4]) >= -1e-7 * np.abs(rows[:-1, 4]).max())
 
+    def test_graph_unpacked_once(self, monkeypatch):
+        _, adj = small_rgg(n=40, r=0.5, seed=7)
+        calls = []
+        real_dense = Adjacency.dense
+
+        def counting_dense(self):
+            calls.append(self.n)
+            return real_dense(self)
+
+        monkeypatch.setattr(Adjacency, "dense", counting_dense)
+        solve_mvu(adj, rank=4, seed=0, steps_per_stage=20)
+        assert calls == [40]
+
     def test_coordinates_centered(self):
         _, adj = small_rgg(n=50, r=0.5, seed=6)
         sol = solve_mvu(adj, rank=4, seed=0)
