@@ -15,7 +15,6 @@ from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
-from scipy.spatial.distance import pdist, squareform
 
 from .hopdist import HopMatrix
 
@@ -171,46 +170,63 @@ def localize(hops: HopMatrix, max_hops: int, r: float) -> PartialDissimilarity:
     return PartialDissimilarity(values=values, mask=mask)
 
 
+def _pair_distances(x: np.ndarray, pi: np.ndarray, pj: np.ndarray):
+    """Differences ``x[pi] - x[pj]`` and their Euclidean lengths."""
+    diff = x[pi] - x[pj]
+    return diff, np.sqrt((diff * diff).sum(axis=1))
+
+
 def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     """Metric stress majorization with binary weights on present entries.
 
     Iterates the Guttman transform; with the exact solve used here the
-    stress sequence is non-increasing.  Each iterate is evaluated once: its
-    distance matrix gives both its stress and the next Guttman step.  Stops
-    after ``_SMACOF_MAX_ITER`` steps or when the relative stress decrease
-    falls below ``_SMACOF_REL_TOL``.
+    stress sequence is non-increasing.  Works on the present pairs ``i < j``
+    only: each iterate's pair differences and distances are evaluated once
+    and give both its stress and the next Guttman step, so an iteration
+    costs O(present pairs) and forms no n-by-n array.  The step's right-hand
+    side ``B(x) x`` is summed from the pair terms
+    ``(delta_ij / dis_ij)(x_i - x_j)``, each at most ``delta_ij`` in size;
+    the dense form (row sums of the ratios times ``x_i`` minus the ratios
+    times ``x_j``) cancels catastrophically when two points nearly
+    coincide.  Stops after ``_SMACOF_MAX_ITER`` steps or when the relative
+    stress decrease falls below ``_SMACOF_REL_TOL``.
     """
     n = partial.n
     x = np.array(init, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != n:
         raise ValueError("init must be n-by-v")
-    if connected_components(csr_matrix(partial.mask), return_labels=False) != 1:
-        raise ValueError("localization threshold too small: mask graph is disconnected")
-    w = partial.mask & ~np.eye(n, dtype=bool)
-    delta = partial.values
+    dim = x.shape[1]
+    mask = partial.mask
     # present pairs i < j in row-major order, the terms of the stress sum
-    iu = np.triu_indices(n, 1)
-    present = tuple(k[w[iu]] for k in iu)
-    delta_present = delta[present]
+    pi, pj = np.nonzero(np.triu(mask, 1))
+    graph = csr_matrix((np.ones(pi.size), (pi, pj)), shape=(n, n))
+    if connected_components(graph, connection="weak", return_labels=False) != 1:
+        raise ValueError("localization threshold too small: mask graph is disconnected")
+    delta = partial.values[pi, pj]
+    bins_i = (pi[:, None] * dim + np.arange(dim)).ravel()
+    bins_j = (pj[:, None] * dim + np.arange(dim)).ravel()
     # Guttman step solves V x = B(x) x; V = Laplacian of the mask graph,
     # made definite by the rank-one centering term (solution stays centered
-    # because B(x) x is orthogonal to the ones vector)
-    vmat = np.diag(w.sum(axis=1).astype(np.float64)) - w
-    factor = cho_factor(vmat + 1.0 / n, lower=True)
+    # because B(x) x is orthogonal to the ones vector).  V + 1/n is built in
+    # one buffer; it is symmetric, so its transpose is the same matrix in the
+    # Fortran order that LAPACK factors in place.
+    vmat = np.where(mask, 1.0 / n - 1.0, 1.0 / n)
+    vmat.flat[:: n + 1] = (mask.sum(axis=1) - 1) + 1.0 / n
+    factor = cho_factor(vmat.T, lower=True, overwrite_a=True)
 
     x = x - x.mean(axis=0)
-    dis = squareform(pdist(x))
-    trace = [float(((dis[present] - delta_present) ** 2).sum())]
+    diff, dis = _pair_distances(x, pi, pj)
+    trace = [float(((dis - delta) ** 2).sum())]
     iterations = 0
     for it in range(1, _SMACOF_MAX_ITER + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(dis > 0, delta / np.where(dis > 0, dis, 1.0), 0.0) * w
-        bmat = -ratio
-        np.fill_diagonal(bmat, ratio.sum(axis=1))
-        x = cho_solve(factor, bmat @ x)
+            ratio = np.where(dis > 0, delta / dis, 0.0)
+        term = (ratio[:, None] * diff).ravel()
+        bx = np.bincount(bins_i, term, n * dim) - np.bincount(bins_j, term, n * dim)
+        x = cho_solve(factor, bx.reshape(n, dim))
         x = x - x.mean(axis=0)
-        dis = squareform(pdist(x))
-        s = float(((dis[present] - delta_present) ** 2).sum())
+        diff, dis = _pair_distances(x, pi, pj)
+        s = float(((dis - delta) ** 2).sum())
         trace.append(s)
         iterations = it
         prev = trace[-2]

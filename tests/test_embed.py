@@ -1,5 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from latentgraph import (
     Indicator,
@@ -188,19 +192,24 @@ class TestSmacof:
         trace = np.array(res.stress_trace)
         assert np.all(np.diff(trace) <= 1e-9)
         assert res.stress == trace[-1]
+        # the reported stress is that of the returned coordinates
+        present = squareform(part.mask, checks=False)
+        delta = squareform(part.values, checks=False)[present]
+        recomputed = ((pdist(res.coords)[present] - delta) ** 2).sum()
+        assert res.stress == pytest.approx(recomputed, rel=1e-12, abs=0)
 
     def test_one_distance_matrix_per_iterate(self, monkeypatch):
         # an iterate's distances give both its stress and the next Guttman step
         from latentgraph import embed
 
         calls = []
-        real_pdist = embed.pdist
+        real = embed._pair_distances
 
-        def counting_pdist(x):
+        def counting(x, pi, pj):
             calls.append(x.shape)
-            return real_pdist(x)
+            return real(x, pi, pj)
 
-        monkeypatch.setattr(embed, "pdist", counting_pdist)
+        monkeypatch.setattr(embed, "_pair_distances", counting)
         cfg = sample_uniform(rectangle(2, 1), 80, seed=4)
         hops = all_pairs_hops(generate_graph(cfg, Indicator(0.4), seed=0))
         part = localize(hops, 2, r=0.4)
@@ -208,6 +217,45 @@ class TestSmacof:
         res = smacof(part, classical_mds(scale_hops(hops, 0.4).values, v=2).coords)
         assert res.iterations > 1
         assert len(calls) == res.iterations + 1
+
+    def test_guttman_step_exact_for_nearly_coincident_points(self, monkeypatch):
+        # two start points one ulp apart give a pair ratio delta/dis near
+        # 1e16; the step B(x) x must not lose the other pairs' terms to it
+        from latentgraph import embed
+
+        monkeypatch.setattr(embed, "_SMACOF_MAX_ITER", 1)
+        n = 6
+        init = np.array(
+            [[0.3, 0.7], [0.3, 0.7], [1.1, 0.2], [0.9, 1.3], [1.7, 0.9], [0.2, 1.6]]
+        )
+        init[1, 0] = np.nextafter(init[0, 0], 1.0)
+        mask = np.eye(n, dtype=bool)
+        for i, j in [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 4), (4, 5), (0, 5), (1, 2)]:
+            mask[i, j] = mask[j, i] = True
+        values = np.where(mask & ~np.eye(n, dtype=bool), 1.0, 0.0)
+        values[0, 1] = values[1, 0] = 0.5
+        part = PartialDissimilarity(values, mask)
+        res = smacof(part, init)
+        assert res.iterations == 1
+
+        x = init - init.mean(axis=0)
+        assert x[0, 0] != x[1, 0]
+        bx = [[Fraction(0)] * 2 for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if not mask[i, j]:
+                    continue
+                diff = [Fraction(x[i, k]) - Fraction(x[j, k]) for k in range(2)]
+                dis = math.sqrt(diff[0] ** 2 + diff[1] ** 2)
+                for k in range(2):
+                    t = Fraction(values[i, j]) / Fraction(dis) * diff[k]
+                    bx[i][k] += t
+                    bx[j][k] -= t
+        w = mask & ~np.eye(n, dtype=bool)
+        vmat = np.diag(w.sum(axis=1).astype(np.float64)) - w + 1.0 / n
+        ref = np.linalg.solve(vmat, np.array(bx, dtype=np.float64))
+        ref -= ref.mean(axis=0)
+        np.testing.assert_allclose(res.coords, ref, rtol=0, atol=1e-12)
 
     def test_disconnected_mask_rejected(self):
         values = np.zeros((4, 4))
