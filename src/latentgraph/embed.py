@@ -30,6 +30,8 @@ __all__ = [
 
 # above this size the dense eigensolver loses to Lanczos on the top block
 _DENSE_EIG_LIMIT = 1200
+# rows per strip when classical scaling symmetrizes its matrix in place
+_SYM_ROWS = 64
 # SMACOF stops once an iteration lowers the stress by less than this fraction,
 # or after this many iterations
 _SMACOF_REL_TOL = 1e-6
@@ -60,6 +62,11 @@ def classical_mds(d: np.ndarray, v: int) -> EmbeddingResult:
     eigenpairs, and scales eigenvectors by the square roots of the
     eigenvalues clamped at zero (hop matrices are not exactly Euclidean).
     Raises when the leading spectrum has no positive part.
+
+    The centered matrix is built in one n-by-n buffer: the squares are
+    centered and symmetrized in place, a strip of rows at a time, so the
+    function holds one n-by-n float64 beside its input (plus the copy and the
+    eigenvectors ``eigh`` makes on its path).  The input is never written.
     """
     d = np.asarray(d, dtype=np.float64)
     n = d.shape[0]
@@ -69,11 +76,19 @@ def classical_mds(d: np.ndarray, v: int) -> EmbeddingResult:
         raise ValueError("dissimilarities must be finite")
     if v < 1:
         raise ValueError("need v >= 1")
-    d2 = d * d
-    row = d2.mean(axis=1, keepdims=True)
-    col = d2.mean(axis=0, keepdims=True)
-    b = -0.5 * (d2 - row - col + d2.mean())
-    b = 0.5 * (b + b.T)
+    b = d * d
+    row = b.mean(axis=1, keepdims=True)
+    col = b.mean(axis=0, keepdims=True)
+    mean = b.mean()
+    b -= row
+    b -= col
+    b += mean
+    b *= -0.5
+    for lo in range(0, n, _SYM_ROWS):
+        hi = lo + _SYM_ROWS
+        strip = 0.5 * (b[lo:hi, lo:] + b[lo:, lo:hi].T)
+        b[lo:hi, lo:] = strip
+        b[lo:, lo:hi] = strip.T
     if n <= _DENSE_EIG_LIMIT or v >= n - 1:
         w, u = eigh(b)
         order = np.argsort(w)[::-1][:v]

@@ -136,7 +136,8 @@ def write_hops_binary(path: str | Path, hops: HopMatrix) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC_HOP)
         fh.write(struct.pack("<Q", hops.n))
-        fh.write(hops.hops.astype("<u2").tobytes())
+        # the array's own buffer when it is already little-endian and C-ordered
+        fh.write(np.ascontiguousarray(hops.hops, dtype="<u2"))
 
 
 def read_hops_binary(path: str | Path) -> HopMatrix:
@@ -146,14 +147,14 @@ def read_hops_binary(path: str | Path) -> HopMatrix:
 
 
 def write_matrix_binary(path: str | Path, values: np.ndarray) -> None:
-    m = np.asarray(values, dtype=np.float64)
+    m = np.ascontiguousarray(values, dtype="<f8")
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("matrix must be square")
     with open(path, "wb") as fh:
         fh.write(_MAGIC_DEN)
         fh.write(struct.pack("<Q", n))
-        fh.write(m.astype("<f8").tobytes())
+        fh.write(m)
 
 
 def read_matrix_binary(path: str | Path) -> np.ndarray:

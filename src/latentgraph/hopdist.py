@@ -11,6 +11,13 @@ have at most 0xFFFF nodes; desk-scale graphs (n <= 2e4) have diameters far
 below the sentinel.  The simple, general and kNN checks share one report
 builder: the excess ``est - d`` against ``a (eps/r)^gamma d + b r``, plus the
 lower bound ``est >= d`` over all connected or over qualifying pairs.
+
+The checks and ``check_boundary_bias`` stream the pairs ``i < j`` in
+row-major blocks of whole rows, about ``_BLOCK_PAIRS`` pairs each, and keep
+only counts, maxima and minima.  Their scratch memory is therefore a few
+megabytes at any n, beside the estimate and truth matrices they read; none
+of the reductions depends on order, so the reports equal the ones over all
+pairs at once, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ __all__ = [
 INF_HOPS = np.uint16(0xFFFF)
 # slack of every bound comparison, recorded in ``BoundReport.tol``
 _TOL = 1e-9
+# pairs per row block of the streamed checks: bounds their scratch memory
+_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,44 +195,72 @@ class BoundReport:
     lower_checked_pairs: int | None = None
 
 
-def _pair_arrays(est: EstimateMatrix, truth: np.ndarray):
+def _pair_blocks(est: EstimateMatrix, truth: np.ndarray):
+    """The pairs ``i < j`` in row-major order, one block of whole rows at a
+    time: endpoint indices ``i`` and ``j``, estimates and true distances, each
+    a vector of at most ``_BLOCK_PAIRS`` entries (or one row, if longer)."""
     n = est.n
     if truth.shape != (n, n):
         raise ValueError("estimate and truth sizes differ")
-    iu = np.triu_indices(n, 1)
-    return iu, est.values[iu], truth[iu]
+    lo = 0
+    while lo < n - 1:
+        # rows shorten toward the end, so the first row of a block is its longest
+        hi = min(n - 1, lo + max(1, _BLOCK_PAIRS // (n - 1 - lo)))
+        i, j = np.nonzero(np.arange(lo + 1, n) > np.arange(lo, hi)[:, None])
+        i += lo
+        j += lo + 1
+        yield i, j, est.values[i, j], truth[i, j]
+        lo = hi
 
 
-def _report(n, dhat, d, eps, r, gamma, a, b, asserted, qualifying=None) -> BoundReport:
-    """Bound report over the pair estimates ``dhat`` and true distances ``d``.
+def _fold(reduce, values: list) -> float:
+    """``reduce`` of the per-block extremes; 0.0 when no block had an entry."""
+    return float(reduce(values)) if values else 0.0
+
+
+def _report(est, truth, eps, r, gamma, a, b, asserted, qualifying=None) -> BoundReport:
+    """Bound report of ``est`` against the true distances ``truth``.
 
     With ``a`` given, the excess is held against ``a (eps/r)^gamma d + b r``.
     The lower bound ``est >= d`` is counted over all connected pairs, or only
-    over the pairs of the ``qualifying`` mask when one is given.
+    over the pairs for which ``qualifying(i, j, d)`` is true when it is given.
     """
-    finite = np.isfinite(dhat)
-    df = d[finite]
-    resid = dhat[finite] - df
     scale = (eps / r) ** gamma
-    if qualifying is None:
-        lower_viol, checked = int((resid < -_TOL).sum()), None
-    else:
-        # disconnected qualifying pairs have est = inf >= d: no violation
-        lower_viol = int((qualifying & (dhat < d - _TOL)).sum())
-        checked = int(qualifying.sum())
-    upper_viol = None if a is None else int((resid > a * scale * df + b * r + _TOL).sum())
-    pos = df > 0
+    total = connected = lower_viol = upper_viol = checked = 0
+    maxima, minima, relative, fitted = [], [], [], []
+    for i, j, dhat, d in _pair_blocks(est, truth):
+        finite = np.isfinite(dhat)
+        df = d[finite]
+        resid = dhat[finite] - df
+        total += d.size
+        connected += int(finite.sum())
+        if qualifying is None:
+            lower_viol += int((resid < -_TOL).sum())
+        else:
+            # disconnected qualifying pairs have est = inf >= d: no violation
+            q = qualifying(i, j, d)
+            lower_viol += int((q & (dhat < d - _TOL)).sum())
+            checked += int(q.sum())
+        if a is not None:
+            upper_viol += int((resid > a * scale * df + b * r + _TOL).sum())
+        if resid.size:
+            maxima.append(resid.max())
+            minima.append(resid.min())
+            fitted.append((resid / (scale * df + r)).max())
+        pos = df > 0
+        if pos.any():
+            relative.append((np.abs(resid[pos]) / df[pos]).max())
     return BoundReport(
-        n=n,
-        pairs_total=d.size,
-        pairs_connected=int(finite.sum()),
-        pairs_disconnected=int((~finite).sum()),
+        n=est.n,
+        pairs_total=total,
+        pairs_connected=connected,
+        pairs_disconnected=total - connected,
         lower_violations=lower_viol,
-        upper_violations=upper_viol,
-        max_residual=float(resid.max()) if resid.size else 0.0,
-        min_residual=float(resid.min()) if resid.size else 0.0,
-        max_relative_error=float((np.abs(resid[pos]) / df[pos]).max()) if pos.any() else 0.0,
-        fitted_constant=float((resid / (scale * df + r)).max()) if resid.size else 0.0,
+        upper_violations=None if a is None else upper_viol,
+        max_residual=_fold(np.max, maxima),
+        min_residual=_fold(np.min, minima),
+        max_relative_error=_fold(np.max, relative),
+        fitted_constant=_fold(np.max, fitted),
         eps=float(eps),
         r=float(r),
         gamma=gamma,
@@ -231,7 +268,7 @@ def _report(n, dhat, d, eps, r, gamma, a, b, asserted, qualifying=None) -> Bound
         b=b,
         tol=_TOL,
         asserted=asserted,
-        lower_checked_pairs=checked,
+        lower_checked_pairs=None if qualifying is None else checked,
     )
 
 
@@ -242,8 +279,7 @@ def check_simple_bound(est: EstimateMatrix, truth: np.ndarray, eps: float, r: fl
     ``eps <= r/4`` (coverage at most a quarter radius); otherwise the report
     is informational and ``asserted`` is False.
     """
-    _, dhat, d = _pair_arrays(est, truth)
-    return _report(est.n, dhat, d, eps, r, 1.0, 4.0, 1.0, bool(eps <= r / 4))
+    return _report(est, truth, eps, r, 1.0, 4.0, 1.0, bool(eps <= r / 4))
 
 
 def check_general_bound(est: EstimateMatrix, truth: np.ndarray, eps: float, r: float,
@@ -256,8 +292,7 @@ def check_general_bound(est: EstimateMatrix, truth: np.ndarray, eps: float, r: f
     """
     if alpha < 0:
         raise ValueError("need alpha >= 0")
-    _, dhat, d = _pair_arrays(est, truth)
-    return _report(est.n, dhat, d, eps, r, 1.0 / (1.0 + alpha), c2,
+    return _report(est, truth, eps, r, 1.0 / (1.0 + alpha), c2,
                    1.0 if c2 is not None else None, False)
 
 
@@ -270,11 +305,12 @@ def check_knn_bounds(est: EstimateMatrix, truth: np.ndarray, config: PointConfig
     sit deeper than ``d/2`` inside the domain (the boundary `freeway' makes
     the unrestricted lower bound false in dimension 2 and up).
     """
-    iu, dhat, d = _pair_arrays(est, truth)
     bdist = boundary_distances(config)
-    deep = (bdist[iu[0]] > d / 2) & (bdist[iu[1]] > d / 2)
-    return _report(est.n, dhat, d, eps, r, 1.0, 8.0, 1.0, False,
-                   qualifying=(d >= 2 * r) & deep)
+
+    def qualifying(i, j, d):
+        return (d >= 2 * r) & (bdist[i] > d / 2) & (bdist[j] > d / 2)
+
+    return _report(est, truth, eps, r, 1.0, 8.0, 1.0, False, qualifying=qualifying)
 
 
 def check_boundary_bias(
@@ -286,11 +322,15 @@ def check_boundary_bias(
     """
     if threshold_d <= 0:
         raise ValueError("threshold must be positive")
-    iu, dhat, d = _pair_arrays(est, truth)
-    sel = d >= threshold_d
-    if not sel.any():
+    ratios, pairs = [], 0
+    for _, _, dhat, d in _pair_blocks(est, truth):
+        sel = d >= threshold_d
+        if sel.any():
+            ratios.append((dhat[sel] / d[sel]).max())
+            pairs += int(sel.sum())
+    if not pairs:
         raise ValueError("no pairs at or beyond the distance threshold")
-    return float((dhat[sel] / d[sel]).max()), int(sel.sum())
+    return _fold(np.max, ratios), pairs
 
 
 def monotone_path_check(config_1d: PointConfig, knn: KnnAdjacency) -> bool:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from ._rng import pair_uniform_row
 from .geometry import Domain, PointConfig, pairwise_distances
@@ -115,6 +116,9 @@ class TwoLevel:
 
 LinkFunction = Union[Indicator, ScaledIndicator, PolynomialEdge, TwoLevel]
 
+# bits per block when the edge list unpacks the adjacency rows
+_UNPACK_BITS = 1 << 20
+
 
 def evaluate_link(link: LinkFunction, d) -> np.ndarray | float:
     """Edge probability at distance ``d >= 0``."""
@@ -172,9 +176,16 @@ class Adjacency:
 
     def edges(self) -> np.ndarray:
         """Edge list as an (m, 2) array with i < j, row-major order."""
-        d = self.dense()
-        i, j = np.nonzero(np.triu(d, 1))
-        return np.column_stack([i, j])
+        n = self.n
+        step = max(1, _UNPACK_BITS // max(n, 1))
+        blocks = [np.empty((0, 2), dtype=np.intp)]
+        for lo in range(0, n, step):
+            rows = np.unpackbits(self.packed[lo : lo + step], axis=1, count=n, bitorder="little")
+            i, j = np.nonzero(rows)
+            i += lo
+            upper = j > i
+            blocks.append(np.column_stack([i[upper], j[upper]]))
+        return np.concatenate(blocks)
 
     def degrees(self) -> np.ndarray:
         # rows are packed from dense rows, so the bits past column n are zero
@@ -201,12 +212,14 @@ def generate_graph(config: PointConfig, link: LinkFunction, seed: int) -> Adjace
     A degenerate link (probabilities all 0 or 1, e.g. an indicator) yields
     the same graph for every seed.
     """
-    d = pairwise_distances(config)
+    pts = config.points
     n = config.n
     dense = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):
+        # one row of distances at a time; each equals its pairwise_distances entry
+        d = cdist(pts[i : i + 1], pts[i + 1 :])[0]
         u = pair_uniform_row(seed, i, n)
-        dense[i, i + 1 :] = u < link(d[i, i + 1 :])
+        dense[i, i + 1 :] = u < link(d)
     dense |= dense.T
     return Adjacency.from_dense(dense)
 

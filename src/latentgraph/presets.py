@@ -102,7 +102,9 @@ def _embed_and_align(config: PointConfig, est: EstimateMatrix, keep: np.ndarray,
     man[f"{tag}.n_embedded"] = int(keep.size)
     if keep.size < max(3, config.dim + 1):
         return None  # nothing meaningful to embed at this sparsity
-    emb = classical_mds(est.values[np.ix_(keep, keep)], v=max(config.dim, 2))
+    # a connected graph keeps every node: embed its estimate without a copy
+    sub = est.values if keep.size == est.n else est.values[np.ix_(keep, keep)]
+    emb = classical_mds(sub, v=max(config.dim, 2))
     truth_pts = config.points[keep]
     if config.dim == 1:
         truth_pts = np.column_stack([truth_pts[:, 0], np.zeros(keep.size)])
@@ -289,9 +291,13 @@ def _run_mds_discrete(seed: int, out: Path, n: int, man: dict, **_) -> None:
     _sample(config, out, man)
     truth, eps = _truth_and_eps(config)
     hops = _indicator_variant(config, truth, eps, 0.5, seed, out, man).hops
-    vals, counts = np.unique(hops.hops[np.triu_indices(config.n, 1)], return_counts=True)
-    for v, c in zip(vals, counts):
-        man[f"hops.hist.{int(v)}"] = int(c)
+    h = hops.hops
+    # histogram of the pairs i < j, counted row by row
+    counts = np.zeros(int(h.max()) + 1, dtype=np.int64)
+    for i in range(config.n - 1):
+        counts += np.bincount(h[i, i + 1 :], minlength=counts.size)
+    for v in np.flatnonzero(counts):
+        man[f"hops.hist.{int(v)}"] = int(counts[v])
     man["hops.max"] = hops.max_finite()
 
 

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
+from scipy.sparse.linalg import eigsh
 from scipy.spatial.distance import pdist, squareform
 
+from latentgraph import embed
 from latentgraph import (
     Indicator,
     PartialDissimilarity,
@@ -24,6 +28,23 @@ from tests.conftest import rotation_sweep_rmse
 
 def embedding_distance_error(coords, truth_d):
     return np.abs(pairwise_distances(coords) - truth_d).max()
+
+
+def out_of_place_classical_mds(d, v, dense_limit):
+    """Classical scaling with each centering step in a new array."""
+    n = d.shape[0]
+    d2 = d * d
+    b = -0.5 * (d2 - d2.mean(axis=1, keepdims=True) - d2.mean(axis=0, keepdims=True) + d2.mean())
+    b = 0.5 * (b + b.T)
+    if n <= dense_limit or v >= n - 1:
+        w, u = eigh(b)
+        order = np.argsort(w)[::-1][:v]
+    else:
+        w, u = eigsh(b, k=v, which="LA", v0=np.full(n, 1.0 / np.sqrt(n)))
+        order = np.argsort(w)[::-1]
+    lam, u = w[order], u[:, order]
+    coords = embed._fix_signs(u) * np.sqrt(np.clip(lam, 0.0, None))
+    return embed.EmbeddingResult(coords=coords - coords.mean(axis=0), eigenvalues=lam)
 
 
 class TestClassicalMds:
@@ -78,6 +99,30 @@ class TestClassicalMds:
             classical_mds(np.full((3, 3), np.inf), v=1)
         with pytest.raises(ValueError):
             classical_mds(np.zeros((3, 4)), v=1)
+
+    @pytest.mark.parametrize("n, dense_limit", [(50, 1200), (130, 40)])
+    def test_in_place_centering_is_bitwise_out_of_place(self, monkeypatch, n, dense_limit):
+        # the first case runs the dense eigh, the second Lanczos (eigsh)
+        monkeypatch.setattr(embed, "_DENSE_EIG_LIMIT", dense_limit)
+        d = np.random.default_rng(n).random((n, n)) * 3.0  # finite, not symmetric
+        d.setflags(write=False)
+        before = d.copy()
+        got = classical_mds(d, v=2)
+        assert np.array_equal(d, before)
+        want = out_of_place_classical_mds(d, 2, dense_limit)
+        assert got.coords.tobytes() == want.coords.tobytes()
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+    def test_holds_one_matrix_beside_its_input(self):
+        n = 2000
+        d = pairwise_distances(sample_uniform(rectangle(4, 1), n, seed=8))
+        tracemalloc.start()
+        try:
+            classical_mds(d, v=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
 
 class TestProcrustes:

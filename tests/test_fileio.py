@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from latentgraph import INF_HOPS, all_pairs_hops
+from latentgraph import INF_HOPS, HopMatrix, all_pairs_hops
 from latentgraph import fileio
 from tests.conftest import random_graph
 
@@ -93,6 +95,26 @@ class TestBinaryFormats:
         fileio.write_matrix_binary(path, mat)
         assert np.array_equal(fileio.read_matrix_binary(path), mat)
         assert path.read_bytes()[:4] == b"LGD1"
+
+    def test_matrix_bytes_from_strided_and_big_endian_input(self, tmp_path):
+        base = np.random.default_rng(4).random((6, 6))
+        wide = np.zeros((6, 12))
+        wide[:, ::2] = base
+        want = b"LGD1" + struct.pack("<Q", 6) + b"".join(struct.pack("<d", x) for x in base.ravel())
+        for values in (base, wide[:, ::2], np.asfortranarray(base), base.astype(">f8")):
+            path = tmp_path / "m.bin"
+            fileio.write_matrix_binary(path, values)
+            assert path.read_bytes() == want
+
+    def test_hops_bytes_from_strided_and_big_endian_input(self, tmp_path):
+        base = all_pairs_hops(random_graph(9, 0.3, seed=4)).hops
+        wide = np.zeros((9, 18), dtype=np.uint16)
+        wide[:, ::2] = base
+        want = b"LGH1" + struct.pack("<Q", 9) + b"".join(struct.pack("<H", x) for x in base.ravel())
+        for values in (base, wide[:, ::2], np.asfortranarray(base), base.astype(">u2")):
+            path = tmp_path / "h.bin"
+            fileio.write_hops_binary(path, HopMatrix(9, values))
+            assert path.read_bytes() == want
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -1,3 +1,5 @@
+import tracemalloc
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from latentgraph import (
     Adjacency,
+    BoundReport,
     EstimateMatrix,
     HopMatrix,
     INF_HOPS,
@@ -14,6 +17,7 @@ from latentgraph import (
     PointConfig,
     ScaledIndicator,
     all_pairs_hops,
+    boundary_distances,
     check_boundary_bias,
     check_general_bound,
     check_knn_bounds,
@@ -31,6 +35,7 @@ from latentgraph import (
     shortest_path_nodes,
     symmetrize_union,
 )
+from latentgraph import hopdist
 from tests.conftest import floyd_warshall_hops, random_graph
 
 
@@ -274,6 +279,143 @@ class TestBoundaryBias:
         ratio, pairs = check_boundary_bias(est, truth, threshold_d=0.5)
         assert ratio == pytest.approx(1.0)
         assert pairs > 0
+
+
+def dense_report(est, truth, eps, r, gamma, a, b, asserted, qualifying=None):
+    """Bound report over all pairs at once through ``triu_indices``: the
+    formulas the streamed checks must reproduce bit for bit."""
+    iu = np.triu_indices(est.n, 1)
+    dhat, d = est.values[iu], truth[iu]
+    finite = np.isfinite(dhat)
+    df = d[finite]
+    resid = dhat[finite] - df
+    scale = (eps / r) ** gamma
+    if qualifying is None:
+        lower_viol, checked = int((resid < -hopdist._TOL).sum()), None
+    else:
+        q = qualifying(iu[0], iu[1], d)
+        lower_viol = int((q & (dhat < d - hopdist._TOL)).sum())
+        checked = int(q.sum())
+    upper_viol = None if a is None else int((resid > a * scale * df + b * r + hopdist._TOL).sum())
+    pos = df > 0
+    return BoundReport(
+        n=est.n,
+        pairs_total=d.size,
+        pairs_connected=int(finite.sum()),
+        pairs_disconnected=int((~finite).sum()),
+        lower_violations=lower_viol,
+        upper_violations=upper_viol,
+        max_residual=float(resid.max()) if resid.size else 0.0,
+        min_residual=float(resid.min()) if resid.size else 0.0,
+        max_relative_error=float((np.abs(resid[pos]) / df[pos]).max()) if pos.any() else 0.0,
+        fitted_constant=float((resid / (scale * df + r)).max()) if resid.size else 0.0,
+        eps=float(eps), r=float(r), gamma=gamma, a=a, b=b, tol=hopdist._TOL,
+        asserted=asserted, lower_checked_pairs=checked,
+    )
+
+
+def dense_boundary_bias(est, truth, threshold_d):
+    iu = np.triu_indices(est.n, 1)
+    dhat, d = est.values[iu], truth[iu]
+    sel = d >= threshold_d
+    return float((dhat[sel] / d[sel]).max()), int(sel.sum())
+
+
+def report_fields(rep):
+    # repr tells -0.0 from 0.0 and a numpy scalar from a Python number
+    return [(f.name, repr(getattr(rep, f.name))) for f in fields(BoundReport)]
+
+
+def streamed_inputs(kind):
+    """(config, estimate, truth) with disconnected pairs and both signs of
+    the residual."""
+    if kind.startswith("two"):
+        # a point configuration needs three points; the checks read only these fields
+        cfg = SimpleNamespace(points=np.array([[0.6, 0.5], [0.9, 0.6]]), domain=rectangle(2, 1))
+        truth = pairwise_distances(cfg.points)
+        values = np.where(truth > 0, np.inf, 0.0) if kind == "two-disconnected" else truth * 1.5
+        return cfg, EstimateMatrix(values, scale=1.0), truth
+    cfg = sample_uniform(rectangle(2, 1), 45, seed=17)
+    truth = pairwise_distances(cfg)
+    if kind == "indicator":
+        adj = generate_graph(cfg, Indicator(0.3), seed=0)
+        est = scale_hops(all_pairs_hops(adj), 0.3)
+        assert not np.isfinite(est.values).all()
+    else:  # nearest-neighbor forest: some scaled hop counts fall short of the distance
+        adj = symmetrize_union(knn_graph(cfg, 1))
+        est = scale_hops(all_pairs_hops(adj), 0.15)
+        assert (est.values < truth - 1e-9).any() and not np.isfinite(est.values).all()
+    return cfg, est, truth
+
+
+class TestStreamedChecks:
+    """The row-block checks against the all-pairs reference, with blocks of
+    a few pairs so that they end mid-matrix and vary in length."""
+
+    KINDS = ["indicator", "knn", "two", "two-disconnected"]
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 1 << 16])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reports_equal_dense_reference(self, monkeypatch, kind, block):
+        monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
+        cfg, est, truth = streamed_inputs(kind)
+        eps, r = 0.08, 0.15
+        bdist = boundary_distances(cfg)
+
+        def qualifying(i, j, d):
+            return (d >= 2 * r) & (bdist[i] > d / 2) & (bdist[j] > d / 2)
+
+        cases = [
+            (check_simple_bound(est, truth, eps, r),
+             dense_report(est, truth, eps, r, 1.0, 4.0, 1.0, bool(eps <= r / 4))),
+            (check_general_bound(est, truth, eps, r, alpha=0.5),
+             dense_report(est, truth, eps, r, 1.0 / 1.5, None, None, False)),
+            (check_general_bound(est, truth, eps, r, alpha=0.5, c2=0.7),
+             dense_report(est, truth, eps, r, 1.0 / 1.5, 0.7, 1.0, False)),
+            (check_knn_bounds(est, truth, cfg, eps, r),
+             dense_report(est, truth, eps, r, 1.0, 8.0, 1.0, False, qualifying)),
+        ]
+        for got, want in cases:
+            assert report_fields(got) == report_fields(want)
+        threshold = float(truth.max()) * 0.6
+        got, want = check_boundary_bias(est, truth, threshold), dense_boundary_bias(est, truth, threshold)
+        assert repr(got) == repr(want)
+
+    def test_counts_cover_every_pair(self, monkeypatch):
+        monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", 5)
+        cfg, est, truth = streamed_inputs("indicator")
+        rep = check_simple_bound(est, truth, 0.08, 0.3)
+        assert rep.pairs_total == cfg.n * (cfg.n - 1) // 2
+        assert rep.pairs_connected + rep.pairs_disconnected == rep.pairs_total
+
+    @pytest.mark.parametrize("block", [1, 1 << 16])
+    def test_no_pairs_beyond_threshold(self, monkeypatch, block):
+        monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
+        _, est, truth = streamed_inputs("knn")
+        with pytest.raises(ValueError, match="no pairs"):
+            check_boundary_bias(est, truth, float(truth.max()) * 1.01)
+
+    def test_scratch_memory_below_a_quarter_matrix(self):
+        n = 2000
+        cfg = sample_uniform(rectangle(4, 1), n, seed=5)
+        truth = pairwise_distances(cfg)
+        values = truth * 1.05
+        values[:40, n // 2 :] = np.inf
+        est = EstimateMatrix(values, scale=1.0)
+        cap = n * n * 8 / 4
+        for check in (
+            lambda: check_simple_bound(est, truth, 0.05, 0.2),
+            lambda: check_general_bound(est, truth, 0.05, 0.2, alpha=0.5, c2=2.0),
+            lambda: check_knn_bounds(est, truth, cfg, 0.05, 0.2),
+            lambda: check_boundary_bias(est, truth, 2.0),
+        ):
+            tracemalloc.start()
+            try:
+                check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < cap
 
 
 class TestMonotonePaths:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from latentgraph import (
     Adjacency,
@@ -25,6 +26,7 @@ from latentgraph import (
     symmetrize_union,
     unit_ball_volume,
 )
+from latentgraph import linkgraph
 from latentgraph._rng import pair_uniform_row
 from tests.conftest import random_graph
 
@@ -110,6 +112,15 @@ class TestGenerateGraph:
             u = pair_uniform_row(5, i, cfg.n)
             expect = u < link(d[i, i + 1 :])
             assert np.array_equal(dense[i, i + 1 :], expect)
+
+    @pytest.mark.parametrize("n, dim", [(3000, 2), (1000, 1), (800, 3)])
+    def test_distance_rows_equal_full_matrix_rows(self, n, dim):
+        # generate_graph takes row i's distances from cdist, the presets'
+        # truth comes from pdist: the two must agree bit for bit
+        pts = np.random.default_rng(dim).random((n, dim))
+        full = squareform(pdist(pts))
+        for i in range(n - 1):
+            assert cdist(pts[i : i + 1], pts[i + 1 :])[0].tobytes() == full[i, i + 1 :].tobytes()
 
     def test_determinism(self):
         cfg = sample_uniform(rectangle(2, 1), 60, seed=3)
@@ -336,6 +347,17 @@ class TestAdjacency:
     def test_degrees(self):
         adj = Adjacency.from_edges(4, [[0, 1], [0, 2], [0, 3]])
         assert adj.degrees().tolist() == [3, 1, 1, 1]
+
+    @pytest.mark.parametrize("bits", [1, 20, 1 << 20])
+    @pytest.mark.parametrize("n, p", [(1, 0.3), (7, 0.3), (8, 0.3), (9, 0.3), (70, 0.3), (40, 0.0)])
+    def test_edges_match_dense_reference(self, monkeypatch, n, p, bits):
+        monkeypatch.setattr(linkgraph, "_UNPACK_BITS", bits)  # blocks of one or more rows
+        adj = random_graph(n, p, seed=n)
+        i, j = np.nonzero(np.triu(adj.dense(), 1))
+        want = np.column_stack([i, j])
+        got = adj.edges()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 70])
     def test_degrees_and_edge_count_match_dense(self, n):

@@ -68,17 +68,19 @@ class TestSolveMvu:
             assert np.all(np.diff(rows[:, 4]) >= -1e-7 * np.abs(rows[:-1, 4]).max())
 
     def test_graph_unpacked_once(self, monkeypatch):
+        # the bit matrix is read once, as the edge list, and never as a dense matrix
         _, adj = small_rgg(n=40, r=0.5, seed=7)
         calls = []
-        real_dense = Adjacency.dense
+        for name in ("dense", "edges"):
+            real = getattr(Adjacency, name)
 
-        def counting_dense(self):
-            calls.append(self.n)
-            return real_dense(self)
+            def counting(self, _name=name, _real=real):
+                calls.append((_name, self.n))
+                return _real(self)
 
-        monkeypatch.setattr(Adjacency, "dense", counting_dense)
+            monkeypatch.setattr(Adjacency, name, counting)
         solve_mvu(adj, rank=4, seed=0, steps_per_stage=20)
-        assert calls == [40]
+        assert calls == [("edges", 40)]
 
     def test_coordinates_centered(self):
         _, adj = small_rgg(n=50, r=0.5, seed=6)
