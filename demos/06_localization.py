@@ -48,7 +48,8 @@ fit_c = procrustes_align(classical.coords, config.points)
 print(f"classical scaling of all hop estimates: aligned rmse {fit_c.rmse:.4f}")
 
 partial = localize(hops, max_hops=2, r=r)
-print(f"kept {partial.mask.mean():.1%} of entries (hops <= 2)")
+# the present pairs i < j count twice in the n*n entries, plus the diagonal
+print(f"kept {(2 * partial.i.size + n) / n ** 2:.1%} of entries (hops <= 2)")
 result = smacof(partial, classical.coords)
 fit_s = procrustes_align(result.coords, config.points)
 print(f"stress majorization on local estimates: {result.iterations} iterations, "

@@ -142,12 +142,11 @@ def _run(args) -> int:
     if args.command == "estimate":
         hops = fileio.read_hops_binary(args.hops)
         est = scale_hops(hops, args.r)
-        values = np.where(np.isfinite(est.values), est.values, -1.0)
         if args.csv:
-            fileio.write_matrix_csv(out / "estimate.csv", values)
+            fileio.write_matrix_csv(out / "estimate.csv", est.values)
             print("wrote estimate.csv (disconnected pairs as -1)")
         else:
-            fileio.write_matrix_binary(out / "estimate.bin", values)
+            fileio.write_matrix_binary(out / "estimate.bin", est.values)
             print("wrote estimate.bin (disconnected pairs as -1)")
         return 0
 

@@ -141,48 +141,45 @@ def procrustes_align(source: np.ndarray, target: np.ndarray) -> ProcrustesResult
 
 @dataclass(frozen=True, eq=False)
 class PartialDissimilarity:
-    """Dissimilarities with a presence mask; the diagonal is always present
-    and zero, present entries are symmetric."""
+    """Dissimilarities of ``n`` objects observed on some pairs only.
 
+    Holds the present pairs ``i < j`` in row-major order (strictly
+    increasing ``i * n + j``) and their non-negative ``values``; every other
+    pair is missing.  Symmetry and the zero diagonal hold by construction.
+    """
+
+    n: int
+    i: np.ndarray
+    j: np.ndarray
     values: np.ndarray
-    mask: np.ndarray
 
     def __post_init__(self):
+        n = self.n
+        i = np.ascontiguousarray(self.i, dtype=np.intp)
+        j = np.ascontiguousarray(self.j, dtype=np.intp)
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        mask = np.ascontiguousarray(self.mask, dtype=bool)
-        n = vals.shape[0]
-        if vals.shape != (n, n) or mask.shape != (n, n):
-            raise ValueError("values and mask must be square and equal shaped")
-        if not np.array_equal(mask, mask.T):
-            raise ValueError("mask must be symmetric")
-        if not mask.diagonal().all():
-            raise ValueError("diagonal must be present")
-        if np.any(vals.diagonal() != 0):
-            raise ValueError("diagonal must be zero")
-        sym = np.where(mask, vals, 0.0)
-        if not np.array_equal(sym, sym.T):
-            raise ValueError("present entries must be symmetric")
-        if np.any(sym < 0):
+        if not (i.ndim == 1 and i.shape == j.shape == vals.shape):
+            raise ValueError("i, j and values must be vectors of equal length")
+        if not ((0 <= i) & (i < j) & (j < n)).all():
+            raise ValueError(f"every pair must satisfy 0 <= i < j < n={n}")
+        if (np.diff(i * n + j) <= 0).any():
+            raise ValueError("pairs must be distinct and in row-major order")
+        if (vals < 0).any():
             raise ValueError("dissimilarities must be non-negative")
-        vals.setflags(write=False)
-        mask.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "mask", mask)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
+        for name, a in (("i", i), ("j", j), ("values", vals)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 def localize(hops: HopMatrix, max_hops: int, r: float) -> PartialDissimilarity:
-    """Keep scaled hop distances up to ``max_hops``; mark the rest missing."""
+    """Keep the scaled hop distances of the pairs at most ``max_hops`` apart;
+    every other pair is missing."""
     if max_hops < 1:
         raise ValueError("need max_hops >= 1")
     if r <= 0:
         raise ValueError("scale must be positive")
-    mask = hops.hops <= max_hops
-    values = np.where(mask, r * hops.hops.astype(np.float64), 0.0)
-    return PartialDissimilarity(values=values, mask=mask)
+    i, j = np.nonzero(np.triu(hops.hops <= max_hops, 1))
+    return PartialDissimilarity(hops.n, i, j, r * hops.hops[i, j].astype(np.float64))
 
 
 def _pair_distances(x: np.ndarray, pi: np.ndarray, pj: np.ndarray):
@@ -192,14 +189,15 @@ def _pair_distances(x: np.ndarray, pi: np.ndarray, pj: np.ndarray):
 
 
 def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
-    """Metric stress majorization with binary weights on present entries.
+    """Metric stress majorization with binary weights on the present pairs.
 
     Iterates the Guttman transform; with the exact solve used here the
-    stress sequence is non-increasing.  Works on the present pairs ``i < j``
-    only: each iterate's pair differences and distances are evaluated once
-    and give both its stress and the next Guttman step, so an iteration
-    costs O(present pairs) and forms no n-by-n array.  The step's right-hand
-    side ``B(x) x`` is summed from the pair terms
+    stress sequence is non-increasing.  Works on the present pairs
+    ``partial.i < partial.j`` only: each iterate's pair differences and
+    distances are evaluated once and give both its stress and the next
+    Guttman step, so an iteration costs O(present pairs); the one n-by-n
+    array is ``V + 1/n``, built from the pairs and factored once.  The
+    step's right-hand side ``B(x) x`` is summed from the pair terms
     ``(delta_ij / dis_ij)(x_i - x_j)``, each at most ``delta_ij`` in size;
     the dense form (row sums of the ratios times ``x_i`` minus the ratios
     times ``x_j``) cancels catastrophically when two points nearly
@@ -211,22 +209,20 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     if x.ndim != 2 or x.shape[0] != n:
         raise ValueError("init must be n-by-v")
     dim = x.shape[1]
-    mask = partial.mask
-    # present pairs i < j in row-major order, the terms of the stress sum
-    pi, pj = np.nonzero(np.triu(mask, 1))
+    pi, pj, delta = partial.i, partial.j, partial.values
     graph = csr_matrix((np.ones(pi.size), (pi, pj)), shape=(n, n))
     if connected_components(graph, connection="weak", return_labels=False) != 1:
-        raise ValueError("localization threshold too small: mask graph is disconnected")
-    delta = partial.values[pi, pj]
+        raise ValueError("localization threshold too small: present pairs are disconnected")
     bins_i = (pi[:, None] * dim + np.arange(dim)).ravel()
     bins_j = (pj[:, None] * dim + np.arange(dim)).ravel()
-    # Guttman step solves V x = B(x) x; V = Laplacian of the mask graph,
-    # made definite by the rank-one centering term (solution stays centered
-    # because B(x) x is orthogonal to the ones vector).  V + 1/n is built in
-    # one buffer; it is symmetric, so its transpose is the same matrix in the
-    # Fortran order that LAPACK factors in place.
-    vmat = np.where(mask, 1.0 / n - 1.0, 1.0 / n)
-    vmat.flat[:: n + 1] = (mask.sum(axis=1) - 1) + 1.0 / n
+    # Guttman step solves V x = B(x) x; V = Laplacian of the present-pair
+    # graph, made definite by the rank-one centering term (solution stays
+    # centered because B(x) x is orthogonal to the ones vector).  V + 1/n is
+    # built in one buffer; it is symmetric, so its transpose is the same
+    # matrix in the Fortran order that LAPACK factors in place.
+    vmat = np.full((n, n), 1.0 / n)
+    vmat[pi, pj] = vmat[pj, pi] = 1.0 / n - 1.0
+    vmat.flat[:: n + 1] = np.bincount(pi, minlength=n) + np.bincount(pj, minlength=n) + 1.0 / n
     factor = cho_factor(vmat.T, lower=True, overwrite_a=True)
 
     x = x - x.mean(axis=0)

@@ -44,6 +44,8 @@ __all__ = [
 _MAGIC_ADJ = b"LGA1"
 _MAGIC_HOP = b"LGH1"
 _MAGIC_DEN = b"LGD1"
+# entries per row block when a dense float matrix is written
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _fmt(x: float) -> str:
@@ -146,15 +148,25 @@ def read_hops_binary(path: str | Path) -> HopMatrix:
     return HopMatrix(n, hops.astype(np.uint16))
 
 
+def _file_rows(values: np.ndarray):
+    """Blocks of whole rows of ``values`` as little-endian float64 copies in
+    which every non-finite entry is -1, about ``_BLOCK_ENTRIES`` entries each."""
+    m = np.atleast_2d(np.asarray(values))
+    step = max(1, _BLOCK_ENTRIES // max(1, m.shape[1]))
+    for lo in range(0, m.shape[0], step):
+        block = np.array(m[lo : lo + step], dtype="<f8", order="C")
+        block[~np.isfinite(block)] = -1.0
+        yield block
+
+
 def write_matrix_binary(path: str | Path, values: np.ndarray) -> None:
-    m = np.ascontiguousarray(values, dtype="<f8")
-    n = m.shape[0]
-    if m.shape != (n, n):
+    shape = np.shape(values)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("matrix must be square")
     with open(path, "wb") as fh:
         fh.write(_MAGIC_DEN)
-        fh.write(struct.pack("<Q", n))
-        fh.write(m)
+        fh.write(struct.pack("<Q", shape[0]))
+        fh.writelines(_file_rows(values))
 
 
 def read_matrix_binary(path: str | Path) -> np.ndarray:
@@ -163,9 +175,9 @@ def read_matrix_binary(path: str | Path) -> np.ndarray:
 
 
 def write_matrix_csv(path: str | Path, values: np.ndarray) -> None:
-    m = np.asarray(values, dtype=np.float64)
-    lines = [",".join(_fmt(x) for x in row) for row in np.atleast_2d(m)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        for block in _file_rows(values):
+            fh.write("".join(",".join(_fmt(x) for x in row) + "\n" for row in block))
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:

@@ -70,15 +70,18 @@ class HopMatrix:
         out[self.hops == INF_HOPS] = np.inf
         return out
 
-    def finite_mask(self) -> np.ndarray:
-        return self.hops != INF_HOPS
-
     def max_finite(self) -> int:
-        finite = self.hops[self.finite_mask()]
-        return int(finite.max()) if finite.size else 0
+        # 0 when no hop is finite; blocks of whole rows: no n-by-n mask
+        step = max(1, _BLOCK_PAIRS // max(1, self.n))
+        best = 0
+        for lo in range(0, self.n, step):
+            block = self.hops[lo : lo + step]
+            best = max(best, int(block.max(initial=0, where=block != INF_HOPS)))
+        return best
 
     def is_connected(self) -> bool:
-        return bool(self.finite_mask().all())
+        # the sentinel is the largest uint16, so one maximum finds any infinity
+        return bool(self.hops.max(initial=0) != INF_HOPS)
 
 
 def _packed_words(adj: Adjacency) -> np.ndarray:

@@ -35,6 +35,7 @@ from .geometry import (
     sample_uniform,
 )
 from .hopdist import (
+    INF_HOPS,
     BoundReport,
     EstimateMatrix,
     HopMatrix,
@@ -127,8 +128,11 @@ def _estimate(config: PointConfig, adj: Adjacency, r: float, eps: CoverageBracke
     hops = all_pairs_hops(adj)
     est = scale_hops(hops, r)
     # nodes share a component exactly when their hop distance is finite;
-    # label each node by the smallest index it reaches
-    labels = hops.finite_mask().argmax(axis=1)
+    # label each node by the smallest index it reaches, one hop row per component
+    labels = np.full(hops.n, -1)
+    for node in range(hops.n):
+        if labels[node] < 0:
+            labels[hops.hops[node] != INF_HOPS] = node
     uniq, counts = np.unique(labels, return_counts=True)
     man[f"{tag}.r"] = r
     man[f"{tag}.edge_count"] = adj.edge_count()
@@ -154,7 +158,7 @@ def _indicator_variant(config: PointConfig, truth: np.ndarray, eps: CoverageBrac
                   out, tag, man)
     hop_name, est_name = f"{tag}_hops.bin", f"{tag}_est.bin"
     fileio.write_hops_binary(out / hop_name, g.hops)
-    fileio.write_matrix_binary(out / est_name, np.where(np.isfinite(g.est.values), g.est.values, -1.0))
+    fileio.write_matrix_binary(out / est_name, g.est.values)
     man[f"{tag}.hops_file"] = hop_name
     man[f"{tag}.estimate_file"] = est_name
     return g
@@ -314,7 +318,8 @@ def _run_hole_local(seed: int, out: Path, n: int, man: dict, **_) -> None:
     keep = g.keep
     partial = localize(HopMatrix(keep.size, g.hops.hops[np.ix_(keep, keep)]), max_hops, r)
     man["local.max_hops"] = max_hops
-    man["local.present_fraction"] = float(partial.mask.mean())
+    # share of the n*n entries present, the zero diagonal included
+    man["local.present_fraction"] = (2 * partial.i.size + partial.n) / partial.n ** 2
     result = smacof(partial, g.embedding.coords)
     fit = procrustes_align(result.coords, config.points[keep])
     fileio.write_points_csv(out / "local_recovered.csv", result.coords)

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 
 from latentgraph import embed
 from latentgraph import (
+    Box,
     Indicator,
     PartialDissimilarity,
+    RectangleWithHole,
     all_pairs_hops,
     classical_mds,
     generate_graph,
@@ -24,6 +26,12 @@ from latentgraph import (
     smacof,
 )
 from tests.conftest import rotation_sweep_rmse
+
+
+def all_pairs(d):
+    """Every pair ``i < j`` of the symmetric matrix ``d`` as present."""
+    i, j = np.triu_indices(d.shape[0], 1)
+    return PartialDissimilarity(d.shape[0], i, j, d[i, j])
 
 
 def embedding_distance_error(coords, truth_d):
@@ -185,14 +193,15 @@ class TestLocalize:
         hops = self.make_hops()
         assert hops.is_connected()
         part = localize(hops, hops.max_finite(), r=0.4)
-        assert part.mask.all()
+        assert part.i.size == part.n * (part.n - 1) // 2
 
     def test_single_hop_keeps_edges_only(self):
         hops = self.make_hops()
         part = localize(hops, 1, r=0.4)
-        off_diag = part.mask & ~np.eye(part.n, dtype=bool)
+        off_diag = np.zeros((part.n, part.n), dtype=bool)
+        off_diag[part.i, part.j] = off_diag[part.j, part.i] = True
         assert np.array_equal(off_diag, hops.hops == 1)
-        assert np.all(part.values[off_diag] == 0.4)
+        assert np.all(part.values == 0.4)
 
     def test_validation(self):
         hops = self.make_hops()
@@ -201,12 +210,38 @@ class TestLocalize:
         with pytest.raises(ValueError):
             localize(hops, 2, r=0.0)
 
+    def test_pairs_match_dense_triu_reference(self):
+        hops = self.make_hops()
+        h = hops.hops
+        for max_hops in (1, 2, hops.max_finite()):
+            part = localize(hops, max_hops, r=0.4)
+            mask = h <= max_hops
+            values = np.where(mask, 0.4 * h.astype(np.float64), 0.0)
+            i, j = np.nonzero(np.triu(mask, 1))
+            assert part.n == hops.n
+            assert np.array_equal(part.i, i) and np.array_equal(part.j, j)
+            assert part.values.tobytes() == values[i, j].tobytes()
+
+    def test_holds_less_than_one_dense_float_matrix(self):
+        n = 2000
+        hole = Box(np.array([0.5, 0.25]), np.array([1.5, 0.75]))
+        cfg = sample_uniform(RectangleWithHole(rectangle(2, 1), hole), n, seed=3)
+        hops = all_pairs_hops(generate_graph(cfg, Indicator(0.2), seed=3))
+        tracemalloc.start()
+        try:
+            part = localize(hops, 2, r=0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < part.i.size < n * (n - 1) // 2
+        assert peak < n * n * 8
+
 
 class TestSmacof:
     def test_exact_input_exact_init_is_fixed_point(self):
         cfg = sample_uniform(rectangle(2, 1), 40, seed=7)
         truth = pairwise_distances(cfg)
-        part = PartialDissimilarity(truth, np.ones_like(truth, dtype=bool))
+        part = all_pairs(truth)
         res = smacof(part, cfg.points)
         assert res.stress == pytest.approx(0.0, abs=1e-18)
         assert res.iterations == 1
@@ -215,7 +250,7 @@ class TestSmacof:
         cfg = sample_uniform(rectangle(2, 1), 60, seed=8)
         adj = generate_graph(cfg, Indicator(0.5), seed=0)
         est = scale_hops(all_pairs_hops(adj), 0.5)
-        part = PartialDissimilarity(est.values, np.ones((60, 60), dtype=bool))
+        part = all_pairs(est.values)
         cm = classical_mds(est.values, v=2)
 
         def full_stress(coords):
@@ -238,9 +273,10 @@ class TestSmacof:
         assert np.all(np.diff(trace) <= 1e-9)
         assert res.stress == trace[-1]
         # the reported stress is that of the returned coordinates
-        present = squareform(part.mask, checks=False)
-        delta = squareform(part.values, checks=False)[present]
-        recomputed = ((pdist(res.coords)[present] - delta) ** 2).sum()
+        # position of pair (i, j) in pdist's condensed, row-major order
+        n, i, j = part.n, part.i, part.j
+        present = n * i - i * (i + 1) // 2 + j - i - 1
+        recomputed = ((pdist(res.coords)[present] - part.values) ** 2).sum()
         assert res.stress == pytest.approx(recomputed, rel=1e-12, abs=0)
 
     def test_one_distance_matrix_per_iterate(self, monkeypatch):
@@ -258,7 +294,7 @@ class TestSmacof:
         cfg = sample_uniform(rectangle(2, 1), 80, seed=4)
         hops = all_pairs_hops(generate_graph(cfg, Indicator(0.4), seed=0))
         part = localize(hops, 2, r=0.4)
-        assert not part.mask.all()
+        assert part.i.size < part.n * (part.n - 1) // 2
         res = smacof(part, classical_mds(scale_hops(hops, 0.4).values, v=2).coords)
         assert res.iterations > 1
         assert len(calls) == res.iterations + 1
@@ -274,46 +310,68 @@ class TestSmacof:
             [[0.3, 0.7], [0.3, 0.7], [1.1, 0.2], [0.9, 1.3], [1.7, 0.9], [0.2, 1.6]]
         )
         init[1, 0] = np.nextafter(init[0, 0], 1.0)
-        mask = np.eye(n, dtype=bool)
-        for i, j in [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 4), (4, 5), (0, 5), (1, 2)]:
-            mask[i, j] = mask[j, i] = True
-        values = np.where(mask & ~np.eye(n, dtype=bool), 1.0, 0.0)
-        values[0, 1] = values[1, 0] = 0.5
-        part = PartialDissimilarity(values, mask)
+        pairs = [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4), (4, 5)]
+        pi, pj = np.array(pairs).T
+        values = np.ones(len(pairs))
+        values[0] = 0.5  # the pair (0, 1)
+        part = PartialDissimilarity(n, pi, pj, values)
         res = smacof(part, init)
         assert res.iterations == 1
 
         x = init - init.mean(axis=0)
         assert x[0, 0] != x[1, 0]
         bx = [[Fraction(0)] * 2 for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not mask[i, j]:
-                    continue
-                diff = [Fraction(x[i, k]) - Fraction(x[j, k]) for k in range(2)]
-                dis = math.sqrt(diff[0] ** 2 + diff[1] ** 2)
-                for k in range(2):
-                    t = Fraction(values[i, j]) / Fraction(dis) * diff[k]
-                    bx[i][k] += t
-                    bx[j][k] -= t
-        w = mask & ~np.eye(n, dtype=bool)
+        for (i, j), value in zip(pairs, values):
+            diff = [Fraction(x[i, k]) - Fraction(x[j, k]) for k in range(2)]
+            dis = math.sqrt(diff[0] ** 2 + diff[1] ** 2)
+            for k in range(2):
+                t = Fraction(value) / Fraction(dis) * diff[k]
+                bx[i][k] += t
+                bx[j][k] -= t
+        w = np.zeros((n, n), dtype=bool)
+        w[pi, pj] = w[pj, pi] = True
         vmat = np.diag(w.sum(axis=1).astype(np.float64)) - w + 1.0 / n
         ref = np.linalg.solve(vmat, np.array(bx, dtype=np.float64))
         ref -= ref.mean(axis=0)
         np.testing.assert_allclose(res.coords, ref, rtol=0, atol=1e-12)
 
     def test_disconnected_mask_rejected(self):
-        values = np.zeros((4, 4))
-        mask = np.eye(4, dtype=bool)
-        mask[0, 1] = mask[1, 0] = True
-        mask[2, 3] = mask[3, 2] = True
-        part = PartialDissimilarity(values, mask)
+        part = PartialDissimilarity(4, [0, 2], [1, 3], [0.0, 0.0])
         with pytest.raises(ValueError, match="threshold too small"):
             smacof(part, np.zeros((4, 2)))
 
     def test_partial_validation(self):
-        with pytest.raises(ValueError):
-            PartialDissimilarity(np.zeros((3, 3)), np.zeros((3, 3), dtype=bool))
-        vals = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ValueError):
-            PartialDissimilarity(vals, np.ones((2, 2), dtype=bool))
+        PartialDissimilarity(4, [0, 0, 2], [1, 3, 3], [1.0, 0.0, 2.0])  # well formed
+        for i, j, values in (
+            ([1, 0], [0, 3], [1.0, 1.0]),     # reversed pair (1, 0)
+            ([0, 2], [1, 2], [1.0, 1.0]),     # i == j
+            ([0, 2], [1, 4], [1.0, 1.0]),     # j >= n
+            ([-1, 0], [1, 1], [1.0, 1.0]),    # negative index
+            ([0, 0], [1, 1], [1.0, 1.0]),     # repeated pair
+            ([1, 0], [2, 3], [1.0, 1.0]),     # out of row-major order
+            ([0, 1], [1, 2], [1.0, -0.5]),    # negative value
+            ([0, 1], [1, 2], [1.0]),          # lengths differ
+        ):
+            with pytest.raises(ValueError):
+                PartialDissimilarity(4, i, j, values)
+
+    def test_factors_the_dense_mask_matrix(self, monkeypatch):
+        # V + 1/n from the pairs is bitwise the matrix built from a dense mask
+        captured = []
+        real = embed.cho_factor
+
+        def capture(a, **kwargs):
+            captured.append(np.array(a))
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(embed, "cho_factor", capture)
+        cfg = sample_uniform(rectangle(2, 1), 150, seed=9)
+        hops = all_pairs_hops(generate_graph(cfg, Indicator(0.35), seed=0))
+        part = localize(hops, 2, r=0.35)
+        smacof(part, classical_mds(scale_hops(hops, 0.35).values, v=2).coords)
+        n = part.n
+        mask = hops.hops <= 2
+        want = np.where(mask, 1.0 / n - 1.0, 1.0 / n)
+        want.flat[:: n + 1] = (mask.sum(axis=1) - 1) + 1.0 / n
+        assert len(captured) == 1
+        assert captured[0].tobytes() == want.tobytes()

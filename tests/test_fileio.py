@@ -96,15 +96,20 @@ class TestBinaryFormats:
         assert np.array_equal(fileio.read_matrix_binary(path), mat)
         assert path.read_bytes()[:4] == b"LGD1"
 
-    def test_matrix_bytes_from_strided_and_big_endian_input(self, tmp_path):
+    def test_matrix_bytes_from_strided_and_big_endian_input(self, tmp_path, monkeypatch):
         base = np.random.default_rng(4).random((6, 6))
+        base[1, 2], base[4, 0], base[5, 5] = np.inf, np.nan, -np.inf
         wide = np.zeros((6, 12))
         wide[:, ::2] = base
-        want = b"LGD1" + struct.pack("<Q", 6) + b"".join(struct.pack("<d", x) for x in base.ravel())
-        for values in (base, wide[:, ::2], np.asfortranarray(base), base.astype(">f8")):
-            path = tmp_path / "m.bin"
-            fileio.write_matrix_binary(path, values)
-            assert path.read_bytes() == want
+        # every non-finite entry is stored as -1
+        want = b"LGD1" + struct.pack("<Q", 6) + b"".join(
+            struct.pack("<d", x if np.isfinite(x) else -1.0) for x in base.ravel())
+        for block in (1 << 16, 5):  # one block, then one row per block
+            monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", block)
+            for values in (base, wide[:, ::2], np.asfortranarray(base), base.astype(">f8")):
+                path = tmp_path / "m.bin"
+                fileio.write_matrix_binary(path, values)
+                assert path.read_bytes() == want
 
     def test_hops_bytes_from_strided_and_big_endian_input(self, tmp_path):
         base = all_pairs_hops(random_graph(9, 0.3, seed=4)).hops
@@ -160,6 +165,18 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         fileio.write_matrix_csv(path, mat)
         assert np.array_equal(fileio.read_matrix_csv(path), mat)
+
+    def test_non_finite_entries_written_as_minus_one(self, tmp_path, monkeypatch):
+        mat = np.random.default_rng(6).random((7, 7))
+        mat[0, 3], mat[6, 1] = np.inf, np.nan
+        want = np.where(np.isfinite(mat), mat, -1.0)
+        text = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in want)
+        for block in (1 << 16, 5):  # one block, then one row per block
+            monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", block)
+            path = tmp_path / "m.csv"
+            fileio.write_matrix_csv(path, mat)
+            assert path.read_text() == text
+            assert np.array_equal(fileio.read_matrix_csv(path), want)
 
 
 class TestTracesAndManifest:

@@ -105,6 +105,21 @@ class TestAllPairsHops:
                 closer = np.flatnonzero(dense[node] & (hops[source] == hops[source, node] - 1))
                 assert prev == closer[0]
 
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_max_finite_and_connectivity_over_row_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
+        seen = set()
+        for p in (0.05, 0.3):
+            for seed in range(4):
+                hops = all_pairs_hops(random_graph(23, p, seed))
+                finite = hops.hops[hops.hops != INF_HOPS]
+                assert hops.max_finite() == finite.max()
+                assert hops.is_connected() == (finite.size == hops.hops.size)
+                seen.add(hops.is_connected())
+        assert seen == {True, False}
+        single = HopMatrix(1, np.zeros((1, 1)))
+        assert single.max_finite() == 0 and single.is_connected()
+
     def test_rejects_more_nodes_than_the_sentinel_allows(self):
         # a stand-in with only a node count: the guard must fire before any
         # n-sized allocation

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from latentgraph import fileio, preset_names, presets, run_preset
 from latentgraph.cli import main as cli_main
@@ -67,6 +69,17 @@ class TestPresets:
         assert files1 == files2
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_components_match_csgraph(self, tmp_path):
+        out, man = run_small("rectangles", tmp_path, scale_n=120)
+        counts = []
+        for tag in ("r0.05", "r0.1", "r0.2"):
+            adj = fileio.read_edge_list(out / man[f"{tag}.adjacency_file"])
+            k, labels = connected_components(csr_matrix(adj.dense()), directed=False)
+            counts.append(k)
+            assert man[f"{tag}.components"] == k
+            assert man[f"{tag}.n_embedded"] == np.bincount(labels).max()
+        assert max(counts) > 1  # the sparse graph has several
 
     def test_seed_changes_output(self, tmp_path):
         _, man1 = run_small("hole", tmp_path, seed=3, sub="a")
