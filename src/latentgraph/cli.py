@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+_ADJACENCY_HELP = "edge list, or LGA1 binary when the name ends in .bin"
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="latentgraph",
@@ -24,8 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--link", required=True,
                    help="indicator:R | scaled_indicator:R,P | poly:R,C0,ALPHA | two_level:R,P,Q")
 
-    h = sub.add_parser("hops", help="all-pairs hop distances of an edge list")
-    h.add_argument("--adjacency", required=True)
+    h = sub.add_parser("hops", help="all-pairs hop distances of a graph")
+    h.add_argument("--adjacency", required=True, help=_ADJACENCY_HELP)
 
     e = sub.add_parser("estimate", help="scale a hop matrix into distance estimates")
     e.add_argument("--hops", required=True)
@@ -37,8 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--dim", type=int, default=2)
     m.add_argument("--align-to", default=None, help="points CSV to procrustes-align against")
 
-    v = sub.add_parser("mvu", help="maximum variance unfolding of an edge list")
-    v.add_argument("--adjacency", required=True)
+    v = sub.add_parser("mvu", help="maximum variance unfolding of a graph")
+    v.add_argument("--adjacency", required=True, help=_ADJACENCY_HELP)
     v.add_argument("--rank", type=int, default=5)
 
     c = sub.add_parser("check", help="bound checks of estimates against truth")
@@ -124,6 +126,11 @@ def _run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    def read_adjacency(name):
+        path = Path(name)
+        return (fileio.read_adjacency_binary(path) if path.suffix == ".bin"
+                else fileio.read_edge_list(path))
+
     if args.command == "generate":
         config = sample_uniform(_parse_domain(args.domain), args.n, args.seed)
         adj = generate_graph(config, _parse_link(args.link), args.seed)
@@ -133,7 +140,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "hops":
-        adj = fileio.read_edge_list(args.adjacency)
+        adj = read_adjacency(args.adjacency)
         hops = all_pairs_hops(adj)
         fileio.write_hops_binary(out / "hops.bin", hops)
         print(f"wrote hops.bin (n={hops.n}, max finite hop={hops.max_finite()})")
@@ -167,7 +174,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "mvu":
-        adj = fileio.read_edge_list(args.adjacency)
+        adj = read_adjacency(args.adjacency)
         sol = solve_mvu(adj, rank=args.rank, seed=args.seed)
         fileio.write_points_csv(out / "mvu_coords.csv", sol.coords)
         fileio.write_mvu_trace(out / "mvu_trace.csv", sol.trace)

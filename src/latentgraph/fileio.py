@@ -4,11 +4,12 @@ Points travel as CSV with header ``x0,x1,...`` and shortest round-trip
 decimal floats.  Adjacency has a text edge-list form (``n=<count>`` header,
 then ``i j`` lines, 0-based, i < j, each pair once) and a binary form: magic
 ``LGA1``, u64 little-endian node count, then the strict upper triangle
-row-major as packed bits (little bit order).  Hop matrices: magic ``LGH1``,
-u64 n, row-major u16 little-endian with 0xFFFF for infinity.  Dense float
-matrices: CSV or magic ``LGD1``, u64 n, row-major f64 little-endian.
-Manifests are flat JSON objects with sorted keys so equal runs produce
-byte-identical files.
+row-major as packed bits (little bit order) with zero bits padding the last
+byte, written and read one block of rows or of bits at a time.  Hop
+matrices: magic ``LGH1``, u64 n, row-major u16 little-endian with 0xFFFF
+for infinity.  Dense float matrices: CSV or magic ``LGD1``, u64 n,
+row-major f64 little-endian.  Manifests are flat JSON objects with sorted
+keys so equal runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .hopdist import HopMatrix
-from .linkgraph import Adjacency
+from .linkgraph import Adjacency, _set_bits
 
 __all__ = [
     "read_adjacency_binary",
@@ -44,7 +45,8 @@ __all__ = [
 _MAGIC_ADJ = b"LGA1"
 _MAGIC_HOP = b"LGH1"
 _MAGIC_DEN = b"LGD1"
-# entries per row block when a dense float matrix is written
+# entries per block when a file is streamed: floats of a dense matrix, or
+# payload bits of an adjacency file
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -111,27 +113,49 @@ def _read_binary(path: str | Path, magic: bytes, payload_bytes) -> tuple[int, me
     return n, memoryview(raw)[12:]
 
 
-def _upper_bits(adj: Adjacency) -> np.ndarray:
-    dense = adj.dense()
-    iu = np.triu_indices(adj.n, 1)
-    return dense[iu]
+def _upper_offsets(n: int) -> np.ndarray:
+    """Position in the ``LGA1`` bit stream of row i's first upper bit, (i, i+1)."""
+    i = np.arange(n, dtype=np.int64)
+    return i * (2 * n - i - 1) // 2
+
+
+def _or_bits(out: np.ndarray, index, pos: np.ndarray) -> None:
+    """Set bit ``pos % 8`` (little bit order) of each byte ``out[index]``."""
+    np.bitwise_or.at(out, index, np.left_shift(1, pos & 7).astype(np.uint8))
 
 
 def write_adjacency_binary(path: str | Path, adj: Adjacency) -> None:
-    bits = _upper_bits(adj)
+    n = adj.n
+    payload = np.zeros((n * (n - 1) // 2 + 7) // 8, dtype=np.uint8)
+    offsets = _upper_offsets(n)
+    # the upper bits of one block of rows at a time, at their stream positions
+    for i, j in _set_bits(adj):
+        upper = j > i
+        pos = offsets[i[upper]] + (j[upper] - i[upper] - 1)
+        _or_bits(payload, pos >> 3, pos)
     with open(path, "wb") as fh:
         fh.write(_MAGIC_ADJ)
-        fh.write(struct.pack("<Q", adj.n))
-        fh.write(np.packbits(bits, bitorder="little").tobytes())
+        fh.write(struct.pack("<Q", n))
+        fh.write(payload)
 
 
 def read_adjacency_binary(path: str | Path) -> Adjacency:
     n, payload = _read_binary(path, _MAGIC_ADJ, lambda n: (n * (n - 1) // 2 + 7) // 8)
     m = n * (n - 1) // 2
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=m, bitorder="little")
-    dense = np.zeros((n, n), dtype=bool)
-    dense[np.triu_indices(n, 1)] = bits.astype(bool)
-    return Adjacency.from_dense(dense | dense.T)
+    data = np.frombuffer(payload, dtype=np.uint8)
+    if m % 8 and data[-1] >> (m % 8):
+        raise ValueError(f"{path}: padding bits after the {m} data bits are not zero")
+    offsets = _upper_offsets(n)
+    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    # the set bits of one block of the stream at a time, as both (i, j) and (j, i)
+    for lo in range(0, data.size, _BLOCK_ENTRIES // 8):
+        pos = np.flatnonzero(np.unpackbits(data[lo : lo + _BLOCK_ENTRIES // 8], bitorder="little"))
+        pos += 8 * lo
+        i = np.searchsorted(offsets, pos, side="right") - 1
+        j = pos - offsets[i] + i + 1
+        _or_bits(packed, (i, j >> 3), j)
+        _or_bits(packed, (j, i >> 3), i)
+    return Adjacency(n, packed)
 
 
 def write_hops_binary(path: str | Path, hops: HopMatrix) -> None:

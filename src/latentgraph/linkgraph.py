@@ -116,7 +116,7 @@ class TwoLevel:
 
 LinkFunction = Union[Indicator, ScaledIndicator, PolynomialEdge, TwoLevel]
 
-# bits per block when the edge list unpacks the adjacency rows
+# bits per block when edge or neighbour lists unpack the adjacency rows
 _UNPACK_BITS = 1 << 20
 
 
@@ -133,7 +133,8 @@ class Adjacency:
     """Symmetric boolean adjacency matrix with zero diagonal, bit-packed.
 
     Rows are stored as packed bits (little bit order), eight columns per
-    byte, which is what the breadth-first search consumes directly.
+    byte: n²/8 bytes, from which edge and neighbour lists are unpacked one
+    block of rows at a time.
     """
 
     __slots__ = ("n", "packed")
@@ -176,13 +177,8 @@ class Adjacency:
 
     def edges(self) -> np.ndarray:
         """Edge list as an (m, 2) array with i < j, row-major order."""
-        n = self.n
-        step = max(1, _UNPACK_BITS // max(n, 1))
         blocks = [np.empty((0, 2), dtype=np.intp)]
-        for lo in range(0, n, step):
-            rows = np.unpackbits(self.packed[lo : lo + step], axis=1, count=n, bitorder="little")
-            i, j = np.nonzero(rows)
-            i += lo
+        for i, j in _set_bits(self):
             upper = j > i
             blocks.append(np.column_stack([i[upper], j[upper]]))
         return np.concatenate(blocks)
@@ -203,6 +199,18 @@ class Adjacency:
 
     def __repr__(self) -> str:
         return f"Adjacency(n={self.n}, edges={self.edge_count()})"
+
+
+def _set_bits(adj: Adjacency):
+    """Row and column indices of the set bits of ``adj`` in row-major order,
+    one block of whole rows (about ``_UNPACK_BITS`` bits) at a time."""
+    n = adj.n
+    step = max(1, _UNPACK_BITS // max(n, 1))
+    for lo in range(0, n, step):
+        rows = np.unpackbits(adj.packed[lo : lo + step], axis=1, count=n, bitorder="little")
+        i, j = np.nonzero(rows)
+        i += lo
+        yield i, j
 
 
 def generate_graph(config: PointConfig, link: LinkFunction, seed: int) -> Adjacency:

@@ -1,10 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from latentgraph import INF_HOPS, HopMatrix, all_pairs_hops
-from latentgraph import fileio
+from latentgraph import fileio, linkgraph
+from latentgraph.cli import main as cli_main
 from tests.conftest import random_graph
 
 
@@ -78,6 +80,56 @@ class TestBinaryFormats:
         fileio.write_adjacency_binary(path, adj)
         assert fileio.read_adjacency_binary(path) == adj
         assert path.read_bytes()[:4] == b"LGA1"
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 8, 9, 43, 64, 65])
+    def test_adjacency_bytes_are_the_upper_triangle(self, tmp_path, monkeypatch, n):
+        path = tmp_path / "adj.bin"
+        for p in (0.0, 0.3, 1.0):
+            adj = random_graph(n, p, seed=n)
+            # the format's definition: the strict upper triangle, row-major,
+            # packed bits in little bit order
+            bits = adj.dense()[np.triu_indices(n, 1)]
+            want = b"LGA1" + struct.pack("<Q", n) + np.packbits(bits, bitorder="little").tobytes()
+            # one block, then one row per unpacked block and one byte per read block
+            for unpack_bits, entries in ((1 << 20, 1 << 16), (1, 8)):
+                monkeypatch.setattr(linkgraph, "_UNPACK_BITS", unpack_bits)
+                monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", entries)
+                fileio.write_adjacency_binary(path, adj)
+                assert path.read_bytes() == want
+                assert fileio.read_adjacency_binary(path) == adj
+
+    def test_adjacency_files_stream_in_blocks(self, tmp_path):
+        # a dense n×n bool matrix is 6.25 MB here and the file 0.78 MB
+        n = 2500
+        adj = random_graph(n, 0.02, seed=7)
+        path = tmp_path / "adj.bin"
+        tracemalloc.start()
+        try:
+            fileio.write_adjacency_binary(path, adj)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = fileio.read_adjacency_binary(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == adj
+        # below one dense n×n bool matrix each
+        assert write_peak < n * n, write_peak
+        assert read_peak < n * n, read_peak
+
+    def test_adjacency_padding_bits_must_be_zero(self, tmp_path):
+        adj = random_graph(43, 0.3, seed=2)  # 903 data bits: one padding bit
+        good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+        fileio.write_adjacency_binary(good, adj)
+        raw = bytearray(good.read_bytes())
+        raw[-1] |= 0x80
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="padding"):
+            fileio.read_adjacency_binary(bad)
+        assert cli_main(["--out", str(tmp_path), "hops", "--adjacency", str(bad)]) == 2
+        assert cli_main(["--out", str(tmp_path), "hops", "--adjacency", str(good)]) == 0
+        back = fileio.read_hops_binary(tmp_path / "hops.bin")
+        assert np.array_equal(back.hops, all_pairs_hops(adj).hops)
 
     def test_hops_roundtrip(self, tmp_path):
         hops = all_pairs_hops(random_graph(20, 0.15, seed=3))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from latentgraph import (
     Adjacency,
@@ -61,12 +63,35 @@ class TestAllPairsHops:
         adj = random_graph(12, 0.3, seed=6)
         assert np.array_equal(all_pairs_hops(adj).hops, as_uint16(floyd_warshall_hops(adj)))
 
-    @given(n=st.integers(2, 64), p=st.floats(0.02, 0.6), seed=st.integers(0, 10_000))
+    # up to 150 nodes, so that several 64-source batches run
+    @given(n=st.integers(2, 150), p=st.floats(0.02, 0.6), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_equals_floyd_warshall(self, n, p, seed):
         adj = random_graph(n, p, seed)
         hops = all_pairs_hops(adj)
         assert np.array_equal(hops.hops, as_uint16(floyd_warshall_hops(adj)))
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 200])
+    @pytest.mark.parametrize("p", [0.0, "sparse", 1.0])
+    def test_equals_scipy_across_lane_batches(self, n, p):
+        # p = 0: every node isolated; sparse: isolated nodes and several
+        # components; p = 1: the complete graph
+        adj = random_graph(n, 0.6 / n if p == "sparse" else p, seed=n)
+        want = shortest_path(csr_matrix(adj.dense()), unweighted=True)
+        assert np.array_equal(all_pairs_hops(adj).hops, as_uint16(want))
+
+    def test_sparse_case_has_isolated_nodes_and_components(self):
+        adj = random_graph(200, 0.6 / 200, seed=200)
+        assert (adj.degrees() == 0).any()
+        assert connected_components(csr_matrix(adj.dense()))[0] > (adj.degrees() == 0).sum() + 1
+
+    def test_long_path_needs_eleven_bit_planes(self):
+        n = 1100
+        adj = Adjacency.from_edges(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
+        hops = all_pairs_hops(adj).hops
+        k = np.arange(n)
+        assert hops[0, n - 1] == 1099  # binary 10001001011: planes 0-10
+        assert np.array_equal(hops, np.abs(k[:, None] - k[None, :]))
 
     @given(n=st.integers(3, 40), p=st.floats(0.05, 0.5), seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -125,6 +150,8 @@ class TestAllPairsHops:
         # n-sized allocation
         with pytest.raises(ValueError, match="65535"):
             all_pairs_hops(SimpleNamespace(n=0x10000))
+        with pytest.raises(ValueError, match="65535"):
+            shortest_path_nodes(SimpleNamespace(n=0x10000), 0, 1)
 
 
 class TestScaleHops:
