@@ -6,15 +6,12 @@ excess est - d stays within the slope/offset envelope governed by the
 coverage radius of the sample.
 """
 
-import numpy as np
-
 from latentgraph import (
     Indicator,
     all_pairs_hops,
     check_simple_bound,
     coverage_radius,
     generate_graph,
-    pairwise_distances,
     rectangle,
     sample_uniform,
     scale_hops,
@@ -22,7 +19,6 @@ from latentgraph import (
 
 n, r, seed = 1200, 0.35, 7
 config = sample_uniform(rectangle(2, 1), n, seed)
-truth = pairwise_distances(config)
 
 adj = generate_graph(config, Indicator(r), seed)
 print(f"{n} points on [0,2]x[0,1], indicator radius {r}: {adj.edge_count()} edges")
@@ -34,7 +30,7 @@ est = scale_hops(hops, r)
 eps = coverage_radius(config, "convex_hull", grid_step=0.005)
 print(f"coverage radius of the sample (hull): [{eps.lower:.4f}, {eps.upper:.4f}]")
 
-rep = check_simple_bound(est, truth, eps.upper, r)
+rep = check_simple_bound(est, config.points, eps.upper, r)
 print(f"asserted regime (eps <= r/4): {rep.asserted}")
 print(f"lower bound est >= d:  {rep.lower_violations} violations")
 print(f"upper bound excess <= 4(eps/r) d + r:  {rep.upper_violations} violations")

@@ -20,7 +20,6 @@ from latentgraph import (
     knn_graph,
     knn_radii,
     knn_scale,
-    pairwise_distances,
     rectangle,
     sample_uniform,
     scale_hops,
@@ -34,7 +33,6 @@ out.mkdir(parents=True, exist_ok=True)
 
 n, kappa, seed = 2500, 25, 0
 config = sample_uniform(rectangle(4, 1), n, seed)
-truth = pairwise_distances(config)
 
 radii = knn_radii(config, kappa)
 deep = config.domain.boundary_distance(config.points) > 0.15
@@ -46,11 +44,11 @@ scale = knn_scale(config.domain, n, kappa, c1=1.0)
 print(f"hop scale r = r_circ + eps = {scale.r_circ:.4f} + {scale.eps:.4f} = {scale.r:.4f}")
 
 est = scale_hops(all_pairs_hops(adj), scale.r)
-rep = check_knn_bounds(est, truth, config, scale.eps, scale.r)
+rep = check_knn_bounds(est, config, scale.eps, scale.r)
 print(f"deep-interior lower bound: {rep.lower_violations} violations "
       f"on {rep.lower_checked_pairs} qualifying pairs")
 
-ratio, pairs = check_boundary_bias(est, truth, threshold_d=2.0)
+ratio, pairs = check_boundary_bias(est, config.points, threshold_d=2.0)
 print(f"over {pairs} pairs with d >= 2: max est/d = {ratio:.3f} "
       f"(compression below 1 needs kappa >> log n; here the eps overhead dominates)")
 

@@ -21,7 +21,6 @@ from latentgraph import (
     classical_mds,
     generate_graph,
     localize,
-    pairwise_distances,
     procrustes_align,
     rectangle,
     sample_uniform,
@@ -36,7 +35,6 @@ out.mkdir(parents=True, exist_ok=True)
 domain = RectangleWithHole(rectangle(2, 1), Box(np.array([0.5, 0.25]), np.array([1.5, 0.75])))
 n, r, seed = 1000, 0.2, 5
 config = sample_uniform(domain, n, seed)
-truth_d = pairwise_distances(config)
 
 adj = generate_graph(config, Indicator(r), seed)
 hops = all_pairs_hops(adj)

@@ -19,7 +19,6 @@ from latentgraph import (
     classical_mds,
     generate_graph,
     ingest_cities,
-    pairwise_distances,
     procrustes_align,
     scale_hops,
 )
@@ -47,7 +46,6 @@ if path is None:
     print(f"no file given; synthesized {keep.sum()} city-like rows")
 
 config = ingest_cities(path, n_sub=args.n, seed=0)
-truth_d = pairwise_distances(config)
 print(f"{config.n} cities, bounding box {config.domain.lo} .. {config.domain.hi} (degrees)")
 
 series = {"truth": config.points}

@@ -116,8 +116,9 @@ def _run(args) -> int:
     from . import fileio
     from .cities import ingest_cities
     from .embed import classical_mds, procrustes_align
-    from .geometry import pairwise_distances, sample_uniform
-    from .hopdist import all_pairs_hops, check_general_bound, check_simple_bound, scale_hops
+    from .geometry import sample_uniform
+    from .hopdist import (EstimateMatrix, all_pairs_hops, check_general_bound, check_simple_bound,
+                          scale_hops)
     from .linkgraph import generate_graph
     from .mvu import solve_mvu
     from .plotdata import emit_plotdata
@@ -186,14 +187,12 @@ def _run(args) -> int:
         path = Path(args.estimate)
         values = (fileio.read_matrix_csv(path) if path.suffix == ".csv"
                   else fileio.read_matrix_binary(path))
-        est_values = np.where(values < 0, np.inf, values)
-        truth = pairwise_distances(fileio.read_points_csv(args.truth))
-        from .hopdist import EstimateMatrix
-        est = EstimateMatrix(est_values, scale=args.r)
+        est = EstimateMatrix(np.where(values < 0, np.inf, values), scale=args.r)
+        points = fileio.read_points_csv(args.truth)
         if args.kind == "simple":
-            rep = check_simple_bound(est, truth, args.eps, args.r)
+            rep = check_simple_bound(est, points, args.eps, args.r)
         else:
-            rep = check_general_bound(est, truth, args.eps, args.r, args.alpha)
+            rep = check_general_bound(est, points, args.eps, args.r, args.alpha)
         print(f"pairs connected {rep.pairs_connected}, disconnected {rep.pairs_disconnected}")
         print(f"lower violations {rep.lower_violations}")
         if rep.upper_violations is not None:

@@ -18,12 +18,14 @@ The simple, general and kNN checks share one report builder: the excess
 ``est - d`` against ``a (eps/r)^gamma d + b r``, plus the lower bound
 ``est >= d`` over all connected or over qualifying pairs.
 
-The checks and ``check_boundary_bias`` stream the pairs ``i < j`` in
-row-major blocks of whole rows, about ``_BLOCK_PAIRS`` pairs each, and keep
+The checks and ``check_boundary_bias`` read the true distances from the
+points: they stream the pairs ``i < j`` in row-major blocks of whole rows,
+about ``_BLOCK_PAIRS`` pairs each, take each block's distances from
+``cdist`` (bitwise the entries of ``squareform(pdist(points))``) and keep
 only counts, maxima and minima.  Their scratch memory is therefore a few
-megabytes at any n, beside the estimate and truth matrices they read; none
-of the reductions depends on order, so the reports equal the ones over all
-pairs at once, bit for bit.
+megabytes at any n, beside the estimate they read; none of the reductions
+depends on order, so the reports equal the ones over all pairs at once, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .geometry import PointConfig, boundary_distances
 from .linkgraph import Adjacency, KnnAdjacency, _set_bits, symmetrize_union
@@ -195,6 +198,8 @@ class EstimateMatrix:
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float64)
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ValueError(f"estimate must be a square matrix, got shape {v.shape}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -238,21 +243,23 @@ class BoundReport:
     lower_checked_pairs: int | None = None
 
 
-def _pair_blocks(est: EstimateMatrix, truth: np.ndarray):
+def _pair_blocks(est: EstimateMatrix, points: np.ndarray):
     """The pairs ``i < j`` in row-major order, one block of whole rows at a
-    time: endpoint indices ``i`` and ``j``, estimates and true distances, each
-    a vector of at most ``_BLOCK_PAIRS`` entries (or one row, if longer)."""
+    time: endpoint indices ``i`` and ``j``, estimates and point distances,
+    each a vector of at most ``_BLOCK_PAIRS`` entries (or one row, if longer)."""
     n = est.n
-    if truth.shape != (n, n):
-        raise ValueError("estimate and truth sizes differ")
+    points = np.asarray(points)
+    if points.ndim != 2 or points.shape[0] != n:
+        raise ValueError(f"need one point per estimate row: {n} rows, got shape {points.shape}")
     lo = 0
     while lo < n - 1:
         # rows shorten toward the end, so the first row of a block is its longest
         hi = min(n - 1, lo + max(1, _BLOCK_PAIRS // (n - 1 - lo)))
-        i, j = np.nonzero(np.arange(lo + 1, n) > np.arange(lo, hi)[:, None])
+        upper = np.arange(lo + 1, n) > np.arange(lo, hi)[:, None]
+        i, j = np.nonzero(upper)
         i += lo
         j += lo + 1
-        yield i, j, est.values[i, j], truth[i, j]
+        yield i, j, est.values[i, j], cdist(points[lo:hi], points[lo + 1 :])[upper]
         lo = hi
 
 
@@ -261,8 +268,8 @@ def _fold(reduce, values: list) -> float:
     return float(reduce(values)) if values else 0.0
 
 
-def _report(est, truth, eps, r, gamma, a, b, asserted, qualifying=None) -> BoundReport:
-    """Bound report of ``est`` against the true distances ``truth``.
+def _report(est, points, eps, r, gamma, a, b, asserted, qualifying=None) -> BoundReport:
+    """Bound report of ``est`` against the distances between ``points``.
 
     With ``a`` given, the excess is held against ``a (eps/r)^gamma d + b r``.
     The lower bound ``est >= d`` is counted over all connected pairs, or only
@@ -271,7 +278,7 @@ def _report(est, truth, eps, r, gamma, a, b, asserted, qualifying=None) -> Bound
     scale = (eps / r) ** gamma
     total = connected = lower_viol = upper_viol = checked = 0
     maxima, minima, relative, fitted = [], [], [], []
-    for i, j, dhat, d in _pair_blocks(est, truth):
+    for i, j, dhat, d in _pair_blocks(est, points):
         finite = np.isfinite(dhat)
         df = d[finite]
         resid = dhat[finite] - df
@@ -315,17 +322,17 @@ def _report(est, truth, eps, r, gamma, a, b, asserted, qualifying=None) -> Bound
     )
 
 
-def check_simple_bound(est: EstimateMatrix, truth: np.ndarray, eps: float, r: float) -> BoundReport:
+def check_simple_bound(est: EstimateMatrix, points: np.ndarray, eps: float, r: float) -> BoundReport:
     """Check ``0 <= est - d <= 4 (eps/r) d + r`` over connected pairs.
 
     The upper inequality is guaranteed for indicator links only when
     ``eps <= r/4`` (coverage at most a quarter radius); otherwise the report
     is informational and ``asserted`` is False.
     """
-    return _report(est, truth, eps, r, 1.0, 4.0, 1.0, bool(eps <= r / 4))
+    return _report(est, points, eps, r, 1.0, 4.0, 1.0, bool(eps <= r / 4))
 
 
-def check_general_bound(est: EstimateMatrix, truth: np.ndarray, eps: float, r: float,
+def check_general_bound(est: EstimateMatrix, points: np.ndarray, eps: float, r: float,
                         alpha: float, c2: float | None = None) -> BoundReport:
     """Report the smallest constant C with
     ``est - d <= C [ (eps/r)^(1/(1+alpha)) d + r ]`` over connected pairs,
@@ -335,12 +342,11 @@ def check_general_bound(est: EstimateMatrix, truth: np.ndarray, eps: float, r: f
     """
     if alpha < 0:
         raise ValueError("need alpha >= 0")
-    return _report(est, truth, eps, r, 1.0 / (1.0 + alpha), c2,
+    return _report(est, points, eps, r, 1.0 / (1.0 + alpha), c2,
                    1.0 if c2 is not None else None, False)
 
 
-def check_knn_bounds(est: EstimateMatrix, truth: np.ndarray, config: PointConfig,
-                     eps: float, r: float) -> BoundReport:
+def check_knn_bounds(est: EstimateMatrix, config: PointConfig, eps: float, r: float) -> BoundReport:
     """Check the k-nearest-neighbor bounds.
 
     Upper: ``est - d <= 8 (eps/r) d + r`` over all connected pairs.  Lower:
@@ -353,12 +359,11 @@ def check_knn_bounds(est: EstimateMatrix, truth: np.ndarray, config: PointConfig
     def qualifying(i, j, d):
         return (d >= 2 * r) & (bdist[i] > d / 2) & (bdist[j] > d / 2)
 
-    return _report(est, truth, eps, r, 1.0, 8.0, 1.0, False, qualifying=qualifying)
+    return _report(est, config.points, eps, r, 1.0, 8.0, 1.0, False, qualifying=qualifying)
 
 
-def check_boundary_bias(
-    est: EstimateMatrix, truth: np.ndarray, threshold_d: float
-) -> tuple[float, int]:
+def check_boundary_bias(est: EstimateMatrix, points: np.ndarray,
+                        threshold_d: float) -> tuple[float, int]:
     """Largest ``est / d`` over pairs with ``d >= threshold_d`` and the number
     of such pairs.  A maximum below 1 confirms the boundary compression of
     long k-nearest-neighbor paths; disconnected pairs contribute infinity.
@@ -366,7 +371,7 @@ def check_boundary_bias(
     if threshold_d <= 0:
         raise ValueError("threshold must be positive")
     ratios, pairs = [], 0
-    for _, _, dhat, d in _pair_blocks(est, truth):
+    for _, _, dhat, d in _pair_blocks(est, points):
         sel = d >= threshold_d
         if sel.any():
             ratios.append((dhat[sel] / d[sel]).max())

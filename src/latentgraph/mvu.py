@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 
 from .embed import classical_mds
 from .hopdist import HopMatrix, all_pairs_hops
@@ -37,14 +37,14 @@ _TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class MvuSolution:
-    """Feasible unfolding: centered coordinates, their induced metric, the
-    spread objective (sum over unordered pairs of squared distances) and the
-    residual edge-constraint violation (zero after the final rescale)."""
+    """Feasible unfolding: centered coordinates, the spread objective (sum
+    over unordered pairs of squared distances) and the residual
+    edge-constraint violation (zero after the final rescale).  The unfolded
+    metric is ``pdist(coords)``."""
 
     coords: np.ndarray
     objective: float
     max_edge_violation: float
-    gamma: np.ndarray
     trace: tuple = field(repr=False, default=())
 
 
@@ -147,13 +147,11 @@ def solve_mvu(
     if ml > 1.0:
         x = x / ml
         x -= x.mean(axis=0)
-    gamma = squareform(pdist(x))
     violation = float(np.maximum(_edge_lengths(x, a, b) - 1.0, 0.0).max(initial=0.0))
     return MvuSolution(
         coords=x,
         objective=_spread(x),
         max_edge_violation=violation,
-        gamma=gamma,
         trace=tuple(trace),
     )
 
@@ -173,11 +171,11 @@ def check_mvu_bound(sol: MvuSolution, hops: HopMatrix) -> MvuBoundReport:
     path); residual edge violations propagate multiplicatively, so the
     tolerance per pair is ``max_edge_violation * hops + _TOL``.
     """
-    if sol.gamma.shape[0] != hops.n:
+    if sol.coords.shape[0] != hops.n:
         raise ValueError("solution and hop matrix sizes differ")
-    iu = np.triu_indices(hops.n, 1)
-    h = hops.to_float()[iu]
-    g = sol.gamma[iu]
+    # both in row-major order over the pairs i < j
+    h = hops.to_float()[np.triu_indices(hops.n, 1)]
+    g = pdist(sol.coords)
     finite = np.isfinite(h)
     excess = g[finite] - h[finite]
     allowed = sol.max_edge_violation * h[finite] + _TOL
@@ -189,20 +187,20 @@ def check_mvu_bound(sol: MvuSolution, hops: HopMatrix) -> MvuBoundReport:
     )
 
 
-def discrepancy_ratio(sol: MvuSolution, truth: np.ndarray, r: float, eta: float) -> float:
+def discrepancy_ratio(sol: MvuSolution, points: np.ndarray, r: float, eta: float) -> float:
     """Empirical constant of the squared-distance discrepancy bound.
 
-    With ``dt = r * gamma``, returns ``sum |dt^2 - d^2| / (eta * sum d^2)``
-    over unordered pairs.  ``eta`` must come from a bound report certifying
-    ``(1-eta) d <= est <= (1+eta) d``; the universal constant it estimates
-    has no known numeric value, so this is report-only.
+    With ``dt = r * pdist(coords)`` and ``d = pdist(points)``, returns
+    ``sum |dt^2 - d^2| / (eta * sum d^2)`` over unordered pairs.  ``eta``
+    must come from a bound report certifying ``(1-eta) d <= est <= (1+eta) d``;
+    the universal constant it estimates has no known numeric value, so this
+    is report-only.
     """
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1)")
-    n = sol.gamma.shape[0]
-    if truth.shape != (n, n):
-        raise ValueError("solution and truth sizes differ")
-    iu = np.triu_indices(n, 1)
-    dt = r * sol.gamma[iu]
-    d = truth[iu]
+    points = np.asarray(points)
+    if points.ndim != 2 or points.shape[0] != sol.coords.shape[0]:
+        raise ValueError("solution and points sizes differ")
+    dt = r * pdist(sol.coords)
+    d = pdist(points)
     return float(np.abs(dt ** 2 - d ** 2).sum() / (eta * (d ** 2).sum()))

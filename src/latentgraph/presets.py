@@ -2,11 +2,12 @@
 construction, hop estimation, bound checks and embeddings.
 
 Each runner composes the same stages, and each artifact is built once:
-``_sample`` writes the points, ``_truth_and_eps`` computes the true distances
-and the coverage radius of a sample, ``_estimate`` turns one graph into hops,
-estimate, bound report, edge list and aligned embedding and hands the hops
-and the embedding on, and ``_indicator_variant`` adds an indicator graph's
-hop and estimate files.
+``_sample`` writes the points, ``_eps`` computes the coverage radius of a
+sample, ``_estimate`` turns one graph into hops, estimate, bound report, edge
+list and aligned embedding and hands the hops and the embedding on, and
+``_indicator_variant`` adds an indicator graph's hop and estimate files.  The
+points are the only truth: the checks read their distances one row block at
+a time, so no n-by-n distance matrix is built.
 
 Every preset is determined by (name, seed): two runs write byte-identical
 artifacts and manifests.  ``scale_n`` shrinks a preset proportionally for
@@ -20,6 +21,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from . import fileio
 from .cities import ingest_cities
@@ -58,7 +60,6 @@ class ExperimentPreset:
     name: str
     description: str
     default_n: int
-    needs_cities: bool = False
 
 
 class _GraphEstimate(NamedTuple):
@@ -91,11 +92,10 @@ def _sample(config: PointConfig, out: Path, man: dict) -> None:
     man["truth.points_file"] = "truth.csv"
 
 
-def _truth_and_eps(config: PointConfig) -> tuple[np.ndarray, CoverageBracket]:
-    """True distances and the coverage radius of the sample's convex hull."""
+def _eps(config: PointConfig) -> CoverageBracket:
+    """Coverage radius of the sample's convex hull."""
     span = config.points.max(axis=0) - config.points.min(axis=0)
-    grid_step = float(span.max() / 400.0)
-    return pairwise_distances(config), coverage_radius(config, "convex_hull", grid_step)
+    return coverage_radius(config, "convex_hull", float(span.max() / 400.0))
 
 
 def _embed_and_align(config: PointConfig, est: EstimateMatrix, keep: np.ndarray,
@@ -148,14 +148,14 @@ def _estimate(config: PointConfig, adj: Adjacency, r: float, eps: CoverageBracke
     return _GraphEstimate(hops, est, keep, _embed_and_align(config, est, keep, out, tag, man))
 
 
-def _indicator_variant(config: PointConfig, truth: np.ndarray, eps: CoverageBracket,
-                       r: float, seed: int, out: Path, man: dict) -> _GraphEstimate:
+def _indicator_variant(config: PointConfig, eps: CoverageBracket, r: float, seed: int,
+                       out: Path, man: dict) -> _GraphEstimate:
     """``_estimate`` of the indicator graph at radius ``r`` under the simple
     bound, plus its hop and estimate files."""
     tag = _tag("r", r)
     adj = generate_graph(config, Indicator(r), seed)
-    g = _estimate(config, adj, r, eps, lambda est: check_simple_bound(est, truth, eps.upper, r),
-                  out, tag, man)
+    g = _estimate(config, adj, r, eps,
+                  lambda est: check_simple_bound(est, config.points, eps.upper, r), out, tag, man)
     hop_name, est_name = f"{tag}_hops.bin", f"{tag}_est.bin"
     fileio.write_hops_binary(out / hop_name, g.hops)
     fileio.write_matrix_binary(out / est_name, g.est.values)
@@ -203,26 +203,25 @@ def _run_rectangles(seed: int, out: Path, n: int, man: dict, **_) -> None:
     pts = np.vstack([base.sample(rng, n0), patch1.sample(rng, n1), patch2.sample(rng, n2)])
     config = PointConfig(pts, base, provenance=f"sampled(seed={seed})")
     _sample(config, out, man)
-    truth, eps = _truth_and_eps(config)
+    eps = _eps(config)
     for r in (0.05, 0.1, 0.2):
-        _indicator_variant(config, truth, eps, r, seed, out, man)
+        _indicator_variant(config, eps, r, seed, out, man)
 
 
 def _run_hole(seed: int, out: Path, n: int, man: dict, **_) -> None:
     """Rectangle with a rectangular hole: the convexity requirement bites."""
     config = sample_uniform(_hole_domain(), n, seed)
     _sample(config, out, man)
-    truth, eps = _truth_and_eps(config)
-    _indicator_variant(config, truth, eps, 0.2, seed, out, man)
+    _indicator_variant(config, _eps(config), 0.2, seed, out, man)
 
 
 def _run_cities(seed: int, out: Path, n: int, man: dict, cities_file=None, **_) -> None:
     """City coordinates in planar degrees; indicator links at three radii."""
     config = _cities(cities_file, n, seed)
     _sample(config, out, man)
-    truth, eps = _truth_and_eps(config)
+    eps = _eps(config)
     for r in (3.0, 5.0, 7.0):
-        _indicator_variant(config, truth, eps, r, seed, out, man)
+        _indicator_variant(config, eps, r, seed, out, man)
 
 
 def _run_cities_thinned(seed: int, out: Path, n: int, man: dict, cities_file=None, **_) -> None:
@@ -232,30 +231,31 @@ def _run_cities_thinned(seed: int, out: Path, n: int, man: dict, cities_file=Non
     config = _cities(cities_file, n, seed)
     _sample(config, out, man)
     man["r"] = r
-    truth, eps = _truth_and_eps(config)
+    eps = _eps(config)
     full = generate_graph(config, Indicator(r), seed)
     half = couple_thin(full, 0.5 / 1.0, seed + 1)
     fifth = couple_thin(half, 0.2 / 0.5, seed + 2)  # keep ratio of levels: emulates p=0.2
     for p, adj in ((1.0, full), (0.5, half), (0.2, fifth)):
         _estimate(config, adj, r, eps,
-                  lambda est: check_general_bound(est, truth, eps.upper, r, alpha=0.0),
+                  lambda est: check_general_bound(est, config.points, eps.upper, r, alpha=0.0),
                   out, _tag("p", p), man)
 
 
 def _run_knn_band(seed: int, out: Path, n: int, man: dict, literal_omega=False, **_) -> None:
     """Nearest-neighbor graph on a long strip: boundary paths shortcut."""
     config, kappa, adj = _knn_strip(seed, out, n, man)
-    truth = pairwise_distances(config)
     scale = knn_scale(config.domain, config.n, kappa, c1=1.0,
                       omega=4.0 if literal_omega else None)
     man["knn.r_circ"] = scale.r_circ
     man["knn.eps"] = scale.eps
     man["knn.omega"] = scale.omega
     g = _estimate(config, adj, scale.r, CoverageBracket(scale.eps, scale.eps),
-                  lambda est: check_knn_bounds(est, truth, config, scale.eps, scale.r),
+                  lambda est: check_knn_bounds(est, config, scale.eps, scale.r),
                   out, "knn", man)
-    threshold = min(2.0, 0.5 * float(truth.max()))
-    ratio, pairs = check_boundary_bias(g.est, truth, threshold)
+    # the farthest pair of points is a pair of hull vertices
+    diameter = pairwise_distances(config.points[ConvexHull(config.points).vertices]).max()
+    threshold = min(2.0, 0.5 * float(diameter))
+    ratio, pairs = check_boundary_bias(g.est, config.points, threshold)
     man["knn.bias.threshold"] = threshold
     man["knn.bias.max_ratio"] = ratio
     man["knn.bias.pairs"] = pairs
@@ -293,8 +293,7 @@ def _run_mds_discrete(seed: int, out: Path, n: int, man: dict, **_) -> None:
     recovers the layout."""
     config = sample_uniform(rectangle(2.0, 1.0), n, seed)
     _sample(config, out, man)
-    truth, eps = _truth_and_eps(config)
-    hops = _indicator_variant(config, truth, eps, 0.5, seed, out, man).hops
+    hops = _indicator_variant(config, _eps(config), 0.5, seed, out, man).hops
     h = hops.hops
     # histogram of the pairs i < j, counted row by row
     counts = np.zeros(int(h.max()) + 1, dtype=np.int64)
@@ -310,9 +309,8 @@ def _run_hole_local(seed: int, out: Path, n: int, man: dict, **_) -> None:
     reconcile with stress majorization from the classical-scaling start."""
     config = sample_uniform(_hole_domain(), n, seed)
     _sample(config, out, man)
-    truth, eps = _truth_and_eps(config)
     r, max_hops = 0.2, 2
-    g = _indicator_variant(config, truth, eps, r, seed, out, man)
+    g = _indicator_variant(config, _eps(config), r, seed, out, man)
     if g.embedding is None:
         raise ValueError(f"hole-local needs a component of at least 3 nodes; n={n} is too small")
     keep = g.keep
@@ -343,10 +341,9 @@ _RUNNERS: dict[str, tuple[Callable, ExperimentPreset]] = {
                                            "indicator radii 0.05/0.1/0.2", 5000)),
         (_run_hole, ExperimentPreset("hole", "rectangle with hole removed, indicator r=0.2 shows "
                                      "non-convexity bias", 5000)),
-        (_run_cities, ExperimentPreset("cities", "city coordinates, indicator radii 3/5/7 degrees",
-                                       3000, needs_cities=True)),
+        (_run_cities, ExperimentPreset("cities", "city coordinates, indicator radii 3/5/7 degrees", 3000)),
         (_run_cities_thinned, ExperimentPreset("cities-thinned", "coupled edge thinning p=1/0.5/0.2 "
-                                               "at r=5 degrees", 3000, needs_cities=True)),
+                                               "at r=5 degrees", 3000)),
         (_run_knn_band, ExperimentPreset("knn-band", "25-nearest-neighbor graph on [0,4]x[0,1]: "
                                          "boundary bias checks", 5000)),
         (_run_knn_paths, ExperimentPreset("knn-paths", "shortest-path illustration on the strip "

@@ -38,7 +38,6 @@ from latentgraph import (
     minimax_eta,
     minimax_pair,
     monotone_path_check,
-    pairwise_distances,
     rectangle,
     run_preset,
     sample_uniform,
@@ -69,11 +68,10 @@ def test_criterion_1_simple_bound_deterministic():
     start = time.perf_counter()
     r = 0.2
     cfg = sample_uniform(rectangle(2, 1), 2000, seed=0)
-    truth = pairwise_distances(cfg)
     adj = generate_graph(cfg, Indicator(r), seed=0)
     est = scale_hops(all_pairs_hops(adj), r)
     eps = coverage_radius(cfg, "convex_hull", grid_step=0.002).upper
-    rep = check_simple_bound(est, truth, eps, r)
+    rep = check_simple_bound(est, cfg.points, eps, r)
     elapsed = time.perf_counter() - start
 
     ok = rep.lower_violations == 0 and elapsed < 10.0
@@ -165,11 +163,10 @@ def test_criterion_3_scaled_indicator_bounds():
     lower_violations = []
     for seed in range(5):
         cfg = sample_uniform(rectangle(2, 1), 2000, seed=seed)
-        truth = pairwise_distances(cfg)
         adj = generate_graph(cfg, ScaledIndicator(r, p), seed=seed)
         est = scale_hops(all_pairs_hops(adj), r)
         eps = coverage_radius(cfg, "convex_hull", grid_step=0.005).upper
-        rep = check_general_bound(est, truth, eps, r, alpha=0.0)
+        rep = check_general_bound(est, cfg.points, eps, r, alpha=0.0)
         fitted.append(rep.fitted_constant)
         lower_violations.append(rep.lower_violations)
     spread = max(fitted) / min(fitted)
@@ -192,19 +189,18 @@ def knn_strip_pipeline():
     start = time.perf_counter()
     n, kappa = 5000, 25
     cfg = sample_uniform(rectangle(4, 1), n, seed=0)
-    truth = pairwise_distances(cfg)
     adj = symmetrize_union(knn_graph(cfg, kappa))
     scale = knn_scale(cfg.domain, n, kappa, c1=1.0)
     est = scale_hops(all_pairs_hops(adj), scale.r)
     elapsed = time.perf_counter() - start
-    return cfg, truth, est, scale, elapsed
+    return cfg, est, scale, elapsed
 
 
 def test_criterion_4a_boundary_compression(knn_strip_pipeline):
     """[0,4]x[0,1], n=5000, kappa=25, union graph, r from knn_scale: max
     est/d over pairs with d >= 2 is below 1 (asserted as stated)."""
-    cfg, truth, est, scale, elapsed = knn_strip_pipeline
-    ratio, pairs = check_boundary_bias(est, truth, threshold_d=2.0)
+    cfg, est, scale, elapsed = knn_strip_pipeline
+    ratio, pairs = check_boundary_bias(est, cfg.points, threshold_d=2.0)
     ok = ratio < 1.0 and elapsed < 60.0
     line = report(
         "4a",
@@ -227,8 +223,8 @@ def test_criterion_4a_boundary_compression(knn_strip_pipeline):
 def test_criterion_4b_deep_interior_lower_bound(knn_strip_pipeline):
     """Same pipeline: over pairs with d >= 2r and both endpoints deeper than
     d/2 inside the domain, est >= d with at most 0.1% violations."""
-    cfg, truth, est, scale, elapsed = knn_strip_pipeline
-    rep = check_knn_bounds(est, truth, cfg, scale.eps, scale.r)
+    cfg, est, scale, elapsed = knn_strip_pipeline
+    rep = check_knn_bounds(est, cfg, scale.eps, scale.r)
     frac = rep.lower_violations / max(rep.lower_checked_pairs, 1)
     ok = frac <= 0.001 and elapsed < 60.0
     line = report(

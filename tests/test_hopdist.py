@@ -188,9 +188,8 @@ class TestSimpleBound:
         r = 0.5
         adj = generate_graph(cfg, Indicator(r), seed=0)
         est = scale_hops(all_pairs_hops(adj), r)
-        truth = pairwise_distances(cfg)
         eps = coverage_radius(cfg, "convex_hull", grid_step=0.01).upper
-        rep = check_simple_bound(est, truth, eps, r)
+        rep = check_simple_bound(est, cfg.points, eps, r)
         assert rep.asserted  # eps <= r/4 for this density
         assert rep.lower_violations == 0
         assert rep.upper_violations == 0
@@ -199,7 +198,7 @@ class TestSimpleBound:
         cfg = sample_uniform(rectangle(2, 1), 30, seed=1)
         truth = pairwise_distances(cfg)
         est = EstimateMatrix(truth.copy(), scale=1.0)
-        rep = check_simple_bound(est, truth, eps=0.01, r=0.2)
+        rep = check_simple_bound(est, cfg.points, eps=0.01, r=0.2)
         assert rep.lower_violations == 0
         assert rep.upper_violations == 0
         assert rep.max_residual == 0.0
@@ -217,21 +216,27 @@ class TestSimpleBound:
         resid = est.values[0, 4] - truth[0, 4]
         assert resid == pytest.approx(r, abs=1e-5)
         eps = coverage_radius(cfg, "convex_hull", grid_step=0.001).upper
-        rep = check_simple_bound(est, truth, eps, r)
+        rep = check_simple_bound(est, cfg.points, eps, r)
         assert rep.asserted
         assert rep.upper_violations == 0
         assert rep.max_residual == pytest.approx(resid)
 
     def test_mismatched_sizes(self):
         est = EstimateMatrix(np.zeros((3, 3)), scale=1.0)
-        with pytest.raises(ValueError):
-            check_simple_bound(est, np.zeros((4, 4)), eps=0.1, r=0.4)
+        for points in (np.zeros((4, 2)), np.zeros(3), np.zeros((3, 2, 1))):
+            with pytest.raises(ValueError, match="one point per estimate row"):
+                check_simple_bound(est, points, eps=0.1, r=0.4)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3,), (2, 2, 2)])
+    def test_estimate_must_be_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            EstimateMatrix(np.zeros(shape), scale=1.0)
 
     def test_report_only_mode_flag(self):
         cfg = sample_uniform(rectangle(2, 1), 50, seed=3)
         truth = pairwise_distances(cfg)
         est = EstimateMatrix(truth.copy(), scale=1.0)
-        rep = check_simple_bound(est, truth, eps=0.3, r=0.4)  # eps > r/4
+        rep = check_simple_bound(est, cfg.points, eps=0.3, r=0.4)  # eps > r/4
         assert not rep.asserted
 
 
@@ -241,9 +246,8 @@ class TestGeneralBound:
         r = 0.3
         adj = generate_graph(cfg, Indicator(r), seed=0)
         est = scale_hops(all_pairs_hops(adj), r)
-        truth = pairwise_distances(cfg)
-        simple = check_simple_bound(est, truth, eps=0.05, r=r)
-        general = check_general_bound(est, truth, eps=0.05, r=r, alpha=0.0)
+        simple = check_simple_bound(est, cfg.points, eps=0.05, r=r)
+        general = check_general_bound(est, cfg.points, eps=0.05, r=r, alpha=0.0)
         assert general.gamma == 1.0
         assert general.fitted_constant == pytest.approx(simple.fitted_constant)
 
@@ -252,8 +256,7 @@ class TestGeneralBound:
         r = 0.25
         adj = generate_graph(cfg, ScaledIndicator(r, 0.5), seed=2)
         est = scale_hops(all_pairs_hops(adj), r)
-        truth = pairwise_distances(cfg)
-        rep = check_general_bound(est, truth, eps=0.06, r=r, alpha=0.0)
+        rep = check_general_bound(est, cfg.points, eps=0.06, r=r, alpha=0.0)
         assert rep.lower_violations == 0
 
     def test_fitted_constant_below_four_for_indicator(self):
@@ -261,16 +264,15 @@ class TestGeneralBound:
         r = 0.5
         adj = generate_graph(cfg, Indicator(r), seed=0)
         est = scale_hops(all_pairs_hops(adj), r)
-        truth = pairwise_distances(cfg)
         eps = coverage_radius(cfg, "convex_hull", grid_step=0.01).upper
         assert eps <= r / 4
-        rep = check_general_bound(est, truth, eps, r, alpha=0.0)
+        rep = check_general_bound(est, cfg.points, eps, r, alpha=0.0)
         assert rep.fitted_constant <= 4.0
 
     def test_supplied_constant_counts_violations(self):
-        truth = pairwise_distances(sample_uniform(rectangle(2, 1), 30, seed=8))
-        est = EstimateMatrix(truth * 3.0, scale=1.0)
-        rep = check_general_bound(est, truth, eps=0.01, r=0.2, alpha=0.0, c2=0.5)
+        points = sample_uniform(rectangle(2, 1), 30, seed=8).points
+        est = EstimateMatrix(pairwise_distances(points) * 3.0, scale=1.0)
+        rep = check_general_bound(est, points, eps=0.01, r=0.2, alpha=0.0, c2=0.5)
         assert rep.upper_violations > 0
 
 
@@ -281,8 +283,7 @@ class TestKnnBounds:
         adj = symmetrize_union(knn_graph(cfg, kappa))
         s = knn_scale(cfg.domain, cfg.n, kappa)
         est = scale_hops(all_pairs_hops(adj), s.r)
-        truth = pairwise_distances(cfg)
-        rep = check_knn_bounds(est, truth, cfg, s.eps, s.r)
+        rep = check_knn_bounds(est, cfg, s.eps, s.r)
         assert rep.lower_checked_pairs > 0
         assert rep.lower_violations == 0
 
@@ -299,10 +300,9 @@ class TestKnnBounds:
         assert np.all(est.values[iu][finite] >= truth[iu][finite] - 1e-9)
 
     def test_upper_violation_counting(self):
-        truth = pairwise_distances(sample_uniform(rectangle(2, 1), 30, seed=3))
         cfg = sample_uniform(rectangle(2, 1), 30, seed=3)
-        est = EstimateMatrix(truth * 10.0, scale=1.0)
-        rep = check_knn_bounds(est, truth, cfg, eps=0.01, r=0.05)
+        est = EstimateMatrix(pairwise_distances(cfg) * 10.0, scale=1.0)
+        rep = check_knn_bounds(est, cfg, eps=0.01, r=0.05)
         assert rep.upper_violations > 0
 
 
@@ -312,13 +312,13 @@ class TestBoundaryBias:
         truth = pairwise_distances(cfg)
         est = EstimateMatrix(truth.copy(), scale=1.0)
         with pytest.raises(ValueError):
-            check_boundary_bias(est, truth, threshold_d=10.0)
+            check_boundary_bias(est, cfg.points, threshold_d=10.0)
 
     def test_equality_gives_ratio_one(self):
         cfg = sample_uniform(rectangle(2, 1), 30, seed=5)
         truth = pairwise_distances(cfg)
         est = EstimateMatrix(truth.copy(), scale=1.0)
-        ratio, pairs = check_boundary_bias(est, truth, threshold_d=0.5)
+        ratio, pairs = check_boundary_bias(est, cfg.points, threshold_d=0.5)
         assert ratio == pytest.approx(1.0)
         assert pairs > 0
 
@@ -396,6 +396,21 @@ class TestStreamedChecks:
 
     KINDS = ["indicator", "knn", "two", "two-disconnected"]
 
+    @pytest.mark.parametrize("block", [1, 7, 100, 1 << 16])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_block_distances_equal_pairwise_distances(self, monkeypatch, dim, block):
+        # the checks' distances come from cdist row blocks; blocks of 7 and
+        # 100 pairs end at varying rows, and each must give the bits of the
+        # dense matrix the checks used to take
+        monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
+        n = 1000
+        pts = np.random.default_rng(dim).uniform(-3.0, 5.0, (n, dim))
+        est = EstimateMatrix(np.zeros((n, n)), scale=1.0)
+        i, j, _, d = (np.concatenate(parts) for parts in zip(*hopdist._pair_blocks(est, pts)))
+        dense = pairwise_distances(pts)
+        assert np.array_equal(i * n + j, np.flatnonzero(np.triu(np.ones((n, n), bool), 1)))
+        assert d.tobytes() == dense[i, j].tobytes()
+
     @pytest.mark.parametrize("block", [1, 3, 7, 1 << 16])
     @pytest.mark.parametrize("kind", KINDS)
     def test_reports_equal_dense_reference(self, monkeypatch, kind, block):
@@ -407,35 +422,36 @@ class TestStreamedChecks:
         def qualifying(i, j, d):
             return (d >= 2 * r) & (bdist[i] > d / 2) & (bdist[j] > d / 2)
 
+        pts = cfg.points
         cases = [
-            (check_simple_bound(est, truth, eps, r),
+            (check_simple_bound(est, pts, eps, r),
              dense_report(est, truth, eps, r, 1.0, 4.0, 1.0, bool(eps <= r / 4))),
-            (check_general_bound(est, truth, eps, r, alpha=0.5),
+            (check_general_bound(est, pts, eps, r, alpha=0.5),
              dense_report(est, truth, eps, r, 1.0 / 1.5, None, None, False)),
-            (check_general_bound(est, truth, eps, r, alpha=0.5, c2=0.7),
+            (check_general_bound(est, pts, eps, r, alpha=0.5, c2=0.7),
              dense_report(est, truth, eps, r, 1.0 / 1.5, 0.7, 1.0, False)),
-            (check_knn_bounds(est, truth, cfg, eps, r),
+            (check_knn_bounds(est, cfg, eps, r),
              dense_report(est, truth, eps, r, 1.0, 8.0, 1.0, False, qualifying)),
         ]
         for got, want in cases:
             assert report_fields(got) == report_fields(want)
         threshold = float(truth.max()) * 0.6
-        got, want = check_boundary_bias(est, truth, threshold), dense_boundary_bias(est, truth, threshold)
+        got, want = check_boundary_bias(est, pts, threshold), dense_boundary_bias(est, truth, threshold)
         assert repr(got) == repr(want)
 
     def test_counts_cover_every_pair(self, monkeypatch):
         monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", 5)
-        cfg, est, truth = streamed_inputs("indicator")
-        rep = check_simple_bound(est, truth, 0.08, 0.3)
+        cfg, est, _ = streamed_inputs("indicator")
+        rep = check_simple_bound(est, cfg.points, 0.08, 0.3)
         assert rep.pairs_total == cfg.n * (cfg.n - 1) // 2
         assert rep.pairs_connected + rep.pairs_disconnected == rep.pairs_total
 
     @pytest.mark.parametrize("block", [1, 1 << 16])
     def test_no_pairs_beyond_threshold(self, monkeypatch, block):
         monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
-        _, est, truth = streamed_inputs("knn")
+        cfg, est, truth = streamed_inputs("knn")
         with pytest.raises(ValueError, match="no pairs"):
-            check_boundary_bias(est, truth, float(truth.max()) * 1.01)
+            check_boundary_bias(est, cfg.points, float(truth.max()) * 1.01)
 
     def test_scratch_memory_below_a_quarter_matrix(self):
         n = 2000
@@ -445,11 +461,12 @@ class TestStreamedChecks:
         values[:40, n // 2 :] = np.inf
         est = EstimateMatrix(values, scale=1.0)
         cap = n * n * 8 / 4
+        pts = cfg.points
         for check in (
-            lambda: check_simple_bound(est, truth, 0.05, 0.2),
-            lambda: check_general_bound(est, truth, 0.05, 0.2, alpha=0.5, c2=2.0),
-            lambda: check_knn_bounds(est, truth, cfg, 0.05, 0.2),
-            lambda: check_boundary_bias(est, truth, 2.0),
+            lambda: check_simple_bound(est, pts, 0.05, 0.2),
+            lambda: check_general_bound(est, pts, 0.05, 0.2, alpha=0.5, c2=2.0),
+            lambda: check_knn_bounds(est, cfg, 0.05, 0.2),
+            lambda: check_boundary_bias(est, pts, 2.0),
         ):
             tracemalloc.start()
             try:

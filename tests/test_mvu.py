@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from latentgraph import (
     Adjacency,
@@ -36,7 +37,7 @@ class TestSolveMvu:
         # end-to-end distance attains the two-hop value
         adj = Adjacency.from_edges(3, [[0, 1], [1, 2]])
         sol = solve_mvu(adj, rank=3, seed=1)
-        assert sol.gamma[0, 2] == pytest.approx(2.0, abs=1e-3)
+        assert np.linalg.norm(sol.coords[0] - sol.coords[2]) == pytest.approx(2.0, abs=1e-3)
         assert sol.max_edge_violation <= 1e-4
 
     def test_disconnected_rejected(self):
@@ -57,7 +58,7 @@ class TestSolveMvu:
         report = check_mvu_bound(sol, hops)
         assert report.violations == 0
         iu = np.triu_indices(cfg.n, 1)
-        assert np.all(sol.gamma[iu] <= hops.to_float()[iu] + 1e-4)
+        assert np.all(pdist(sol.coords) <= hops.to_float()[iu] + 1e-4)
 
     def test_penalized_objective_non_decreasing_within_stage(self):
         _, adj = small_rgg(n=60, r=0.45, seed=5)
@@ -90,7 +91,8 @@ class TestSolveMvu:
     def test_gamma_is_a_metric(self):
         _, adj = small_rgg(n=40, r=0.5, seed=7)
         sol = solve_mvu(adj, rank=4, seed=0)
-        g = sol.gamma
+        g = squareform(pdist(sol.coords))
+        assert np.all(np.isfinite(g))
         assert np.array_equal(g, g.T)
         assert np.all(np.abs(np.diag(g)) == 0)
         assert np.all(g[:, :, None] + g[None, :, :] >= g[:, None, :] - 1e-9)
@@ -115,7 +117,6 @@ class TestCheckMvuBound:
             coords=np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
             objective=6.0,
             max_edge_violation=0.0,
-            gamma=hops.to_float(),
         )
         assert check_mvu_bound(sol, hops).violations == 0
 
@@ -127,44 +128,47 @@ class TestCheckMvuBound:
             coords=coords,
             objective=0.0,
             max_edge_violation=0.0,  # claimed feasible, actually not
-            gamma=pairwise_distances(coords),
         )
         assert check_mvu_bound(sol, hops).violations > 0
 
     def test_size_mismatch(self):
         adj = Adjacency.from_edges(3, [[0, 1], [1, 2]])
         hops = all_pairs_hops(adj)
-        sol = MvuSolution(np.zeros((4, 2)), 0.0, 0.0, np.zeros((4, 4)))
+        sol = MvuSolution(np.zeros((4, 2)), 0.0, 0.0)
         with pytest.raises(ValueError):
             check_mvu_bound(sol, hops)
 
 
 class TestDiscrepancyRatio:
-    def make_sol(self, gamma):
-        return MvuSolution(np.zeros((gamma.shape[0], 2)), 0.0, 0.0, gamma)
+    def make_sol(self, coords):
+        return MvuSolution(coords, 0.0, 0.0)
 
     def test_exact_match_is_zero(self):
-        truth = pairwise_distances(sample_uniform(rectangle(2, 1), 20, seed=1))
-        sol = self.make_sol(truth / 0.3)
-        assert discrepancy_ratio(sol, truth, r=0.3, eta=0.5) == pytest.approx(0.0)
+        pts = sample_uniform(rectangle(2, 1), 20, seed=1).points
+        sol = self.make_sol(pts / 0.3)
+        assert discrepancy_ratio(sol, pts, r=0.3, eta=0.5) == pytest.approx(0.0)
 
     def test_algebraic_identity(self):
-        truth = pairwise_distances(sample_uniform(rectangle(2, 1), 20, seed=2))
+        pts = sample_uniform(rectangle(2, 1), 20, seed=2).points
         eta = 0.25
-        sol = self.make_sol((1 + eta) * truth / 0.3)
-        assert discrepancy_ratio(sol, truth, r=0.3, eta=eta) == pytest.approx(2 + eta)
+        sol = self.make_sol((1 + eta) * pts / 0.3)
+        assert discrepancy_ratio(sol, pts, r=0.3, eta=eta) == pytest.approx(2 + eta)
 
     def test_eta_validated(self):
-        truth = pairwise_distances(sample_uniform(rectangle(2, 1), 20, seed=3))
-        sol = self.make_sol(truth)
+        pts = sample_uniform(rectangle(2, 1), 20, seed=3).points
+        sol = self.make_sol(pts)
         for eta in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
-                discrepancy_ratio(sol, truth, r=1.0, eta=eta)
+                discrepancy_ratio(sol, pts, r=1.0, eta=eta)
+
+    def test_size_mismatch(self):
+        pts = sample_uniform(rectangle(2, 1), 20, seed=4).points
+        with pytest.raises(ValueError, match="sizes differ"):
+            discrepancy_ratio(self.make_sol(pts[:19]), pts, r=1.0, eta=0.5)
 
     def test_finite_on_preset(self):
         cfg, adj = small_rgg(n=80, r=0.4, seed=9)
-        truth = pairwise_distances(cfg)
         sol = solve_mvu(adj, rank=5, seed=0)
-        value = discrepancy_ratio(sol, truth, r=0.4, eta=0.9)
+        value = discrepancy_ratio(sol, cfg.points, r=0.4, eta=0.9)
         assert np.isfinite(value)
         assert value >= 0

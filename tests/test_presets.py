@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from latentgraph import fileio, preset_names, presets, run_preset
+from latentgraph import fileio, pairwise_distances, preset_names, presets, run_preset
 from latentgraph.cli import main as cli_main
 from latentgraph.plotdata import emit_plotdata, svg_scatter, write_scatter_csv
 
@@ -23,7 +23,8 @@ class TestPresets:
             run_preset("nope", seed=0, out_dir=tmp_path)
 
     def test_all_presets_run_small(self, tmp_path, cities_csv, monkeypatch):
-        calls = {"all_pairs_hops": [], "classical_mds": [], "coverage_radius": []}
+        calls = {"all_pairs_hops": [], "classical_mds": [], "coverage_radius": [],
+                 "pairwise_distances": []}
 
         def counted(name):
             original = getattr(presets, name)
@@ -53,6 +54,9 @@ class TestPresets:
             assert len({id(adj) for adj in hopped}) == len(hopped), name
             assert len(calls["classical_mds"]) <= graphs, name
             assert len(calls["coverage_radius"]) <= 1, name
+            # the checks read the points: no distance matrix of the whole sample
+            rows = [np.asarray(getattr(x, "points", x)).shape[0] for x in calls["pairwise_distances"]]
+            assert all(k < man["n"] for k in rows), (name, rows)
 
     def test_manifest_carries_bound_outcomes(self, tmp_path):
         _, man = run_small("hole", tmp_path)
@@ -103,6 +107,14 @@ class TestPresets:
         assert man["knn.r"] == pytest.approx(man["knn.r_circ"] + man["knn.eps"])
         assert "knn.bias.max_ratio" in man
         assert man["knn.bound.lower_checked_pairs"] >= 0
+
+    def test_knn_bias_threshold_below_two_on_a_short_sample(self, tmp_path):
+        # few points do not span the strip, so half the diameter is below 2
+        out, man = run_small("knn-band", tmp_path, scale_n=20)
+        points = fileio.read_points_csv(out / man["truth.points_file"])
+        half = 0.5 * pairwise_distances(points).max()
+        assert half < 2.0
+        assert man["knn.bias.threshold"] == min(2.0, half)
 
     def test_hole_local_improves_and_stress_monotone(self, tmp_path):
         _, man = run_small("hole-local", tmp_path, seed=5, scale_n=700)
@@ -198,6 +210,15 @@ class TestCli:
         assert cli_main(["check", "--estimate", f"{out}/est.csv",
                          "--truth", f"{out}/points.csv",
                          "--eps", "0.05", "--r", "0.4", "--strict"]) == 3
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+    def test_check_rejects_non_square_estimate(self, tmp_path, shape):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        fileio.write_points_csv(tmp_path / "points.csv", pts)
+        fileio.write_matrix_csv(tmp_path / "est.csv", np.full(shape, 2.0))
+        assert cli_main(["check", "--estimate", f"{tmp_path}/est.csv",
+                         "--truth", f"{tmp_path}/points.csv",
+                         "--eps", "0.05", "--r", "0.4", "--strict"]) == 2
 
     def test_ingest_cities_command(self, tmp_path, cities_csv):
         assert cli_main(["--out", str(tmp_path), "ingest-cities",
