@@ -60,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("name")
     pr.add_argument("--scale-n", type=int, default=None, help="shrink the preset to n points")
     pr.add_argument("--cities-file", default=None)
-    pr.add_argument("--literal-omega", action="store_true",
-                    help="use the raw domain area as the neighbor-scale omega")
 
     i = sub.add_parser("ingest-cities", help="subsample a cities CSV into a point file")
     i.add_argument("--file", required=True)
@@ -187,7 +185,7 @@ def _run(args) -> int:
         path = Path(args.estimate)
         values = (fileio.read_matrix_csv(path) if path.suffix == ".csv"
                   else fileio.read_matrix_binary(path))
-        est = EstimateMatrix(np.where(values < 0, np.inf, values), scale=args.r)
+        est = EstimateMatrix(np.where(values < 0, np.inf, values))
         points = fileio.read_points_csv(args.truth)
         if args.kind == "simple":
             rep = check_simple_bound(est, points, args.eps, args.r)
@@ -213,7 +211,7 @@ def _run(args) -> int:
                 print(f"{name:14s} n={preset.default_n:<6d} {preset.description}")
             return 0
         man = run_preset(args.name, args.seed, out, scale_n=args.scale_n,
-                         cities_file=args.cities_file, literal_omega=args.literal_omega)
+                         cities_file=args.cities_file)
         print(f"wrote {len(man)} manifest entries to {out / 'manifest.json'}")
         return 0
 

@@ -28,8 +28,7 @@ __all__ = [
     "smacof",
 ]
 
-# above this size the dense eigensolver loses to Lanczos on the top block
-_DENSE_EIG_LIMIT = 1200
+_NO_SPECTRUM = "no positive spectrum: dissimilarities carry no Euclidean part"
 # rows per strip when classical scaling symmetrizes its matrix in place
 _SYM_ROWS = 64
 # SMACOF stops once an iteration lowers the stress by less than this fraction,
@@ -65,10 +64,12 @@ def classical_mds(d: np.ndarray, v: int) -> EmbeddingResult:
 
     The centered matrix is built in one n-by-n buffer: the squares are
     centered and symmetrized in place, a strip of rows at a time, so the
-    function holds one n-by-n float64 beside its input (plus the copy and the
-    eigenvectors ``eigh`` makes on its path).  The input is never written.
+    function holds one n-by-n float64 beside its input (a uint16 hop matrix
+    is squared straight into it); the input is never written.  Lanczos
+    (``eigsh``) takes the top eigenpairs at every size; the dense ``eigh``
+    runs only when ``v >= n - 1``, where ``eigsh`` cannot.
     """
-    d = np.asarray(d, dtype=np.float64)
+    d = np.asarray(d)
     n = d.shape[0]
     if d.shape != (n, n):
         raise ValueError("dissimilarity matrix must be square")
@@ -76,7 +77,7 @@ def classical_mds(d: np.ndarray, v: int) -> EmbeddingResult:
         raise ValueError("dissimilarities must be finite")
     if v < 1:
         raise ValueError("need v >= 1")
-    b = d * d
+    b = np.square(d, dtype=np.float64)
     row = b.mean(axis=1, keepdims=True)
     col = b.mean(axis=0, keepdims=True)
     mean = b.mean()
@@ -89,17 +90,20 @@ def classical_mds(d: np.ndarray, v: int) -> EmbeddingResult:
         strip = 0.5 * (b[lo:hi, lo:] + b[lo:, lo:hi].T)
         b[lo:hi, lo:] = strip
         b[lo:, lo:hi] = strip.T
-    if n <= _DENSE_EIG_LIMIT or v >= n - 1:
+    if not b.any():  # ARPACK cannot start on the zero matrix
+        raise ValueError(_NO_SPECTRUM)
+    if v >= n - 1:
         w, u = eigh(b)
         order = np.argsort(w)[::-1][:v]
-        lam, u = w[order], u[:, order]
     else:
-        v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start vector: deterministic
-        w, u = eigsh(b, k=v, which="LA", v0=v0)
+        # fixed start vector, and a fixed generator for the restarts ARPACK
+        # draws when its Krylov space closes early: deterministic either way
+        v0 = np.full(n, 1.0 / np.sqrt(n))
+        w, u = eigsh(b, k=v, which="LA", v0=v0, rng=0)
         order = np.argsort(w)[::-1]
-        lam, u = w[order], u[:, order]
+    lam, u = w[order], u[:, order]
     if np.all(lam <= 0):
-        raise ValueError("no positive spectrum: dissimilarities carry no Euclidean part")
+        raise ValueError(_NO_SPECTRUM)
     coords = _fix_signs(u) * np.sqrt(np.clip(lam, 0.0, None))
     coords = coords - coords.mean(axis=0)
     return EmbeddingResult(coords=coords, eigenvalues=lam)

@@ -74,11 +74,6 @@ class HopMatrix:
         h.setflags(write=False)
         object.__setattr__(self, "hops", h)
 
-    def to_float(self) -> np.ndarray:
-        out = self.hops.astype(np.float64)
-        out[self.hops == INF_HOPS] = np.inf
-        return out
-
     def max_finite(self) -> int:
         # 0 when no hop is finite; blocks of whole rows: no n-by-n mask
         step = max(1, _BLOCK_PAIRS // max(1, self.n))
@@ -191,10 +186,9 @@ def shortest_path_nodes(adj: Adjacency, source: int, target: int) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class EstimateMatrix:
-    """Scaled hop distances ``scale * hops`` (infinity propagates)."""
+    """Scaled hop distances ``r * hops`` (infinity propagates)."""
 
     values: np.ndarray
-    scale: float
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -211,7 +205,11 @@ class EstimateMatrix:
 def scale_hops(hops: HopMatrix, r: float) -> EstimateMatrix:
     if r <= 0:
         raise ValueError("scale must be positive")
-    return EstimateMatrix(r * hops.to_float(), scale=float(r))
+    # one float64 buffer, scaled in place: bitwise r * float(hops)
+    out = hops.hops.astype(np.float64)
+    out *= r
+    out[hops.hops == INF_HOPS] = np.inf
+    return EstimateMatrix(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,11 +241,11 @@ class BoundReport:
     lower_checked_pairs: int | None = None
 
 
-def _pair_blocks(est: EstimateMatrix, points: np.ndarray):
-    """The pairs ``i < j`` in row-major order, one block of whole rows at a
-    time: endpoint indices ``i`` and ``j``, estimates and point distances,
-    each a vector of at most ``_BLOCK_PAIRS`` entries (or one row, if longer)."""
-    n = est.n
+def _pair_blocks(values: np.ndarray, points: np.ndarray):
+    """The pairs ``i < j`` of the n-by-n ``values`` in row-major order, one
+    block of whole rows at a time: indices ``i`` and ``j``, ``values[i, j]``
+    and point distances, each at most ``_BLOCK_PAIRS`` long (or one row)."""
+    n = values.shape[0]
     points = np.asarray(points)
     if points.ndim != 2 or points.shape[0] != n:
         raise ValueError(f"need one point per estimate row: {n} rows, got shape {points.shape}")
@@ -259,7 +257,7 @@ def _pair_blocks(est: EstimateMatrix, points: np.ndarray):
         i, j = np.nonzero(upper)
         i += lo
         j += lo + 1
-        yield i, j, est.values[i, j], cdist(points[lo:hi], points[lo + 1 :])[upper]
+        yield i, j, values[i, j], cdist(points[lo:hi], points[lo + 1 :])[upper]
         lo = hi
 
 
@@ -278,7 +276,7 @@ def _report(est, points, eps, r, gamma, a, b, asserted, qualifying=None) -> Boun
     scale = (eps / r) ** gamma
     total = connected = lower_viol = upper_viol = checked = 0
     maxima, minima, relative, fitted = [], [], [], []
-    for i, j, dhat, d in _pair_blocks(est, points):
+    for i, j, dhat, d in _pair_blocks(est.values, points):
         finite = np.isfinite(dhat)
         df = d[finite]
         resid = dhat[finite] - df
@@ -371,7 +369,7 @@ def check_boundary_bias(est: EstimateMatrix, points: np.ndarray,
     if threshold_d <= 0:
         raise ValueError("threshold must be positive")
     ratios, pairs = [], 0
-    for _, _, dhat, d in _pair_blocks(est, points):
+    for _, _, dhat, d in _pair_blocks(est.values, points):
         sel = d >= threshold_d
         if sel.any():
             ratios.append((dhat[sel] / d[sel]).max())
@@ -391,10 +389,9 @@ def monotone_path_check(config_1d: PointConfig, knn: KnnAdjacency) -> bool:
     if config_1d.dim != 1:
         raise ValueError("configuration must be one-dimensional")
     adj = symmetrize_union(knn)
-    hops = all_pairs_hops(adj).to_float()
     order = np.argsort(config_1d.points[:, 0], kind="stable")
     w = adj.dense()[np.ix_(order, order)]
-    hops = hops[np.ix_(order, order)]
+    hops = all_pairs_hops(adj).hops[np.ix_(order, order)]
     n = adj.n
     for a in range(n - 1):
         dag = np.full(n, np.inf)
@@ -404,8 +401,6 @@ def monotone_path_check(config_1d: PointConfig, knn: KnnAdjacency) -> bool:
             if preds.size:
                 dag[b] = dag[preds].min() + 1.0
         row = hops[a, a + 1 :]
-        cmp = dag[a + 1 :]
-        if not np.array_equal(np.where(np.isfinite(row), row, -1.0),
-                              np.where(np.isfinite(cmp), cmp, -1.0)):
+        if not np.array_equal(np.where(row == INF_HOPS, np.inf, row), dag[a + 1 :]):
             return False
     return True

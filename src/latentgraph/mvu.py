@@ -18,7 +18,7 @@ from scipy.linalg import eigh
 from scipy.spatial.distance import pdist
 
 from .embed import classical_mds
-from .hopdist import HopMatrix, all_pairs_hops
+from .hopdist import INF_HOPS, HopMatrix, _pair_blocks, all_pairs_hops
 from .linkgraph import Adjacency
 
 __all__ = [
@@ -99,7 +99,7 @@ def solve_mvu(
     edges = adj.edges()
     a, b = edges[:, 0], edges[:, 1]
 
-    x = classical_mds(hops.to_float(), rank).coords
+    x = classical_mds(hops.hops, rank).coords
     rng = np.random.default_rng(seed)
     x = x + 1e-3 * np.sqrt((x ** 2).mean()) * rng.standard_normal(x.shape)
     x -= x.mean(axis=0)
@@ -169,20 +169,24 @@ def check_mvu_bound(sol: MvuSolution, hops: HopMatrix) -> MvuBoundReport:
 
     A feasible point can never exceed it (chain the edges of a shortest
     path); residual edge violations propagate multiplicatively, so the
-    tolerance per pair is ``max_edge_violation * hops + _TOL``.
+    tolerance per pair is ``max_edge_violation * hops + _TOL``.  The pairs
+    are streamed in row blocks beside the uint16 hops.
     """
     if sol.coords.shape[0] != hops.n:
         raise ValueError("solution and hop matrix sizes differ")
-    # both in row-major order over the pairs i < j
-    h = hops.to_float()[np.triu_indices(hops.n, 1)]
-    g = pdist(sol.coords)
-    finite = np.isfinite(h)
-    excess = g[finite] - h[finite]
-    allowed = sol.max_edge_violation * h[finite] + _TOL
+    pairs = violations = 0
+    max_excess = -np.inf
+    for _, _, h, g in _pair_blocks(hops.hops, sol.coords):
+        finite = h != INF_HOPS
+        hf = h[finite].astype(np.float64)
+        excess = g[finite] - hf
+        pairs += hf.size
+        violations += int((excess > sol.max_edge_violation * hf + _TOL).sum())
+        max_excess = max(max_excess, excess.max(initial=-np.inf))
     return MvuBoundReport(
-        pairs=int(finite.sum()),
-        violations=int((excess > allowed).sum()),
-        max_excess=float(excess.max()) if excess.size else 0.0,
+        pairs=pairs,
+        violations=violations,
+        max_excess=float(max_excess) if pairs else 0.0,
         tol_base=_TOL,
     )
 

@@ -241,11 +241,10 @@ def _run_cities_thinned(seed: int, out: Path, n: int, man: dict, cities_file=Non
                   out, _tag("p", p), man)
 
 
-def _run_knn_band(seed: int, out: Path, n: int, man: dict, literal_omega=False, **_) -> None:
+def _run_knn_band(seed: int, out: Path, n: int, man: dict, **_) -> None:
     """Nearest-neighbor graph on a long strip: boundary paths shortcut."""
     config, kappa, adj = _knn_strip(seed, out, n, man)
-    scale = knn_scale(config.domain, config.n, kappa, c1=1.0,
-                      omega=4.0 if literal_omega else None)
+    scale = knn_scale(config.domain, config.n, kappa, c1=1.0)
     man["knn.r_circ"] = scale.r_circ
     man["knn.eps"] = scale.eps
     man["knn.omega"] = scale.omega
@@ -368,7 +367,6 @@ def run_preset(
     out_dir: str | Path,
     scale_n: int | None = None,
     cities_file: str | Path | None = None,
-    literal_omega: bool = False,
 ) -> dict:
     """Run a named preset and write its artifacts plus ``manifest.json``.
 
@@ -382,6 +380,6 @@ def run_preset(
     out.mkdir(parents=True, exist_ok=True)
     man: dict = {"preset": name, "seed": int(seed)}
     n = int(scale_n) if scale_n else preset.default_n
-    runner(seed, out, n, man, cities_file=cities_file, literal_omega=literal_omega)
+    runner(seed, out, n, man, cities_file=cities_file)
     fileio.write_manifest(out / "manifest.json", man)
     return man

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from latentgraph import Adjacency
+from latentgraph import INF_HOPS, Adjacency, HopMatrix
 
 
 def floyd_warshall_hops(adj: Adjacency) -> np.ndarray:
@@ -20,6 +20,11 @@ def floyd_warshall_hops(adj: Adjacency) -> np.ndarray:
     for k in range(n):
         d = np.minimum(d, d[:, k, None] + d[None, k, :])
     return d
+
+
+def float_hops(hops: HopMatrix) -> np.ndarray:
+    """The hop matrix as float64 with inf for unreachable pairs."""
+    return np.where(hops.hops == INF_HOPS, np.inf, hops.hops)
 
 
 def rotation_sweep_rmse(source: np.ndarray, target: np.ndarray, steps: int = 200_000) -> float:

@@ -47,7 +47,7 @@ from latentgraph import (
     symmetrize_union,
 )
 from latentgraph.geometry import Box, PointConfig, RectangleWithHole
-from tests.conftest import floyd_warshall_hops, random_graph, rotation_sweep_rmse
+from tests.conftest import floyd_warshall_hops, float_hops, random_graph, rotation_sweep_rmse
 
 
 def report(criterion: str, ok: bool, detail: str) -> str:
@@ -257,7 +257,7 @@ def test_criterion_5_increasing_paths_1d():
         cfg = sample_uniform(interval(1.0), 12, seed=seed)
         knn = knn_graph(cfg, 3)
         adj = symmetrize_union(knn)
-        hops = all_pairs_hops(adj).to_float()
+        hops = float_hops(all_pairs_hops(adj))
         order = np.argsort(cfg.points[:, 0])
         w = adj.dense()[np.ix_(order, order)]
         h = hops[np.ix_(order, order)]
@@ -353,7 +353,7 @@ def test_criterion_7_oracle_equivalence():
         n = int(rng.integers(2, 65))
         p = float(rng.uniform(0.02, 0.7))
         adj = random_graph(n, p, seed=k)
-        got = all_pairs_hops(adj).to_float()
+        got = float_hops(all_pairs_hops(adj))
         expect = floyd_warshall_hops(adj)
         assert np.array_equal(got, expect), report("7", False, f"hop mismatch at graph {k}")
 

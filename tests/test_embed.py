@@ -38,21 +38,34 @@ def embedding_distance_error(coords, truth_d):
     return np.abs(pairwise_distances(coords) - truth_d).max()
 
 
-def out_of_place_classical_mds(d, v, dense_limit):
-    """Classical scaling with each centering step in a new array."""
-    n = d.shape[0]
+def centered_squares(d):
+    """``-1/2 J (d * d) J``, symmetrized, with each step in a new array."""
     d2 = d * d
     b = -0.5 * (d2 - d2.mean(axis=1, keepdims=True) - d2.mean(axis=0, keepdims=True) + d2.mean())
-    b = 0.5 * (b + b.T)
-    if n <= dense_limit or v >= n - 1:
-        w, u = eigh(b)
-        order = np.argsort(w)[::-1][:v]
-    else:
-        w, u = eigsh(b, k=v, which="LA", v0=np.full(n, 1.0 / np.sqrt(n)))
-        order = np.argsort(w)[::-1]
+    return 0.5 * (b + b.T)
+
+
+def coords_from(w, u, order):
     lam, u = w[order], u[:, order]
     coords = embed._fix_signs(u) * np.sqrt(np.clip(lam, 0.0, None))
     return embed.EmbeddingResult(coords=coords - coords.mean(axis=0), eigenvalues=lam)
+
+
+def out_of_place_classical_mds(d, v):
+    """Classical scaling with each centering step in a new array."""
+    n = d.shape[0]
+    b = centered_squares(d)
+    if v >= n - 1:
+        w, u = eigh(b)
+        return coords_from(w, u, np.argsort(w)[::-1][:v])
+    w, u = eigsh(b, k=v, which="LA", v0=np.full(n, 1.0 / np.sqrt(n)), rng=0)
+    return coords_from(w, u, np.argsort(w)[::-1])
+
+
+def dense_classical_mds(d, v):
+    """Classical scaling by the full dense eigendecomposition."""
+    w, u = eigh(centered_squares(d))
+    return coords_from(w, u, np.argsort(w)[::-1][:v])
 
 
 class TestClassicalMds:
@@ -99,8 +112,11 @@ class TestClassicalMds:
         assert np.abs(da - db).max() < 1e-9
 
     def test_no_positive_spectrum(self):
-        with pytest.raises(ValueError, match="no positive spectrum"):
-            classical_mds(np.zeros((5, 5)), v=2)
+        # a zero matrix must be caught before ARPACK, which fails on it
+        # ("starting vector is zero")
+        for n in (5, 1300):
+            with pytest.raises(ValueError, match="no positive spectrum"):
+                classical_mds(np.zeros((n, n)), v=2)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -108,18 +124,42 @@ class TestClassicalMds:
         with pytest.raises(ValueError):
             classical_mds(np.zeros((3, 4)), v=1)
 
-    @pytest.mark.parametrize("n, dense_limit", [(50, 1200), (130, 40)])
-    def test_in_place_centering_is_bitwise_out_of_place(self, monkeypatch, n, dense_limit):
-        # the first case runs the dense eigh, the second Lanczos (eigsh)
-        monkeypatch.setattr(embed, "_DENSE_EIG_LIMIT", dense_limit)
+    @pytest.mark.parametrize("n, v", [(50, 2), (130, 3), (3, 2), (6, 5)])
+    def test_in_place_centering_is_bitwise_out_of_place(self, n, v):
+        # v < n - 1 runs Lanczos (eigsh), v >= n - 1 the dense eigh
         d = np.random.default_rng(n).random((n, n)) * 3.0  # finite, not symmetric
         d.setflags(write=False)
         before = d.copy()
-        got = classical_mds(d, v=2)
+        got = classical_mds(d, v=v)
         assert np.array_equal(d, before)
-        want = out_of_place_classical_mds(d, 2, dense_limit)
+        want = out_of_place_classical_mds(d, v)
         assert got.coords.tobytes() == want.coords.tobytes()
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 60, 300])
+    def test_lanczos_matches_dense_eigh(self, n):
+        d = pairwise_distances(sample_uniform(rectangle(2, 1), n, seed=n))
+        d += np.random.default_rng(n).random((n, n)) * 0.1  # not Euclidean: full spectrum
+        got = classical_mds(d, v=2)
+        want = dense_classical_mds(d, 2)
+        assert np.abs(got.eigenvalues / want.eigenvalues - 1.0).max() < 1e-12
+        assert np.abs(got.coords - want.coords).max() < 1e-9
+
+    def test_uint16_hops_embed_like_their_floats(self):
+        cfg = sample_uniform(rectangle(2, 1), 200, seed=3)
+        hops = all_pairs_hops(generate_graph(cfg, Indicator(0.4), seed=0))
+        assert hops.is_connected()
+        got = classical_mds(hops.hops, v=2)
+        want = classical_mds(hops.hops.astype(np.float64), v=2)
+        assert got.coords.tobytes() == want.coords.tobytes()
+
+    def test_repeated_eigenvalue_is_deterministic(self):
+        # the unit square's top eigenvalue is double: Lanczos restarts from
+        # a drawn vector, which must be the same on every call
+        square = pairwise_distances(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
+        runs = [classical_mds(square, v=2) for _ in range(3)]
+        assert len({r.coords.tobytes() for r in runs}) == 1
+        assert np.allclose(runs[0].eigenvalues, [1.0, 1.0])
 
     def test_holds_one_matrix_beside_its_input(self):
         n = 2000

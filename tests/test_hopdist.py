@@ -38,7 +38,7 @@ from latentgraph import (
     symmetrize_union,
 )
 from latentgraph import hopdist
-from tests.conftest import floyd_warshall_hops, random_graph
+from tests.conftest import floyd_warshall_hops, float_hops, random_graph
 
 
 def as_uint16(float_hops: np.ndarray) -> np.ndarray:
@@ -97,7 +97,7 @@ class TestAllPairsHops:
     @settings(max_examples=25, deadline=None)
     def test_metric_properties(self, n, p, seed):
         adj = random_graph(n, p, seed)
-        h = all_pairs_hops(adj).to_float()
+        h = float_hops(all_pairs_hops(adj))
         assert np.array_equal(h, h.T)
         # one hop exactly on edges
         assert np.array_equal(h == 1.0, adj.dense())
@@ -159,7 +159,6 @@ class TestScaleHops:
         hops = HopMatrix(3, np.array([[0, 3, 1], [3, 0, 2], [1, 2, 0]], dtype=np.uint16))
         est = scale_hops(hops, 0.2)
         assert est.values[0, 1] == pytest.approx(0.6)
-        assert est.scale == 0.2
 
     def test_infinity_propagates(self):
         h = np.array([[0, INF_HOPS], [INF_HOPS, 0]], dtype=np.uint16)
@@ -197,7 +196,7 @@ class TestSimpleBound:
     def test_identical_matrices(self):
         cfg = sample_uniform(rectangle(2, 1), 30, seed=1)
         truth = pairwise_distances(cfg)
-        est = EstimateMatrix(truth.copy(), scale=1.0)
+        est = EstimateMatrix(truth.copy())
         rep = check_simple_bound(est, cfg.points, eps=0.01, r=0.2)
         assert rep.lower_violations == 0
         assert rep.upper_violations == 0
@@ -222,7 +221,7 @@ class TestSimpleBound:
         assert rep.max_residual == pytest.approx(resid)
 
     def test_mismatched_sizes(self):
-        est = EstimateMatrix(np.zeros((3, 3)), scale=1.0)
+        est = EstimateMatrix(np.zeros((3, 3)))
         for points in (np.zeros((4, 2)), np.zeros(3), np.zeros((3, 2, 1))):
             with pytest.raises(ValueError, match="one point per estimate row"):
                 check_simple_bound(est, points, eps=0.1, r=0.4)
@@ -230,12 +229,12 @@ class TestSimpleBound:
     @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3,), (2, 2, 2)])
     def test_estimate_must_be_square(self, shape):
         with pytest.raises(ValueError, match="square"):
-            EstimateMatrix(np.zeros(shape), scale=1.0)
+            EstimateMatrix(np.zeros(shape))
 
     def test_report_only_mode_flag(self):
         cfg = sample_uniform(rectangle(2, 1), 50, seed=3)
         truth = pairwise_distances(cfg)
-        est = EstimateMatrix(truth.copy(), scale=1.0)
+        est = EstimateMatrix(truth.copy())
         rep = check_simple_bound(est, cfg.points, eps=0.3, r=0.4)  # eps > r/4
         assert not rep.asserted
 
@@ -271,7 +270,7 @@ class TestGeneralBound:
 
     def test_supplied_constant_counts_violations(self):
         points = sample_uniform(rectangle(2, 1), 30, seed=8).points
-        est = EstimateMatrix(pairwise_distances(points) * 3.0, scale=1.0)
+        est = EstimateMatrix(pairwise_distances(points) * 3.0)
         rep = check_general_bound(est, points, eps=0.01, r=0.2, alpha=0.0, c2=0.5)
         assert rep.upper_violations > 0
 
@@ -301,7 +300,7 @@ class TestKnnBounds:
 
     def test_upper_violation_counting(self):
         cfg = sample_uniform(rectangle(2, 1), 30, seed=3)
-        est = EstimateMatrix(pairwise_distances(cfg) * 10.0, scale=1.0)
+        est = EstimateMatrix(pairwise_distances(cfg) * 10.0)
         rep = check_knn_bounds(est, cfg, eps=0.01, r=0.05)
         assert rep.upper_violations > 0
 
@@ -310,14 +309,14 @@ class TestBoundaryBias:
     def test_threshold_beyond_diameter_errors(self):
         cfg = sample_uniform(rectangle(2, 1), 30, seed=4)
         truth = pairwise_distances(cfg)
-        est = EstimateMatrix(truth.copy(), scale=1.0)
+        est = EstimateMatrix(truth.copy())
         with pytest.raises(ValueError):
             check_boundary_bias(est, cfg.points, threshold_d=10.0)
 
     def test_equality_gives_ratio_one(self):
         cfg = sample_uniform(rectangle(2, 1), 30, seed=5)
         truth = pairwise_distances(cfg)
-        est = EstimateMatrix(truth.copy(), scale=1.0)
+        est = EstimateMatrix(truth.copy())
         ratio, pairs = check_boundary_bias(est, cfg.points, threshold_d=0.5)
         assert ratio == pytest.approx(1.0)
         assert pairs > 0
@@ -376,7 +375,7 @@ def streamed_inputs(kind):
         cfg = SimpleNamespace(points=np.array([[0.6, 0.5], [0.9, 0.6]]), domain=rectangle(2, 1))
         truth = pairwise_distances(cfg.points)
         values = np.where(truth > 0, np.inf, 0.0) if kind == "two-disconnected" else truth * 1.5
-        return cfg, EstimateMatrix(values, scale=1.0), truth
+        return cfg, EstimateMatrix(values), truth
     cfg = sample_uniform(rectangle(2, 1), 45, seed=17)
     truth = pairwise_distances(cfg)
     if kind == "indicator":
@@ -405,10 +404,11 @@ class TestStreamedChecks:
         monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
         n = 1000
         pts = np.random.default_rng(dim).uniform(-3.0, 5.0, (n, dim))
-        est = EstimateMatrix(np.zeros((n, n)), scale=1.0)
-        i, j, _, d = (np.concatenate(parts) for parts in zip(*hopdist._pair_blocks(est, pts)))
+        values = np.arange(n * n).reshape(n, n)
+        i, j, v, d = (np.concatenate(parts) for parts in zip(*hopdist._pair_blocks(values, pts)))
         dense = pairwise_distances(pts)
         assert np.array_equal(i * n + j, np.flatnonzero(np.triu(np.ones((n, n), bool), 1)))
+        assert np.array_equal(v, i * n + j)
         assert d.tobytes() == dense[i, j].tobytes()
 
     @pytest.mark.parametrize("block", [1, 3, 7, 1 << 16])
@@ -459,7 +459,7 @@ class TestStreamedChecks:
         truth = pairwise_distances(cfg)
         values = truth * 1.05
         values[:40, n // 2 :] = np.inf
-        est = EstimateMatrix(values, scale=1.0)
+        est = EstimateMatrix(values)
         cap = n * n * 8 / 4
         pts = cfg.points
         for check in (
@@ -496,7 +496,7 @@ class TestMonotonePaths:
         knn = knn_graph(cfg, 3)
         assert monotone_path_check(cfg, knn)
         adj = symmetrize_union(knn)
-        hops = all_pairs_hops(adj).to_float()
+        hops = float_hops(all_pairs_hops(adj))
         order = np.argsort(cfg.points[:, 0])
         w = adj.dense()[np.ix_(order, order)]
         h = hops[np.ix_(order, order)]

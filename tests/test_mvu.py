@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
@@ -16,6 +18,8 @@ from latentgraph import (
     sample_uniform,
     solve_mvu,
 )
+from latentgraph.mvu import MvuBoundReport
+from tests.conftest import float_hops
 
 
 def small_rgg(n=120, r=0.35, seed=3):
@@ -58,7 +62,7 @@ class TestSolveMvu:
         report = check_mvu_bound(sol, hops)
         assert report.violations == 0
         iu = np.triu_indices(cfg.n, 1)
-        assert np.all(pdist(sol.coords) <= hops.to_float()[iu] + 1e-4)
+        assert np.all(pdist(sol.coords) <= float_hops(hops)[iu] + 1e-4)
 
     def test_penalized_objective_non_decreasing_within_stage(self):
         _, adj = small_rgg(n=60, r=0.45, seed=5)
@@ -101,7 +105,7 @@ class TestSolveMvu:
         _, adj = small_rgg(n=90, r=0.4, seed=8)
         hops = all_pairs_hops(adj)
         sol = solve_mvu(adj, rank=5, seed=1)
-        base = classical_mds(hops.to_float(), 5).coords
+        base = classical_mds(float_hops(hops), 5).coords
         e = adj.edges()
         longest = np.linalg.norm(base[e[:, 0]] - base[e[:, 1]], axis=1).max()
         base = base / max(longest, 1.0)
@@ -137,6 +141,34 @@ class TestCheckMvuBound:
         sol = MvuSolution(np.zeros((4, 2)), 0.0, 0.0)
         with pytest.raises(ValueError):
             check_mvu_bound(sol, hops)
+
+    def test_streams_pairs_and_matches_dense_reference(self):
+        # at n = 2000 one n-by-n float64 is 32 MB; the check streams the pairs
+        n, r = 2000, 0.2
+        cfg = sample_uniform(rectangle(2, 1), n, seed=1)
+        hops = all_pairs_hops(generate_graph(cfg, Indicator(r), seed=1))
+        # the points shrunk by r / 1.05: edges up to 1.05 long, beyond the
+        # claimed violation, so some pairs violate the hop bound
+        sol = MvuSolution(cfg.points * (1.05 / r), objective=0.0, max_edge_violation=1e-3)
+        tracemalloc.start()
+        try:
+            got = check_mvu_bound(sol, hops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
+        h = float_hops(hops)[np.triu_indices(n, 1)]
+        finite = np.isfinite(h)
+        excess = pdist(sol.coords)[finite] - h[finite]
+        want = MvuBoundReport(
+            pairs=int(finite.sum()),
+            violations=int((excess > 1e-3 * h[finite] + 1e-9).sum()),
+            max_excess=float(excess.max()),
+            tol_base=1e-9,
+        )
+        assert got == want
+        assert got.violations > 0
 
 
 class TestDiscrepancyRatio:

@@ -220,6 +220,12 @@ class TestCli:
                          "--truth", f"{tmp_path}/points.csv",
                          "--eps", "0.05", "--r", "0.4", "--strict"]) == 2
 
+    def test_embed_of_zero_matrix_is_exit_2(self, tmp_path, capsys):
+        fileio.write_matrix_binary(tmp_path / "zero.bin", np.zeros((1300, 1300)))
+        assert cli_main(["--out", str(tmp_path), "embed",
+                         "--matrix", f"{tmp_path}/zero.bin", "--dim", "2"]) == 2
+        assert "no positive spectrum" in capsys.readouterr().err
+
     def test_ingest_cities_command(self, tmp_path, cities_csv):
         assert cli_main(["--out", str(tmp_path), "ingest-cities",
                          "--file", str(cities_csv), "--n", "50"]) == 0
