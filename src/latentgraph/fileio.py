@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .hopdist import HopMatrix
-from .linkgraph import Adjacency, _set_bits
+from .linkgraph import Adjacency, _or_bits, _set_bits
 
 __all__ = [
     "read_adjacency_binary",
@@ -69,10 +69,40 @@ def read_points_csv(path: str | Path) -> np.ndarray:
     return np.array([[float(v) for v in line.split(",")] for line in text[1:]])
 
 
+def _decimal_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII decimal digits of the node ids 0..n-1, one left-aligned row per
+    id, and the number of digits of each."""
+    ids = np.arange(n)
+    width = np.ones(n, dtype=np.intp)
+    power = 10
+    while power < n:
+        width += ids >= power
+        power *= 10
+    digits = np.zeros((n, int(width.max(initial=1))), dtype=np.uint8)
+    for k in range(digits.shape[1]):
+        place = width - 1 - k  # the power of ten that digit k stands for
+        has = place >= 0
+        digits[has, k] = ord("0") + ids[has] // 10 ** place[has] % 10
+    return digits, width
+
+
 def write_edge_list(path: str | Path, adj: Adjacency) -> None:
-    lines = [f"n={adj.n}"]
-    lines.extend(f"{i} {j}" for i, j in adj.edges().tolist())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    i, j = adj.edges().T
+    digits, width = _decimal_table(adj.n)
+    # one "i j\n" line per edge, each placed after the lines before it
+    length = width[i] + width[j] + 2
+    ends = np.cumsum(length)
+    starts = ends - length
+    text = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+    for node, at in ((i, starts), (j, starts + width[i] + 1)):
+        for k in range(digits.shape[1]):
+            has = width[node] > k
+            text[at[has] + k] = digits[node[has], k]
+    text[starts + width[i]] = ord(" ")
+    text[ends - 1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"n={adj.n}\n".encode("ascii"))
+        fh.write(text)
 
 
 def read_edge_list(path: str | Path) -> Adjacency:
@@ -117,11 +147,6 @@ def _upper_offsets(n: int) -> np.ndarray:
     """Position in the ``LGA1`` bit stream of row i's first upper bit, (i, i+1)."""
     i = np.arange(n, dtype=np.int64)
     return i * (2 * n - i - 1) // 2
-
-
-def _or_bits(out: np.ndarray, index, pos: np.ndarray) -> None:
-    """Set bit ``pos % 8`` (little bit order) of each byte ``out[index]``."""
-    np.bitwise_or.at(out, index, np.left_shift(1, pos & 7).astype(np.uint8))
 
 
 def write_adjacency_binary(path: str | Path, adj: Adjacency) -> None:

@@ -5,6 +5,13 @@ linked with probability ``phi(d_ij)`` for a non-increasing link function
 ``phi`` with values in [0, 1].  Also builds k-nearest-neighbor graphs, the
 coupled edge-thinning used to compare link levels on a shared graph, and the
 common-neighbor (Jaccard) denoiser.
+
+Compact-support and kNN graphs are built from candidate pairs, not from all
+n² distances: a k-d tree gives the pairs within a link's support and each
+point's nearest candidates, whose distances are then recomputed by
+``cdist``'s formula, so every decision sees the same bits as
+``pairwise_distances``.  Edge pairs are set straight into the packed rows of
+an ``Adjacency``; no graph builder forms an n×n array.
 """
 
 from __future__ import annotations
@@ -14,10 +21,13 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from ._rng import pair_uniform_row
-from .geometry import Domain, PointConfig, pairwise_distances
+# pairwise_distances is no longer used here; it stays importable because
+# perfbench/tracing.py wraps linkgraph.pairwise_distances by name
+from .geometry import Domain, PointConfig, pairwise_distances  # noqa: F401
 
 __all__ = [
     "Adjacency",
@@ -118,6 +128,10 @@ LinkFunction = Union[Indicator, ScaledIndicator, PolynomialEdge, TwoLevel]
 
 # bits per block when edge or neighbour lists unpack the adjacency rows
 _UNPACK_BITS = 1 << 20
+# relative slack for the rounding of the k-d tree's own distances
+_TREE_MARGIN = 1e-9
+# candidates a kNN query takes beyond the kappa neighbours and the point itself
+_KNN_SPARE = 8
 
 
 def evaluate_link(link: LinkFunction, d) -> np.ndarray | float:
@@ -161,16 +175,13 @@ class Adjacency:
 
     @classmethod
     def from_edges(cls, n: int, edges: np.ndarray) -> "Adjacency":
-        dense = np.zeros((n, n), dtype=bool)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size:
             if edges.min() < 0 or edges.max() >= n:
                 raise ValueError("edge endpoint out of range")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise ValueError("self-loops are not allowed")
-            dense[edges[:, 0], edges[:, 1]] = True
-            dense[edges[:, 1], edges[:, 0]] = True
-        return cls.from_dense(dense)
+        return _from_pairs(n, edges[:, 0], edges[:, 1])
 
     def dense(self) -> np.ndarray:
         return np.unpackbits(self.packed, axis=1, count=self.n, bitorder="little").astype(bool)
@@ -213,23 +224,90 @@ def _set_bits(adj: Adjacency):
         yield i, j
 
 
+def _or_bits(out: np.ndarray, index, pos: np.ndarray) -> None:
+    """Set bit ``pos % 8`` (little bit order) of each byte ``out[index]``."""
+    np.bitwise_or.at(out, index, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
+
+
+def _from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> Adjacency:
+    """Adjacency linking ``i[k]`` and ``j[k]`` for every k, set straight into
+    the packed rows.  Endpoints must be distinct and in range; a pair may
+    repeat or come in either orientation."""
+    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    _or_bits(packed, (i, j >> 3), j)
+    _or_bits(packed, (j, i >> 3), i)
+    return Adjacency(n, packed)
+
+
+def _pair_distances(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Distances of the pairs ``(i, j)`` (broadcast together) by ``cdist``'s
+    formula: squared coordinate differences summed in coordinate order, then
+    the square root.  Each equals its ``pairwise_distances`` entry bit for bit."""
+    total = None
+    for coord in points.T:
+        step = coord[j]
+        np.subtract(coord[i], step, out=step)
+        step *= step
+        if total is None:
+            total = step
+        else:
+            total += step
+    return np.sqrt(total, out=total)
+
+
+def _pairs_within(points: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j within distance r, in row-major order, by a k-d tree
+    query widened by ``_TREE_MARGIN``: a superset of the pairs with d_ij <= r."""
+    n = len(points)
+    pairs = cKDTree(points).query_pairs(r * (1.0 + _TREE_MARGIN), output_type="ndarray")
+    key = pairs[:, 0] * n + pairs[:, 1]
+    del pairs  # freed before the row and column arrays are made
+    key.sort()
+    return np.divmod(key, n)
+
+
+def _pair_outcomes(seed: int, i: np.ndarray, j: np.ndarray, p) -> np.ndarray:
+    """``u_ij < p`` for pairs ``i < j`` in row-major order, with ``u_ij`` the
+    pair's keyed uniform in [0, 1).  A pair with p = 1 or p = 0 needs no draw;
+    each row with other pairs is drawn once, up to its last such pair."""
+    p = np.broadcast_to(p, i.shape)
+    keep = p >= 1.0
+    drawn = np.flatnonzero((p > 0.0) & (p < 1.0))
+    rows, starts = np.unique(i[drawn], return_index=True)
+    for row, run in zip(rows.tolist(), np.split(drawn, starts[1:])):
+        cols = j[run]
+        # the first cols[-1] - row uniforms of the row's stream
+        u = pair_uniform_row(seed, row, int(cols[-1]) + 1)
+        keep[run] = u[cols - row - 1] < p[run]
+    return keep
+
+
 def generate_graph(config: PointConfig, link: LinkFunction, seed: int) -> Adjacency:
     """Draw the random graph: edge (i, j) present with probability
     ``phi(d_ij)``, independently across pairs, deterministically per seed.
 
     A degenerate link (probabilities all 0 or 1, e.g. an indicator) yields
-    the same graph for every seed.
+    the same graph for every seed.  A compactly supported link looks only at
+    the pairs within its radius; a link that is positive at every distance
+    draws every pair.
     """
     pts = config.points
     n = config.n
-    dense = np.zeros((n, n), dtype=bool)
-    for i in range(n - 1):
-        # one row of distances at a time; each equals its pairwise_distances entry
-        d = cdist(pts[i : i + 1], pts[i + 1 :])[0]
-        u = pair_uniform_row(seed, i, n)
-        dense[i, i + 1 :] = u < link(d)
-    dense |= dense.T
-    return Adjacency.from_dense(dense)
+    if link(np.inf) > 0:
+        i, j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        for row in range(n - 1):
+            # one row of distances at a time; each equals its pairwise_distances entry
+            d = cdist(pts[row : row + 1], pts[row + 1 :])[0]
+            hit = np.flatnonzero(pair_uniform_row(seed, row, n) < link(d)) + (row + 1)
+            i.append(np.full(hit.size, row))
+            j.append(hit)
+        return _from_pairs(n, np.concatenate(i), np.concatenate(j))
+    # the exact support test is link(d) on the recomputed distances
+    i, j = _pairs_within(pts, link.r)
+    keep = _pair_outcomes(seed, i, j, link(_pair_distances(pts, i, j)))
+    i = i[keep]  # one array at a time: the candidates can be many
+    j = j[keep]
+    return _from_pairs(n, i, j)
 
 
 def couple_thin(adj: Adjacency, keep_prob: float, seed: int) -> Adjacency:
@@ -240,14 +318,9 @@ def couple_thin(adj: Adjacency, keep_prob: float, seed: int) -> Adjacency:
     """
     if not 0 < keep_prob <= 1:
         raise ValueError("need 0 < keep_prob <= 1")
-    dense = adj.dense()
-    n = adj.n
-    out = np.zeros_like(dense)
-    for i in range(n - 1):
-        u = pair_uniform_row(seed, i, n)
-        out[i, i + 1 :] = dense[i, i + 1 :] & (u < keep_prob)
-    out |= out.T
-    return Adjacency.from_dense(out)
+    i, j = adj.edges().T
+    keep = _pair_outcomes(seed, i, j, keep_prob)
+    return _from_pairs(adj.n, i[keep], j[keep])
 
 
 @dataclass(frozen=True)
@@ -274,34 +347,62 @@ class KnnAdjacency:
         object.__setattr__(self, "out_neighbors", nb)
 
 
-def knn_graph(config: PointConfig, kappa: int) -> KnnAdjacency:
-    """k-nearest-neighbor relation under exact Euclidean distances."""
+def _nearest(config: PointConfig, kappa: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's kappa nearest other points in (distance, index) order,
+    the order of a stable sort of its ``pairwise_distances`` row, and their
+    distances, bitwise those of ``pairwise_distances``.
+
+    A k-d tree proposes ``kappa + 1 + _KNN_SPARE`` candidates per point. A row
+    is certain when its kappa-th distance lies strictly below the tree's
+    distance to its last candidate, which bounds every point not proposed;
+    the other rows are queried again with twice as many, up to all n.
+    """
+    pts = config.points
     n = config.n
     if not 1 <= kappa <= n - 1:
         raise ValueError("need 1 <= kappa <= n-1")
-    d = pairwise_distances(config)
-    np.fill_diagonal(d, np.inf)
-    # stable sort keeps ascending index order among exact ties
-    nearest = np.argsort(d, axis=1, kind="stable")[:, :kappa]
-    return KnnAdjacency(n, kappa, np.sort(nearest, axis=1).astype(np.int32))
+    tree = cKDTree(pts)
+    nearest = np.empty((n, kappa), dtype=np.intp)
+    dist = np.empty((n, kappa))
+    todo = np.arange(n)
+    k = min(kappa + 1 + _KNN_SPARE, n)
+    while todo.size:
+        farthest, idx = tree.query(pts[todo], k)
+        # no point outside the query is nearer than this by the tree's distances
+        limit = farthest[:, -1] * (1.0 - _TREE_MARGIN)
+        del farthest  # freed before the distances: it is as large as they are
+        rows = todo[:, None]
+        d = _pair_distances(pts, rows, idx)
+        d[idx == rows] = np.inf  # a point is not its own neighbour
+        order = np.lexsort((idx, d))[:, :kappa]
+        idx = np.take_along_axis(idx, order, axis=1)
+        d = np.take_along_axis(d, order, axis=1)
+        # with every point queried, nothing lies outside the candidates
+        done = (k == n) | (d[:, -1] < limit)
+        nearest[todo[done]] = idx[done]
+        dist[todo[done]] = d[done]
+        todo = todo[~done]
+        k = min(2 * k, n)
+    return nearest, dist
+
+
+def knn_graph(config: PointConfig, kappa: int) -> KnnAdjacency:
+    """k-nearest-neighbor relation under exact Euclidean distances."""
+    nearest, _ = _nearest(config, kappa)
+    return KnnAdjacency(config.n, kappa, np.sort(nearest, axis=1).astype(np.int32))
 
 
 def knn_radii(config: PointConfig, kappa: int) -> np.ndarray:
     """Distance from each point to its kappa-th nearest other point."""
-    n = config.n
-    if not 1 <= kappa <= n - 1:
-        raise ValueError("need 1 <= kappa <= n-1")
-    d = pairwise_distances(config)
-    np.fill_diagonal(d, np.inf)
-    return np.partition(d, kappa - 1, axis=1)[:, kappa - 1]
+    _, dist = _nearest(config, kappa)
+    return dist[:, -1].copy()
 
 
 def symmetrize_union(knn: KnnAdjacency) -> Adjacency:
     """Union-symmetrized neighbor graph (the default traversal graph): i and
     j are linked when either points at the other."""
-    a = np.zeros((knn.n, knn.n), dtype=bool)
-    a[np.repeat(np.arange(knn.n), knn.kappa), knn.out_neighbors.ravel()] = True
-    return Adjacency.from_dense(a | a.T)
+    rows = np.repeat(np.arange(knn.n), knn.kappa)
+    return _from_pairs(knn.n, rows, knn.out_neighbors.ravel())
 
 
 def unit_ball_volume(v: int) -> float:

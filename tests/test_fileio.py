@@ -8,6 +8,7 @@ from latentgraph import INF_HOPS, HopMatrix, all_pairs_hops
 from latentgraph import fileio, linkgraph
 from latentgraph.cli import main as cli_main
 from tests.conftest import random_graph
+from tests.reference_graphs import fstring_write_edge_list
 
 
 class TestPointsCsv:
@@ -71,6 +72,24 @@ class TestEdgeList:
         assert fileio.read_edge_list(path).edge_count() == 0
         fileio.write_edge_list(path, fileio.read_edge_list(path))
         assert path.read_text() == "n=3\n"
+
+    @pytest.mark.parametrize("n, p", [(1, 0.0), (4, 0.0), (2, 1.0), (10, 0.5), (11, 0.5),
+                                      (101, 0.3), (1001, 0.02), (1200, 0.01)])
+    def test_bytes_equal_fstring_reference(self, tmp_path, n, p):
+        adj = random_graph(n, p, seed=n)
+        fileio.write_edge_list(tmp_path / "got.txt", adj)
+        fstring_write_edge_list(tmp_path / "want.txt", adj)
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+    def test_ids_across_powers_of_ten(self, tmp_path):
+        # both endpoints at every width change: 9|10, 99|100, 999|1000, 9999|10000
+        ids = [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 9999, 10000, 10001]
+        edges = [[a, b] for a in ids for b in ids if a < b]
+        adj = linkgraph.Adjacency.from_edges(10002, edges)
+        fileio.write_edge_list(tmp_path / "got.txt", adj)
+        fstring_write_edge_list(tmp_path / "want.txt", adj)
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+        assert fileio.read_edge_list(tmp_path / "got.txt") == adj
 
 
 class TestBinaryFormats:

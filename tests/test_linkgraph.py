@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from latentgraph import (
     Adjacency,
+    Box,
     Indicator,
     KnnAdjacency,
     PointConfig,
@@ -29,6 +32,36 @@ from latentgraph import (
 from latentgraph import linkgraph
 from latentgraph._rng import pair_uniform_row
 from tests.conftest import random_graph
+from tests.reference_graphs import (
+    dense_couple_thin,
+    dense_knn_graph,
+    dense_knn_radii,
+    dense_symmetrize_union,
+    row_loop_generate_graph,
+)
+
+LINKS = (Indicator(0.15), ScaledIndicator(0.15, 0.4), PolynomialEdge(0.2, 0.9, 1.5),
+         TwoLevel(0.1, 0.8, 0.02))
+
+
+def lattice(side: int, spacing: float = 1.0) -> PointConfig:
+    """``side`` × ``side`` grid points: every distance repeats many times."""
+    g = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1).reshape(-1, 2)
+    return PointConfig(g * spacing, rectangle(side * spacing, side * spacing))
+
+
+def cube_config(points: np.ndarray) -> PointConfig:
+    """Points in the smallest cube [0, s]^v that holds them."""
+    pts = np.asarray(points, dtype=np.float64)
+    side = max(1.0, float(pts.max()))
+    return PointConfig(pts, Box(np.zeros(pts.shape[1]), np.full(pts.shape[1], side)))
+
+
+def assert_knn_matches_reference(cfg: PointConfig, kappa: int) -> None:
+    got = knn_graph(cfg, kappa)
+    want = dense_knn_graph(cfg, kappa)
+    assert got.out_neighbors.tobytes() == want.out_neighbors.tobytes()
+    assert knn_radii(cfg, kappa).tobytes() == dense_knn_radii(cfg, kappa).tobytes()
 
 
 class TestLinkFunctions:
@@ -365,3 +398,147 @@ class TestAdjacency:
         dense = adj.dense()
         assert np.array_equal(adj.degrees(), dense.sum(axis=1))
         assert adj.edge_count() == int(dense.sum()) // 2 == len(adj.edges())
+
+
+class TestKnnAgainstDenseReference:
+    @pytest.mark.parametrize("kappa", [4, 8, 12, 20])
+    def test_tie_heavy_lattice(self, kappa):
+        assert_knn_matches_reference(lattice(30), kappa)
+
+    @pytest.mark.parametrize("kappa", [3, 12])
+    def test_lattice_with_every_row_widened(self, monkeypatch, kappa):
+        # no spare candidates: a row certifies only once its kappa-th
+        # distance is strictly below the tree's last one
+        monkeypatch.setattr(linkgraph, "_KNN_SPARE", 0)
+        assert_knn_matches_reference(lattice(12, spacing=0.1), kappa)
+
+    @pytest.mark.parametrize("kappa", [1, 5, 30, 79])
+    def test_duplicate_points(self, kappa):
+        # 80 points on 8 sites: ten copies of each, more than kappa + 9 for small kappa
+        rng = np.random.default_rng(0)
+        sites = rng.random((8, 2))
+        cfg = PointConfig(sites[rng.permutation(np.repeat(np.arange(8), 10))], rectangle(1, 1))
+        assert_knn_matches_reference(cfg, kappa)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kappa", [1, 7, 40])
+    def test_uniform_samples(self, dim, kappa):
+        cfg = cube_config(np.random.default_rng(dim).random((300, dim)))
+        assert_knn_matches_reference(cfg, kappa)
+
+    def test_kappa_n_minus_one(self):
+        cfg = sample_uniform(rectangle(2, 1), 40, seed=3)
+        assert_knn_matches_reference(cfg, 39)
+
+    @given(
+        data=st.data(),
+        n=st.integers(3, 30),
+        dim=st.integers(1, 3),
+        grid=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_small_random_configurations(self, data, n, dim, grid, seed):
+        rng = np.random.default_rng(seed)
+        # a coarse integer grid gives ties and duplicates, floats give neither
+        pts = rng.integers(0, 4, (n, dim)).astype(float) if grid else rng.random((n, dim))
+        kappa = data.draw(st.integers(1, n - 1))
+        assert_knn_matches_reference(cube_config(pts), kappa)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_candidate_distances_are_cdist_bitwise(self, dim):
+        # nine coordinates: numpy's own sum would group them differently
+        rng = np.random.default_rng(dim)
+        pts = rng.random((200, dim)) * 3.7 - 1.0
+        i = rng.integers(0, 200, 5000)
+        j = rng.integers(0, 200, 5000)
+        want = cdist(pts, pts)[i, j]
+        assert linkgraph._pair_distances(pts, i, j).tobytes() == want.tobytes()
+        rows = np.arange(200)[:, None]
+        cols = rng.integers(0, 200, (200, 12))
+        got = linkgraph._pair_distances(pts, rows, cols)
+        assert got.tobytes() == np.take_along_axis(cdist(pts, pts), cols, axis=1).tobytes()
+
+    def test_symmetrize_union_equals_dense_reference(self):
+        for kappa in (1, 6, 25):
+            knn = knn_graph(sample_uniform(rectangle(4, 1), 400, seed=kappa), kappa)
+            assert symmetrize_union(knn) == dense_symmetrize_union(knn)
+
+
+class TestGraphConstructionAgainstRowLoop:
+    @pytest.mark.parametrize("link", LINKS, ids=lambda link: type(link).__name__)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_generate_graph(self, link, seed):
+        cfg = sample_uniform(rectangle(2, 1), 300, seed=seed)
+        assert generate_graph(cfg, link, seed) == row_loop_generate_graph(cfg, link, seed)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_generate_graph_other_dimensions(self, dim):
+        cfg = cube_config(np.random.default_rng(dim).random((250, dim)))
+        for link in LINKS:
+            assert generate_graph(cfg, link, 5) == row_loop_generate_graph(cfg, link, 5)
+
+    @pytest.mark.parametrize("r", [1.0, float(np.sqrt(2.0)), 2.0, 5.0])
+    def test_lattice_pairs_exactly_at_the_radius(self, r):
+        # integer lattice: many pairs sit at d == r exactly and must be linked
+        cfg = lattice(15)
+        adj = generate_graph(cfg, Indicator(r), 0)
+        assert adj == row_loop_generate_graph(cfg, Indicator(r), 0)
+        i, j = adj.edges().T
+        assert np.any(linkgraph._pair_distances(cfg.points, i, j) == r)
+        for link in (ScaledIndicator(r, 0.5), PolynomialEdge(r, 0.8, 0.0), PolynomialEdge(r, 1.0, 2.0)):
+            assert generate_graph(cfg, link, 3) == row_loop_generate_graph(cfg, link, 3)
+
+    @pytest.mark.parametrize("r", [0.1, 0.2, 0.3])
+    def test_scaled_lattice_near_the_radius(self, r):
+        # spacing 0.1 puts distances within a few ulps of r on both sides
+        cfg = lattice(15, spacing=0.1)
+        for link in (Indicator(r), ScaledIndicator(r, 0.5)):
+            assert generate_graph(cfg, link, 2) == row_loop_generate_graph(cfg, link, 2)
+
+    @pytest.mark.parametrize("keep_prob", [0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_couple_thin(self, keep_prob, seed):
+        for adj in (random_graph(150, 0.3, seed=seed),
+                    generate_graph(sample_uniform(rectangle(2, 1), 300, seed=seed), Indicator(0.2), 0),
+                    random_graph(9, 0.0, seed=seed)):
+            assert couple_thin(adj, keep_prob, seed) == dense_couple_thin(adj, keep_prob, seed)
+
+    def test_from_edges_equals_from_dense(self):
+        rng = np.random.default_rng(4)
+        edges = rng.integers(0, 70, (400, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]  # repeats and both orientations stay
+        dense = np.zeros((70, 70), dtype=bool)
+        dense[edges[:, 0], edges[:, 1]] = True
+        assert Adjacency.from_edges(70, edges) == Adjacency.from_dense(dense | dense.T)
+
+    @pytest.mark.parametrize("key", [0, 1, (5 << 64) + 17, (2**63 << 64) + 2**40])
+    def test_philox_draws_are_prefixes(self, key):
+        # a row drawn only up to its farthest candidate is a prefix of the full row
+        full = np.random.Generator(np.random.Philox(key=key)).random(1000)
+        for m in (0, 1, 2, 3, 7, 64, 999):
+            part = np.random.Generator(np.random.Philox(key=key)).random(m)
+            assert part.tobytes() == full[:m].tobytes()
+
+
+class TestGraphConstructionMemory:
+    # one n×n bool at n=4000 is 15.3 MB and one float64 distance matrix 122 MB
+    LIMIT_MB = 8.0
+
+    @staticmethod
+    def peak_mb(fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_knn_graph_and_union(self):
+        cfg = sample_uniform(rectangle(4, 1), 4000, seed=1)
+        assert self.peak_mb(lambda: symmetrize_union(knn_graph(cfg, 25))) < self.LIMIT_MB
+        assert self.peak_mb(lambda: knn_radii(cfg, 25)) < self.LIMIT_MB
+
+    def test_indicator_graph(self):
+        cfg = sample_uniform(rectangle(2, 1), 4000, seed=1)
+        assert self.peak_mb(lambda: generate_graph(cfg, Indicator(0.05), 0)) < self.LIMIT_MB

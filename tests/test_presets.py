@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.sparse.csgraph import connected_components
 from latentgraph import fileio, pairwise_distances, preset_names, presets, run_preset
 from latentgraph.cli import main as cli_main
 from latentgraph.plotdata import emit_plotdata, svg_scatter, write_scatter_csv
+from tests import reference_graphs
 
 
 def run_small(name, tmp_path, seed=3, scale_n=250, cities_csv=None, sub="out"):
@@ -57,6 +59,19 @@ class TestPresets:
             # the checks read the points: no distance matrix of the whole sample
             rows = [np.asarray(getattr(x, "points", x)).shape[0] for x in calls["pairwise_distances"]]
             assert all(k < man["n"] for k in rows), (name, rows)
+
+    @pytest.mark.parametrize("name", ["knn-band", "knn-paths", "rectangles", "hole"])
+    def test_artifacts_equal_with_dense_reference_builders(self, tmp_path, monkeypatch, name):
+        def digests(out):
+            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+        fast, _ = run_small(name, tmp_path, scale_n=300, sub="fast")
+        monkeypatch.setattr(presets, "knn_graph", reference_graphs.dense_knn_graph)
+        monkeypatch.setattr(presets, "symmetrize_union", reference_graphs.dense_symmetrize_union)
+        monkeypatch.setattr(presets, "generate_graph", reference_graphs.row_loop_generate_graph)
+        monkeypatch.setattr(fileio, "write_edge_list", reference_graphs.fstring_write_edge_list)
+        dense, _ = run_small(name, tmp_path, scale_n=300, sub="dense")
+        assert digests(fast) == digests(dense)
 
     def test_manifest_carries_bound_outcomes(self, tmp_path):
         _, man = run_small("hole", tmp_path)
