@@ -4,15 +4,29 @@ Hop distances and shortest paths come from one breadth-first search that
 runs 64 sources at a time, one per bit of a ``uint64`` word per node (the
 bit-parallel search of Akiba, Iwata & Yoshida, SIGMOD 2013).  Each level
 pulls over flat neighbour lists: a node's new lanes are the OR of its
-neighbours' frontier words, less the lanes that already visited it.  The
+neighbours' visited words, less its own.  A lane that reached a neighbour
+before the last level has reached the node already, so only the lanes of
+the last frontier can be new, and no frontier words are kept.  The
 lanes that arrive at level L are OR-ed into bit plane p for every set bit
 p of L, so after a batch the planes hold every lane's hop count in binary
 and unpack into 64 rows of the hop matrix at once.
 
+The search runs on the nodes relabelled in reverse Cuthill-McKee order
+(Cuthill & McKee 1969), which keeps a geometric graph's neighbour lists near
+the diagonal, and a batch takes 64 consecutive relabelled sources.  Only the
+neighbours of the last frontier can gain lanes, and they lie between the
+lowest and the highest neighbour of the frontier's index range; so a level
+pulls over that range of nodes alone, one contiguous slice of the lists,
+and the next frontier's range runs from the first to the last node that
+gained lanes.  The 64 rows go back to the original labels when the batch
+ends.
+
 Hops are stored as unsigned 16-bit values with 0xFFFF as infinity, so graphs
 have at most 0xFFFF nodes.  At n = 10^4 (rectangle 2x1, indicator radius
-0.05, seed 1, 190k edges) ``all_pairs_hops`` took 11.6 s on 2 vCPU, and its
-peak allocation was 203 MB, of which the returned matrix is 191 MB.
+0.05, seed 1, 190k edges) ``all_pairs_hops`` took 2.5 s on 2 vCPU, where a
+kernel that pulled every list at every level took 6.3 s on the same machine
+(medians of three runs each), and its peak allocation was 201 MB, of which
+the returned matrix is 191 MB.
 
 The simple, general and kNN checks share one report builder: the excess
 ``est - d`` against ``a (eps/r)^gamma d + b r``, plus the lower bound
@@ -31,8 +45,11 @@ for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.spatial.distance import cdist
 
 from .geometry import PointConfig, boundary_distances
@@ -94,21 +111,49 @@ def _check_size(n: int) -> None:
         raise ValueError(f"n = {n} exceeds the {int(INF_HOPS)}-node limit of uint16 hop counts")
 
 
-def _neighbour_lists(adj: Adjacency) -> tuple[np.ndarray, np.ndarray]:
-    """Flat neighbour lists: column indices ``idx`` in row order and row
-    bounds, node v listing ``idx[bounds[v]:bounds[v + 1]]`` in ascending
-    order.  An isolated node lists the pad node n instead, so no list is
-    empty and ``bitwise_or.reduceat`` needs no mask."""
+def _neighbour_lists(adj: Adjacency) -> csr_matrix:
+    """Neighbour lists as a CSR matrix: node v lists
+    ``indices[indptr[v]:indptr[v + 1]]`` in ascending order."""
     n = adj.n
     degree = np.zeros(n, dtype=np.intp)
     cols = [np.empty(0, dtype=np.intp)]
     for i, j in _set_bits(adj):
         degree += np.bincount(i, minlength=n)
         cols.append(j)
-    idx = np.insert(np.concatenate(cols), np.cumsum(degree)[degree == 0], n)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(degree, out=indptr[1:])
+    indices = np.concatenate(cols)
+    return csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
+
+
+class _Band(NamedTuple):
+    """Neighbour lists relabelled in reverse Cuthill-McKee order.  Relabelled
+    node k is node ``perm[k]`` and lists ``idx[bounds[k]:bounds[k + 1]]`` in
+    ascending order, its neighbours between ``first[k]`` and ``last[k] - 1``.
+    An isolated node lists the pad node n instead (``first = n``, ``last =
+    0``), so no list is empty and ``bitwise_or.reduceat`` needs no mask."""
+
+    perm: np.ndarray
+    inv: np.ndarray  # inv[v]: the relabelled index of node v
+    idx: np.ndarray
+    bounds: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+
+
+def _band(lists: csr_matrix) -> _Band:
+    n = lists.shape[0]
+    perm = reverse_cuthill_mckee(lists, symmetric_mode=True).astype(np.intp)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n)
+    rel = csr_matrix((lists.data, inv[lists.indices], lists.indptr), shape=(n, n))[perm]
+    rel.sort_indices()
+    degree = np.diff(rel.indptr)
+    idx = np.insert(rel.indices.astype(np.intp), rel.indptr[:-1][degree == 0], n)
     bounds = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.maximum(degree, 1), out=bounds[1:])
-    return idx, bounds
+    last = np.where(degree > 0, idx[bounds[1:] - 1] + 1, 0)
+    return _Band(perm, inv, idx, bounds, idx[bounds[:-1]], last)
 
 
 def _lane_bits(words: np.ndarray) -> np.ndarray:
@@ -117,36 +162,50 @@ def _lane_bits(words: np.ndarray) -> np.ndarray:
                          axis=1, bitorder="little")
 
 
-def _hops_from(idx: np.ndarray, bounds: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Hop counts from up to 64 sources at once, one source per bit lane (the
-    kernel of the module docstring): a (len(sources), n) uint16 array,
-    infinity where a lane never arrived."""
+def _hops_from(band: _Band, lo: int, hi: int) -> np.ndarray:
+    """Hop counts from the relabelled sources ``lo, ..., hi - 1`` (at most
+    64), one source per bit lane (the kernel of the module docstring): a
+    (hi - lo, n) uint16 array in the original labels, infinity where a lane
+    never arrived."""
+    idx, bounds, first, last = band.idx, band.bounds, band.first, band.last
     n = bounds.size - 1
-    frontier = np.zeros(n + 1, dtype=np.uint64)  # the pad node n stays 0
-    frontier[sources] = np.left_shift(np.uint64(1), np.arange(sources.size, dtype=np.uint64))
-    visited = frontier[:n].copy()
-    gathered = np.empty(idx.size, dtype=np.uint64)
+    lanes = hi - lo
+    visited = np.zeros(n + 1, dtype=np.uint64)  # the pad node n stays 0
+    visited[lo:hi] = np.left_shift(np.uint64(1), np.arange(lanes, dtype=np.uint64))
+    # a level's arrays are slices of these buffers: arrays of a new length
+    # at every level fragmented the heap and left knn-band's peak RSS 5 MB higher
+    pulled = np.empty(idx.size, dtype=np.uint64)
+    fresh, spare = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
+    hits = np.empty(n, dtype=bool)
     planes = []
     level = 0
+    # the last frontier lies in [lo, hi); the nodes it can reach, in [a, b)
     while True:
-        level += 1
-        np.take(frontier, idx, out=gathered, mode="clip")
-        new = np.bitwise_or.reduceat(gathered, bounds[:-1])
-        new &= ~visited
-        if not new.any():
+        a, b = int(first[lo:hi].min()), int(last[lo:hi].max())
+        if a >= b:
             break
-        visited |= new
+        level += 1
+        start, stop = bounds[a], bounds[b]
+        np.take(visited, idx[start:stop], out=pulled[start:stop], mode="clip")
+        new = np.bitwise_or.reduceat(pulled[:stop], bounds[a:b], out=fresh[a:b])
+        new &= np.invert(visited[a:b], out=spare[a:b])
+        first_hit = int(np.not_equal(new, 0, out=hits[: b - a]).argmax())
+        if not new[first_hit]:
+            break
+        visited[a:b] |= new
         if level == 1 << len(planes):
             planes.append(np.zeros(n, dtype=np.uint64))
         for p in range(len(planes)):
             if level >> p & 1:
-                planes[p] |= new
-        frontier[:n] = new
+                planes[p][a:b] |= new
+        last_hit = int(np.not_equal(new[::-1], 0, out=hits[: b - a]).argmax())
+        lo, hi = a + first_hit, b - last_hit
+    # words back in the original labels, then unpacked lane by lane
     block = np.zeros((n, 64), dtype=np.uint16)
     for p, plane in enumerate(planes):
-        block |= _lane_bits(plane).astype(np.uint16) << p
-    block[_lane_bits(visited) == 0] = INF_HOPS
-    return block[:, : sources.size].T
+        block |= _lane_bits(plane[band.inv]) << np.uint16(p)
+    block[_lane_bits(visited[band.inv]) == 0] = INF_HOPS
+    return block[:, :lanes].T
 
 
 def all_pairs_hops(adj: Adjacency) -> HopMatrix:
@@ -156,9 +215,11 @@ def all_pairs_hops(adj: Adjacency) -> HopMatrix:
     # the result comes first in the heap, so that the scratch freed after it
     # leaves no hole below it (a hole kept hole-local's peak RSS 2 % higher)
     hops = np.empty((n, n), dtype=np.uint16)
-    idx, bounds = _neighbour_lists(adj)
-    for lo in range(0, n, 64):
-        hops[lo : lo + 64] = _hops_from(idx, bounds, np.arange(lo, min(n, lo + 64)))
+    if n:  # reverse_cuthill_mckee rejects an empty graph
+        band = _band(_neighbour_lists(adj))
+        for lo in range(0, n, 64):
+            hi = min(n, lo + 64)
+            hops[band.perm[lo:hi]] = _hops_from(band, lo, hi)
     return HopMatrix(n, hops)
 
 
@@ -172,11 +233,15 @@ def shortest_path_nodes(adj: Adjacency, source: int, target: int) -> list[int]:
     _check_size(n)
     if not (0 <= source < n and 0 <= target < n):
         raise ValueError("node index out of range")
-    idx, bounds = _neighbour_lists(adj)
-    dist = _hops_from(idx, bounds, np.array([source]))[0]
+    lists = _neighbour_lists(adj)
+    band = _band(lists)
+    k = int(band.inv[source])
+    dist = _hops_from(band, k, k + 1)[0]
     if dist[target] == INF_HOPS:
         raise ValueError(f"nodes {source} and {target} are disconnected")
-    # walk back one level at a time through the smallest-index closer neighbour
+    # walk back one level at a time through the smallest-index closer
+    # neighbour, over the lists in the original labels
+    idx, bounds = lists.indices, lists.indptr
     path = [target]
     while path[-1] != source:
         nbrs = idx[bounds[path[-1]] : bounds[path[-1] + 1]]
@@ -253,11 +318,14 @@ def _pair_blocks(values: np.ndarray, points: np.ndarray):
     while lo < n - 1:
         # rows shorten toward the end, so the first row of a block is its longest
         hi = min(n - 1, lo + max(1, _BLOCK_PAIRS // (n - 1 - lo)))
-        upper = np.arange(lo + 1, n) > np.arange(lo, hi)[:, None]
-        i, j = np.nonzero(upper)
-        i += lo
-        j += lo + 1
-        yield i, j, values[i, j], cdist(points[lo:hi], points[lo + 1 :])[upper]
+        rows = np.arange(lo, hi)
+        counts = n - 1 - rows
+        # row i's pairs start at its offset in the block and run to j = n - 1
+        starts = np.cumsum(counts) - counts
+        i = np.repeat(rows, counts)
+        j = np.arange(starts[-1] + counts[-1]) - np.repeat(starts - rows - 1, counts)
+        upper = np.arange(lo + 1, n) > rows[:, None]
+        yield i, j, values[lo:hi, lo + 1 :][upper], cdist(points[lo:hi], points[lo + 1 :])[upper]
         lo = hi
 
 

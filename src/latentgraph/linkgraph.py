@@ -128,6 +128,9 @@ LinkFunction = Union[Indicator, ScaledIndicator, PolynomialEdge, TwoLevel]
 
 # bits per block when edge or neighbour lists unpack the adjacency rows
 _UNPACK_BITS = 1 << 20
+# row b lists the bits of byte b, little bit order first
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                           bitorder="little").astype(bool)
 # relative slack for the rounding of the k-d tree's own distances
 _TREE_MARGIN = 1e-9
 # candidates a kNN query takes beyond the kappa neighbours and the point itself
@@ -158,6 +161,8 @@ class Adjacency:
         packed = np.ascontiguousarray(packed, dtype=np.uint8)
         if packed.shape != (self.n, (self.n + 7) // 8):
             raise ValueError("packed shape does not match n")
+        if self.n % 8 and (packed[:, -1] >> (self.n % 8)).any():
+            raise ValueError("bits past column n must be zero")
         packed.setflags(write=False)
         self.packed = packed
 
@@ -195,7 +200,7 @@ class Adjacency:
         return np.concatenate(blocks)
 
     def degrees(self) -> np.ndarray:
-        # rows are packed from dense rows, so the bits past column n are zero
+        # the bits past column n are zero (checked on construction)
         return np.bitwise_count(self.packed).sum(axis=1)
 
     def edge_count(self) -> int:
@@ -214,13 +219,18 @@ class Adjacency:
 
 def _set_bits(adj: Adjacency):
     """Row and column indices of the set bits of ``adj`` in row-major order,
-    one block of whole rows (about ``_UNPACK_BITS`` bits) at a time."""
+    one block of whole rows (about ``_UNPACK_BITS`` bits) at a time: the set
+    bytes of the packed rows, expanded through ``_BYTE_BITS``."""
     n = adj.n
     step = max(1, _UNPACK_BITS // max(n, 1))
     for lo in range(0, n, step):
-        rows = np.unpackbits(adj.packed[lo : lo + step], axis=1, count=n, bitorder="little")
-        i, j = np.nonzero(rows)
+        rows = adj.packed[lo : lo + step]
+        i, col = np.nonzero(rows)
+        byte, bit = np.nonzero(_BYTE_BITS[rows[i, col]])
+        i = i[byte]
         i += lo
+        j = col[byte] << 3
+        j += bit
         yield i, j
 
 

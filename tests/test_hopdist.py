@@ -154,6 +154,90 @@ class TestAllPairsHops:
             shortest_path_nodes(SimpleNamespace(n=0x10000), 0, 1)
 
 
+def shuffled(adj: Adjacency, seed: int) -> Adjacency:
+    """``adj`` with its node labels randomly permuted."""
+    order = np.random.default_rng(seed).permutation(adj.n)
+    return Adjacency.from_dense(adj.dense()[np.ix_(order, order)])
+
+
+def scipy_hops(adj: Adjacency) -> np.ndarray:
+    if adj.n == 0:
+        return np.empty((0, 0), dtype=np.uint16)
+    return as_uint16(shortest_path(csr_matrix(adj.dense()), unweighted=True))
+
+
+def bandwidth(lists: csr_matrix) -> int:
+    rows = np.repeat(np.arange(lists.shape[0]), np.diff(lists.indptr))
+    return int(np.abs(lists.indices - rows).max(initial=0))
+
+
+class TestBandedOrder:
+    """The kernel runs in reverse Cuthill-McKee order; its hops come back in
+    the original labels, whatever those are."""
+
+    @pytest.fixture(params=["rectangle", "knn-strip"])
+    def geometric(self, request):
+        if request.param == "rectangle":
+            config = sample_uniform(rectangle(2.0, 1.0), 400, 5)
+            adj = generate_graph(config, Indicator(0.12), 5)
+        else:
+            config = sample_uniform(rectangle(4.0, 1.0), 400, 6)
+            adj = symmetrize_union(knn_graph(config, 8))
+        return shuffled(adj, 7)
+
+    def test_geometric_graphs_with_shuffled_labels_equal_scipy(self, geometric):
+        assert np.array_equal(all_pairs_hops(geometric).hops, scipy_hops(geometric))
+
+    def test_order_narrows_the_band(self, geometric):
+        lists = hopdist._neighbour_lists(geometric)
+        band = hopdist._band(lists)
+        assert np.array_equal(np.sort(band.perm), np.arange(geometric.n))
+        assert np.array_equal(band.perm[band.inv], np.arange(geometric.n))
+        relabelled = csr_matrix((np.ones(band.idx.size), band.idx, band.bounds),
+                                shape=(geometric.n, geometric.n + 1))
+        # shuffled labels spread each list over almost every node; the
+        # relabelled lists stay within a narrow band of the diagonal
+        assert bandwidth(relabelled) < bandwidth(lists) / 4
+        # an isolated node lists only the pad node and reaches nothing
+        isolated = np.diff(lists.indptr)[band.perm] == 0
+        assert np.array_equal(band.first, band.idx[band.bounds[:-1]])
+        assert np.array_equal(band.last, np.where(isolated, 0, band.idx[band.bounds[1:] - 1] + 1))
+        assert np.all(band.idx[band.bounds[:-1][isolated]] == geometric.n)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+    def test_components_and_isolated_nodes(self, n):
+        # a third of the nodes isolated; the rest, in random order, form two
+        # paths, a cycle and a clique
+        nodes = np.random.default_rng(n).permutation(n)
+        path1, cycle, clique, path2 = np.array_split(nodes[n // 3 :], 4)
+        edges = [(a, b) for path in (path1, path2) for a, b in zip(path[:-1], path[1:])]
+        edges += list(zip(cycle, np.roll(cycle, 1))) if cycle.size > 2 else []
+        edges += [(a, b) for x, a in enumerate(clique) for b in clique[x + 1 :]]
+        adj = Adjacency.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        if n >= 63:
+            assert (adj.degrees() == 0).sum() >= n // 3
+            assert connected_components(csr_matrix(adj.dense()))[0] > (adj.degrees() == 0).sum() + 1
+        assert np.array_equal(all_pairs_hops(adj).hops, scipy_hops(adj))
+
+    def test_shortest_paths_on_shuffled_tied_lattice(self):
+        # the 30x30 four-neighbour lattice under shuffled labels: the walk
+        # back still takes the closer neighbour of smallest original index
+        g = np.arange(30.0)
+        pts = np.array([(x, y) for x in g for y in g])
+        adj = shuffled(generate_graph(PointConfig(pts, rectangle(29.0, 29.0)), Indicator(1.01), 0), 3)
+        assert not np.array_equal(hopdist._band(hopdist._neighbour_lists(adj)).perm, np.arange(900))
+        hops = all_pairs_hops(adj).hops.astype(np.int64)
+        dense = adj.dense()
+        rng = np.random.default_rng(9)
+        for source, target in rng.integers(0, 900, size=(100, 2)):
+            path = shortest_path_nodes(adj, int(source), int(target))
+            assert path[0] == source and path[-1] == target
+            assert len(path) - 1 == hops[source, target]
+            for prev, node in zip(path, path[1:]):
+                closer = np.flatnonzero(dense[node] & (hops[source] == hops[source, node] - 1))
+                assert prev == closer[0]
+
+
 class TestScaleHops:
     def test_elementwise(self):
         hops = HopMatrix(3, np.array([[0, 3, 1], [3, 0, 2], [1, 2, 0]], dtype=np.uint16))

@@ -392,6 +392,26 @@ class TestAdjacency:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("bits", [1, 20, 1 << 20])
+    @pytest.mark.parametrize("n, p", [(1, 0.3), (7, 0.3), (8, 0.3), (9, 0.3), (70, 0.3), (40, 0.0)])
+    def test_set_bits_match_dense_unpack(self, monkeypatch, n, p, bits):
+        monkeypatch.setattr(linkgraph, "_UNPACK_BITS", bits)  # blocks of one or more rows
+        adj = random_graph(n, p, seed=n)
+        step = max(1, bits // n)
+        blocks = list(linkgraph._set_bits(adj))
+        assert len(blocks) == -(-n // step)
+        for lo, (i, j) in zip(range(0, n, step), blocks):
+            rows = np.unpackbits(adj.packed[lo : lo + step], axis=1, count=n, bitorder="little")
+            want_i, want_j = np.nonzero(rows)
+            assert i.dtype == want_i.dtype and j.dtype == want_j.dtype
+            assert np.array_equal(i, want_i + lo) and np.array_equal(j, want_j)
+
+    def test_padding_bits_are_rejected(self):
+        packed = np.zeros((9, 2), dtype=np.uint8)
+        packed[0, 1] = 0b10  # column 9 of a 9-node graph
+        with pytest.raises(ValueError, match="past column n"):
+            Adjacency(9, packed)
+
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 70])
     def test_degrees_and_edge_count_match_dense(self, n):
         adj = random_graph(n, 0.3, seed=n)
