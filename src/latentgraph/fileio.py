@@ -5,7 +5,9 @@ decimal floats.  Adjacency has a text edge-list form (``n=<count>`` header,
 then ``i j`` lines, 0-based, i < j, each pair once) and a binary form: magic
 ``LGA1``, u64 little-endian node count, then the strict upper triangle
 row-major as packed bits (little bit order) with zero bits padding the last
-byte, written and read one block of rows or of bits at a time.  Hop
+byte.  Packed bits exist only in the file: the writer sets them from the
+edge list, and the reader builds the neighbour lists from the set bits,
+unpacked one block at a time.  Hop
 matrices: magic ``LGH1``, u64 n, row-major u16 little-endian with 0xFFFF
 for infinity.  Dense float matrices: CSV or magic ``LGD1``, u64 n,
 row-major f64 little-endian.  Manifests are flat JSON objects with sorted
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .hopdist import HopMatrix
-from .linkgraph import Adjacency, _or_bits, _set_bits
+from .linkgraph import Adjacency
 
 __all__ = [
     "read_adjacency_binary",
@@ -152,12 +154,10 @@ def _upper_offsets(n: int) -> np.ndarray:
 def write_adjacency_binary(path: str | Path, adj: Adjacency) -> None:
     n = adj.n
     payload = np.zeros((n * (n - 1) // 2 + 7) // 8, dtype=np.uint8)
-    offsets = _upper_offsets(n)
-    # the upper bits of one block of rows at a time, at their stream positions
-    for i, j in _set_bits(adj):
-        upper = j > i
-        pos = offsets[i[upper]] + (j[upper] - i[upper] - 1)
-        _or_bits(payload, pos >> 3, pos)
+    i, j = adj.edges().T
+    # bit pos % 8 (little bit order) of byte pos // 8, at each edge's stream position
+    pos = _upper_offsets(n)[i] + (j - i - 1)
+    np.bitwise_or.at(payload, pos >> 3, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
     with open(path, "wb") as fh:
         fh.write(_MAGIC_ADJ)
         fh.write(struct.pack("<Q", n))
@@ -170,17 +170,15 @@ def read_adjacency_binary(path: str | Path) -> Adjacency:
     data = np.frombuffer(payload, dtype=np.uint8)
     if m % 8 and data[-1] >> (m % 8):
         raise ValueError(f"{path}: padding bits after the {m} data bits are not zero")
+    # the stream positions of the set bits, unpacked one block at a time
+    pos, step = [np.empty(0, dtype=np.intp)], _BLOCK_ENTRIES // 8
+    for lo in range(0, data.size, step):
+        pos.append(np.flatnonzero(np.unpackbits(data[lo : lo + step], bitorder="little")))
+        pos[-1] += 8 * lo
+    pos = np.concatenate(pos)
     offsets = _upper_offsets(n)
-    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    # the set bits of one block of the stream at a time, as both (i, j) and (j, i)
-    for lo in range(0, data.size, _BLOCK_ENTRIES // 8):
-        pos = np.flatnonzero(np.unpackbits(data[lo : lo + _BLOCK_ENTRIES // 8], bitorder="little"))
-        pos += 8 * lo
-        i = np.searchsorted(offsets, pos, side="right") - 1
-        j = pos - offsets[i] + i + 1
-        _or_bits(packed, (i, j >> 3), j)
-        _or_bits(packed, (j, i >> 3), i)
-    return Adjacency(n, packed)
+    i = np.searchsorted(offsets, pos, side="right") - 1
+    return Adjacency.from_edges(n, np.column_stack([i, pos - offsets[i] + i + 1]))
 
 
 def write_hops_binary(path: str | Path, hops: HopMatrix) -> None:

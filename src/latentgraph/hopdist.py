@@ -11,10 +11,11 @@ lanes that arrive at level L are OR-ed into bit plane p for every set bit
 p of L, so after a batch the planes hold every lane's hop count in binary
 and unpack into 64 rows of the hop matrix at once.
 
-The search runs on the nodes relabelled in reverse Cuthill-McKee order
-(Cuthill & McKee 1969), which keeps a geometric graph's neighbour lists near
-the diagonal, and a batch takes 64 consecutive relabelled sources.  Only the
-neighbours of the last frontier can gain lanes, and they lie between the
+The search runs on the graph's own neighbour lists (``Adjacency.indptr``
+and ``indices``) relabelled in reverse Cuthill-McKee order (Cuthill & McKee
+1969), which keeps a geometric graph's lists near the diagonal, and a batch
+takes 64 consecutive relabelled sources.  Only the neighbours of the last
+frontier can gain lanes, and they lie between the
 lowest and the highest neighbour of the frontier's index range; so a level
 pulls over that range of nodes alone, one contiguous slice of the lists,
 and the next frontier's range runs from the first to the last node that
@@ -53,7 +54,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.spatial.distance import cdist
 
 from .geometry import PointConfig, boundary_distances
-from .linkgraph import Adjacency, KnnAdjacency, _set_bits, symmetrize_union
+from .linkgraph import Adjacency, KnnAdjacency, symmetrize_union
 
 __all__ = [
     "INF_HOPS",
@@ -111,21 +112,6 @@ def _check_size(n: int) -> None:
         raise ValueError(f"n = {n} exceeds the {int(INF_HOPS)}-node limit of uint16 hop counts")
 
 
-def _neighbour_lists(adj: Adjacency) -> csr_matrix:
-    """Neighbour lists as a CSR matrix: node v lists
-    ``indices[indptr[v]:indptr[v + 1]]`` in ascending order."""
-    n = adj.n
-    degree = np.zeros(n, dtype=np.intp)
-    cols = [np.empty(0, dtype=np.intp)]
-    for i, j in _set_bits(adj):
-        degree += np.bincount(i, minlength=n)
-        cols.append(j)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(degree, out=indptr[1:])
-    indices = np.concatenate(cols)
-    return csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
-
-
 class _Band(NamedTuple):
     """Neighbour lists relabelled in reverse Cuthill-McKee order.  Relabelled
     node k is node ``perm[k]`` and lists ``idx[bounds[k]:bounds[k + 1]]`` in
@@ -141,8 +127,10 @@ class _Band(NamedTuple):
     last: np.ndarray
 
 
-def _band(lists: csr_matrix) -> _Band:
-    n = lists.shape[0]
+def _band(adj: Adjacency) -> _Band:
+    n = adj.n
+    lists = csr_matrix((np.ones(adj.indices.size, dtype=np.int8), adj.indices, adj.indptr),
+                       shape=(n, n))
     perm = reverse_cuthill_mckee(lists, symmetric_mode=True).astype(np.intp)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(n)
@@ -216,7 +204,7 @@ def all_pairs_hops(adj: Adjacency) -> HopMatrix:
     # leaves no hole below it (a hole kept hole-local's peak RSS 2 % higher)
     hops = np.empty((n, n), dtype=np.uint16)
     if n:  # reverse_cuthill_mckee rejects an empty graph
-        band = _band(_neighbour_lists(adj))
+        band = _band(adj)
         for lo in range(0, n, 64):
             hi = min(n, lo + 64)
             hops[band.perm[lo:hi]] = _hops_from(band, lo, hi)
@@ -233,15 +221,14 @@ def shortest_path_nodes(adj: Adjacency, source: int, target: int) -> list[int]:
     _check_size(n)
     if not (0 <= source < n and 0 <= target < n):
         raise ValueError("node index out of range")
-    lists = _neighbour_lists(adj)
-    band = _band(lists)
+    band = _band(adj)
     k = int(band.inv[source])
     dist = _hops_from(band, k, k + 1)[0]
     if dist[target] == INF_HOPS:
         raise ValueError(f"nodes {source} and {target} are disconnected")
     # walk back one level at a time through the smallest-index closer
     # neighbour, over the lists in the original labels
-    idx, bounds = lists.indices, lists.indptr
+    idx, bounds = adj.indices, adj.indptr
     path = [target]
     while path[-1] != source:
         nbrs = idx[bounds[path[-1]] : bounds[path[-1] + 1]]

@@ -10,8 +10,8 @@ Compact-support and kNN graphs are built from candidate pairs, not from all
 n² distances: a k-d tree gives the pairs within a link's support and each
 point's nearest candidates, whose distances are then recomputed by
 ``cdist``'s formula, so every decision sees the same bits as
-``pairwise_distances``.  Edge pairs are set straight into the packed rows of
-an ``Adjacency``; no graph builder forms an n×n array.
+``pairwise_distances``.  Edge pairs are sorted straight into the neighbour
+lists of an ``Adjacency``; no graph builder forms an n×n array.
 """
 
 from __future__ import annotations
@@ -126,11 +126,6 @@ class TwoLevel:
 
 LinkFunction = Union[Indicator, ScaledIndicator, PolynomialEdge, TwoLevel]
 
-# bits per block when edge or neighbour lists unpack the adjacency rows
-_UNPACK_BITS = 1 << 20
-# row b lists the bits of byte b, little bit order first
-_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
-                           bitorder="little").astype(bool)
 # relative slack for the rounding of the k-d tree's own distances
 _TREE_MARGIN = 1e-9
 # candidates a kNN query takes beyond the kappa neighbours and the point itself
@@ -147,24 +142,33 @@ def evaluate_link(link: LinkFunction, d) -> np.ndarray | float:
 
 
 class Adjacency:
-    """Symmetric boolean adjacency matrix with zero diagonal, bit-packed.
+    """Symmetric graph without self-loops, held as neighbour lists.
 
-    Rows are stored as packed bits (little bit order), eight columns per
-    byte: n²/8 bytes, from which edge and neighbour lists are unpacked one
-    block of rows at a time.
+    Node v lists ``indices[indptr[v]:indptr[v + 1]]`` in ascending order,
+    each neighbour once, so an edge appears in the lists of both its ends:
+    ``n + 1 + 2m`` integers for m edges.
     """
 
-    __slots__ = ("n", "packed")
+    __slots__ = ("n", "indptr", "indices")
 
-    def __init__(self, n: int, packed: np.ndarray):
+    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = int(n)
-        packed = np.ascontiguousarray(packed, dtype=np.uint8)
-        if packed.shape != (self.n, (self.n + 7) // 8):
-            raise ValueError("packed shape does not match n")
-        if self.n % 8 and (packed[:, -1] >> (self.n % 8)).any():
-            raise ValueError("bits past column n must be zero")
-        packed.setflags(write=False)
-        self.packed = packed
+        indptr = np.ascontiguousarray(indptr, dtype=np.intp)
+        indices = np.ascontiguousarray(indices, dtype=np.intp)
+        if indptr.shape != (self.n + 1,):
+            raise ValueError("indptr must have n + 1 entries")
+        if indptr[0] != 0:
+            raise ValueError("indptr must start at 0")
+        if indptr[-1] != indices.size:
+            raise ValueError("indptr must end at len(indices)")
+        if np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError("indptr must not decrease")
+        if indices.size and (indices.min() < 0 or indices.max() >= self.n):
+            raise ValueError("neighbour index out of range")
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        self.indptr = indptr
+        self.indices = indices
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "Adjacency":
@@ -176,7 +180,7 @@ class Adjacency:
             raise ValueError("diagonal must be zero")
         if not np.array_equal(dense, dense.T):
             raise ValueError("adjacency must be symmetric")
-        return cls(n, np.packbits(dense, axis=1, bitorder="little"))
+        return _from_pairs(n, *np.nonzero(dense))
 
     @classmethod
     def from_edges(cls, n: int, edges: np.ndarray) -> "Adjacency":
@@ -188,65 +192,69 @@ class Adjacency:
                 raise ValueError("self-loops are not allowed")
         return _from_pairs(n, edges[:, 0], edges[:, 1])
 
+    def _rows(self) -> np.ndarray:
+        """The node whose list holds each entry of ``indices``."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
     def dense(self) -> np.ndarray:
-        return np.unpackbits(self.packed, axis=1, count=self.n, bitorder="little").astype(bool)
+        out = np.zeros((self.n, self.n), dtype=bool)
+        out[self._rows(), self.indices] = True
+        return out
 
     def edges(self) -> np.ndarray:
         """Edge list as an (m, 2) array with i < j, row-major order."""
-        blocks = [np.empty((0, 2), dtype=np.intp)]
-        for i, j in _set_bits(self):
-            upper = j > i
-            blocks.append(np.column_stack([i[upper], j[upper]]))
-        return np.concatenate(blocks)
+        i = self._rows()
+        upper = self.indices > i
+        return np.column_stack([i[upper], self.indices[upper]])
 
     def degrees(self) -> np.ndarray:
-        # the bits past column n are zero (checked on construction)
-        return np.bitwise_count(self.packed).sum(axis=1)
+        return np.diff(self.indptr)
 
     def edge_count(self) -> int:
-        return int(np.bitwise_count(self.packed).sum()) // 2
+        return self.indices.size // 2
+
+    @property
+    def packed(self) -> np.ndarray:
+        """The rows as packed bits (little bit order), eight columns per byte.
+
+        Derived on each read, for ``perfbench/tracing.py``, which counts
+        edges from it; nothing in the package reads it.
+        """
+        rows = np.zeros((self.n, (self.n + 7) // 8), dtype=np.uint8)
+        bits = np.left_shift(np.uint8(1), (self.indices & 7).astype(np.uint8))
+        np.bitwise_or.at(rows, (self._rows(), self.indices >> 3), bits)
+        return rows
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Adjacency)
             and self.n == other.n
-            and np.array_equal(self.packed, other.packed)
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
         )
 
     def __repr__(self) -> str:
         return f"Adjacency(n={self.n}, edges={self.edge_count()})"
 
 
-def _set_bits(adj: Adjacency):
-    """Row and column indices of the set bits of ``adj`` in row-major order,
-    one block of whole rows (about ``_UNPACK_BITS`` bits) at a time: the set
-    bytes of the packed rows, expanded through ``_BYTE_BITS``."""
-    n = adj.n
-    step = max(1, _UNPACK_BITS // max(n, 1))
-    for lo in range(0, n, step):
-        rows = adj.packed[lo : lo + step]
-        i, col = np.nonzero(rows)
-        byte, bit = np.nonzero(_BYTE_BITS[rows[i, col]])
-        i = i[byte]
-        i += lo
-        j = col[byte] << 3
-        j += bit
-        yield i, j
-
-
-def _or_bits(out: np.ndarray, index, pos: np.ndarray) -> None:
-    """Set bit ``pos % 8`` (little bit order) of each byte ``out[index]``."""
-    np.bitwise_or.at(out, index, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
-
-
 def _from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> Adjacency:
-    """Adjacency linking ``i[k]`` and ``j[k]`` for every k, set straight into
-    the packed rows.  Endpoints must be distinct and in range; a pair may
-    repeat or come in either orientation."""
-    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    _or_bits(packed, (i, j >> 3), j)
-    _or_bits(packed, (j, i >> 3), i)
-    return Adjacency(n, packed)
+    """Adjacency linking ``i[k]`` and ``j[k]`` for every k.  Endpoints must be
+    distinct and in range; a pair may repeat or come in either orientation.
+
+    The keys ``v * n + w`` of both orientations, sorted with repeats dropped,
+    are the neighbour lists in row-major order.
+    """
+    m = len(i)
+    # intp keys: the int32 neighbours of a KnnAdjacency overflow above n = 46 341
+    keys = np.empty(2 * m, dtype=np.intp)
+    for half, v, w in ((keys[:m], i, j), (keys[m:], j, i)):
+        np.multiply(v, n, out=half, dtype=np.intp)
+        half += w
+    keys.sort()
+    # keep the first key (keys are >= 0) and each key unlike the one before it
+    keys = keys[np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1]])]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return Adjacency(n, indptr, np.remainder(keys, n, out=keys))
 
 
 def _pair_distances(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -109,9 +109,8 @@ class TestBinaryFormats:
             # packed bits in little bit order
             bits = adj.dense()[np.triu_indices(n, 1)]
             want = b"LGA1" + struct.pack("<Q", n) + np.packbits(bits, bitorder="little").tobytes()
-            # one block, then one row per unpacked block and one byte per read block
-            for unpack_bits, entries in ((1 << 20, 1 << 16), (1, 8)):
-                monkeypatch.setattr(linkgraph, "_UNPACK_BITS", unpack_bits)
+            # one read block, then one byte per read block
+            for entries in (1 << 16, 8):
                 monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", entries)
                 fileio.write_adjacency_binary(path, adj)
                 assert path.read_bytes() == want

@@ -273,6 +273,17 @@ class TestSymmetrize:
         assert np.array_equal(dense, dense.T)
         assert Adjacency.from_dense(dense | dense.T) == adj
 
+    def test_keys_past_int32_at_large_n(self):
+        # out_neighbors are int32; the pair keys v * n + w of the last rows pass 2**31
+        n = 50_000
+        v = np.arange(n)
+        nb = np.sort(np.column_stack([(v + 1) % n, (v + n // 2 + 3) % n]), axis=1)
+        knn = KnnAdjacency(n, 2, nb.astype(np.int32))
+        pairs = np.column_stack([np.repeat(v, 2), nb.ravel()]).astype(np.int64)
+        adj = symmetrize_union(knn)
+        assert adj == Adjacency.from_edges(n, pairs)
+        assert adj.edge_count() == 2 * n
+
     def test_union_equals_dense_or_oracle(self):
         cfg = sample_uniform(rectangle(2, 1), 50, seed=5)
         knn = knn_graph(cfg, 5)
@@ -381,10 +392,8 @@ class TestAdjacency:
         adj = Adjacency.from_edges(4, [[0, 1], [0, 2], [0, 3]])
         assert adj.degrees().tolist() == [3, 1, 1, 1]
 
-    @pytest.mark.parametrize("bits", [1, 20, 1 << 20])
     @pytest.mark.parametrize("n, p", [(1, 0.3), (7, 0.3), (8, 0.3), (9, 0.3), (70, 0.3), (40, 0.0)])
-    def test_edges_match_dense_reference(self, monkeypatch, n, p, bits):
-        monkeypatch.setattr(linkgraph, "_UNPACK_BITS", bits)  # blocks of one or more rows
+    def test_edges_match_dense_reference(self, n, p):
         adj = random_graph(n, p, seed=n)
         i, j = np.nonzero(np.triu(adj.dense(), 1))
         want = np.column_stack([i, j])
@@ -392,25 +401,29 @@ class TestAdjacency:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("bits", [1, 20, 1 << 20])
-    @pytest.mark.parametrize("n, p", [(1, 0.3), (7, 0.3), (8, 0.3), (9, 0.3), (70, 0.3), (40, 0.0)])
-    def test_set_bits_match_dense_unpack(self, monkeypatch, n, p, bits):
-        monkeypatch.setattr(linkgraph, "_UNPACK_BITS", bits)  # blocks of one or more rows
-        adj = random_graph(n, p, seed=n)
-        step = max(1, bits // n)
-        blocks = list(linkgraph._set_bits(adj))
-        assert len(blocks) == -(-n // step)
-        for lo, (i, j) in zip(range(0, n, step), blocks):
-            rows = np.unpackbits(adj.packed[lo : lo + step], axis=1, count=n, bitorder="little")
-            want_i, want_j = np.nonzero(rows)
-            assert i.dtype == want_i.dtype and j.dtype == want_j.dtype
-            assert np.array_equal(i, want_i + lo) and np.array_equal(j, want_j)
+    @pytest.mark.parametrize("n", [1, 9, 70])
+    def test_lists_from_repeated_shuffled_pairs(self, n):
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.random((n, n)) < 0.3, 1)
+        i, j = np.nonzero(upper)
+        pairs = np.concatenate([np.column_stack([i, j]), np.column_stack([j, i]),
+                                np.column_stack([i, j])])
+        adj = Adjacency.from_edges(n, rng.permutation(pairs))
+        dense = upper | upper.T
+        for v in range(n):
+            got = adj.indices[adj.indptr[v] : adj.indptr[v + 1]]
+            assert got.tolist() == np.flatnonzero(dense[v]).tolist()
 
-    def test_padding_bits_are_rejected(self):
-        packed = np.zeros((9, 2), dtype=np.uint8)
-        packed[0, 1] = 0b10  # column 9 of a 9-node graph
-        with pytest.raises(ValueError, match="past column n"):
-            Adjacency(9, packed)
+    @pytest.mark.parametrize("n, indptr, indices, match", [
+        (2, [0, 1], [1, 0], "n \\+ 1 entries"),
+        (2, [1, 1, 2], [1, 0], "start at 0"),
+        (2, [0, 1, 1], [1, 0], "end at len"),
+        (3, [0, 2, 1, 2], [1, 0], "decrease"),
+        (2, [0, 1, 2], [1, 2], "out of range"),
+    ], ids=["length", "start", "end", "decreasing", "index-range"])
+    def test_constructor_rejects_malformed_lists(self, n, indptr, indices, match):
+        with pytest.raises(ValueError, match=match):
+            Adjacency(n, np.array(indptr), np.array(indices))
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 70])
     def test_degrees_and_edge_count_match_dense(self, n):
@@ -562,3 +575,15 @@ class TestGraphConstructionMemory:
     def test_indicator_graph(self):
         cfg = sample_uniform(rectangle(2, 1), 4000, seed=1)
         assert self.peak_mb(lambda: generate_graph(cfg, Indicator(0.05), 0)) < self.LIMIT_MB
+
+    def test_path_lists_grow_with_edges_not_with_n_squared(self):
+        # packed rows of a 30 000-node graph alone would take 107 MB
+        n = 30_000
+        path = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+
+        def build_and_read():
+            adj = Adjacency.from_edges(n, path)
+            assert adj.edges().shape == (n - 1, 2)
+            assert adj.degrees().sum() == 2 * (n - 1)
+
+        assert self.peak_mb(build_and_read) < self.LIMIT_MB

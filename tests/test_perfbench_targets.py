@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 
 import latentgraph
+from tests.conftest import random_graph
 
 
 def load_tracing():
@@ -27,3 +28,17 @@ def test_every_traced_target_resolves():
     for attr in latentgraph.fileio.__all__:
         assert callable(getattr(latentgraph.fileio, attr, None)), f"fileio.{attr}"
 
+
+
+def test_traced_edge_count_reads_the_packed_rows():
+    # the tracer sizes graph spans from Adjacency.packed, not from edge_count
+    tracing = load_tracing()
+    config = latentgraph.sample_uniform(latentgraph.rectangle(2.0, 1.0), 300, 4)
+    graphs = [
+        latentgraph.generate_graph(config, latentgraph.Indicator(0.15), 0),
+        random_graph(43, 0.3, seed=2),  # 43 columns: the last byte is padded
+        latentgraph.Adjacency.from_edges(1, []),
+    ]
+    for adj in graphs:
+        assert tracing._edge_count(adj) == adj.edge_count()
+    assert graphs[0].edge_count() > 0 and graphs[1].edge_count() > 0
