@@ -392,10 +392,19 @@ class TestAdjacency:
         adj = Adjacency.from_edges(4, [[0, 1], [0, 2], [0, 3]])
         assert adj.degrees().tolist() == [3, 1, 1, 1]
 
+    @pytest.mark.parametrize("bits", [1, 20, 1 << 20])
     @pytest.mark.parametrize("n, p", [(1, 0.3), (7, 0.3), (8, 0.3), (9, 0.3), (70, 0.3), (40, 0.0)])
-    def test_edges_match_dense_reference(self, n, p):
+    def test_edges_match_dense_reference(self, n, p, bits):
         adj = random_graph(n, p, seed=n)
-        i, j = np.nonzero(np.triu(adj.dense(), 1))
+        # reference: the packed rows, unpacked in blocks of one, a few or all rows
+        step = max(1, bits // n)
+        packed = adj.packed
+        dense = np.concatenate([
+            np.unpackbits(packed[lo : lo + step], axis=1, count=n, bitorder="little")
+            for lo in range(0, n, step)
+        ]).astype(bool)
+        assert np.array_equal(dense, adj.dense())
+        i, j = np.nonzero(np.triu(dense, 1))
         want = np.column_stack([i, j])
         got = adj.edges()
         assert got.dtype == want.dtype and got.shape == want.shape
