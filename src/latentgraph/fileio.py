@@ -1,7 +1,9 @@
 """On-disk formats.
 
-Points travel as CSV with header ``x0,x1,...`` and shortest round-trip
-decimal floats.  Adjacency has a text edge-list form (``n=<count>`` header,
+Every CSV table goes through ``write_csv``: an optional header line, then
+rows of Python scalars joined by commas, so each float is written as its
+shortest round-trip decimal.  Points travel as CSV with header
+``x0,x1,...``.  Adjacency has a text edge-list form (``n=<count>`` header,
 then ``i j`` lines, 0-based, i < j, each pair once) and a binary form: magic
 ``LGA1``, u64 little-endian node count, then the strict upper triangle
 row-major as packed bits (little bit order) with zero bits padding the last
@@ -34,6 +36,7 @@ __all__ = [
     "read_matrix_csv",
     "read_points_csv",
     "write_adjacency_binary",
+    "write_csv",
     "write_edge_list",
     "write_hops_binary",
     "write_manifest",
@@ -52,16 +55,19 @@ _MAGIC_DEN = b"LGD1"
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def write_csv(path: str | Path, header: str | None, rows) -> None:
+    """Write the ``header`` line (none when it is None), then each row of
+    Python scalars joined by commas; ``str`` of a Python float is its
+    shortest round-trip decimal.  The rows are streamed, not collected."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_points_csv(path: str | Path, points: np.ndarray) -> None:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    cols = ",".join(f"x{k}" for k in range(pts.shape[1]))
-    lines = [cols]
-    lines.extend(",".join(_fmt(x) for x in row) for row in pts)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ",".join(f"x{k}" for k in range(pts.shape[1])), pts.tolist())
 
 
 def read_points_csv(path: str | Path) -> np.ndarray:
@@ -71,40 +77,19 @@ def read_points_csv(path: str | Path) -> np.ndarray:
     return np.array([[float(v) for v in line.split(",")] for line in text[1:]])
 
 
-def _decimal_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """ASCII decimal digits of the node ids 0..n-1, one left-aligned row per
-    id, and the number of digits of each."""
-    ids = np.arange(n)
-    width = np.ones(n, dtype=np.intp)
-    power = 10
-    while power < n:
-        width += ids >= power
-        power *= 10
-    digits = np.zeros((n, int(width.max(initial=1))), dtype=np.uint8)
-    for k in range(digits.shape[1]):
-        place = width - 1 - k  # the power of ten that digit k stands for
-        has = place >= 0
-        digits[has, k] = ord("0") + ids[has] // 10 ** place[has] % 10
-    return digits, width
-
-
 def write_edge_list(path: str | Path, adj: Adjacency) -> None:
     i, j = adj.edges().T
-    digits, width = _decimal_table(adj.n)
-    # one "i j\n" line per edge, each placed after the lines before it
-    length = width[i] + width[j] + 2
-    ends = np.cumsum(length)
-    starts = ends - length
-    text = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
-    for node, at in ((i, starts), (j, starts + width[i] + 1)):
-        for k in range(digits.shape[1]):
-            has = width[node] > k
-            text[at[has] + k] = digits[node[has], k]
-    text[starts + width[i]] = ord(" ")
-    text[ends - 1] = ord("\n")
+    # the ASCII digits of each node id, padded with NUL bytes to a common width
+    w = len(str(adj.n - 1))
+    digits = np.arange(adj.n).astype(f"S{w}").view(np.uint8).reshape(adj.n, w)
+    text = np.zeros((i.size, 2 * w + 2), dtype=np.uint8)
+    text[:, :w] = digits[i]
+    text[:, w] = ord(" ")
+    text[:, w + 1 : -1] = digits[j]
+    text[:, -1] = ord("\n")
     with open(path, "wb") as fh:
         fh.write(f"n={adj.n}\n".encode("ascii"))
-        fh.write(text)
+        fh.write(text[text != 0].tobytes())
 
 
 def read_edge_list(path: str | Path) -> Adjacency:
@@ -123,10 +108,10 @@ def read_edge_list(path: str | Path) -> Adjacency:
     i, j = edges[:, 0], edges[:, 1]
     if not ((0 <= i) & (i < j) & (j < n)).all():
         raise ValueError(f"{path}: every edge must satisfy 0 <= i < j < n={n}")
-    keys = np.sort(i * n + j)
-    if (keys[1:] == keys[:-1]).any():
+    adj = Adjacency.from_edges(n, edges)
+    if adj.edge_count() != len(edges):
         raise ValueError(f"{path}: repeated edge")
-    return Adjacency.from_edges(n, edges)
+    return adj
 
 
 def _read_binary(path: str | Path, magic: bytes, payload_bytes) -> tuple[int, memoryview]:
@@ -145,6 +130,15 @@ def _read_binary(path: str | Path, magic: bytes, payload_bytes) -> tuple[int, me
     return n, memoryview(raw)[12:]
 
 
+def _write_binary(path: str | Path, magic: bytes, n: int, chunks) -> None:
+    """``magic``, the u64 little-endian node count ``n``, then each buffer of
+    ``chunks`` in turn: the layout ``_read_binary`` reads."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<Q", n))
+        fh.writelines(chunks)
+
+
 def _upper_offsets(n: int) -> np.ndarray:
     """Position in the ``LGA1`` bit stream of row i's first upper bit, (i, i+1)."""
     i = np.arange(n, dtype=np.int64)
@@ -158,10 +152,7 @@ def write_adjacency_binary(path: str | Path, adj: Adjacency) -> None:
     # bit pos % 8 (little bit order) of byte pos // 8, at each edge's stream position
     pos = _upper_offsets(n)[i] + (j - i - 1)
     np.bitwise_or.at(payload, pos >> 3, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_ADJ)
-        fh.write(struct.pack("<Q", n))
-        fh.write(payload)
+    _write_binary(path, _MAGIC_ADJ, n, [payload])
 
 
 def read_adjacency_binary(path: str | Path) -> Adjacency:
@@ -182,11 +173,8 @@ def read_adjacency_binary(path: str | Path) -> Adjacency:
 
 
 def write_hops_binary(path: str | Path, hops: HopMatrix) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_HOP)
-        fh.write(struct.pack("<Q", hops.n))
-        # the array's own buffer when it is already little-endian and C-ordered
-        fh.write(np.ascontiguousarray(hops.hops, dtype="<u2"))
+    # the array's own buffer when it is already little-endian and C-ordered
+    _write_binary(path, _MAGIC_HOP, hops.n, [np.ascontiguousarray(hops.hops, dtype="<u2")])
 
 
 def read_hops_binary(path: str | Path) -> HopMatrix:
@@ -210,10 +198,7 @@ def write_matrix_binary(path: str | Path, values: np.ndarray) -> None:
     shape = np.shape(values)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("matrix must be square")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_DEN)
-        fh.write(struct.pack("<Q", shape[0]))
-        fh.writelines(_file_rows(values))
+    _write_binary(path, _MAGIC_DEN, shape[0], _file_rows(values))
 
 
 def read_matrix_binary(path: str | Path) -> np.ndarray:
@@ -222,9 +207,7 @@ def read_matrix_binary(path: str | Path) -> np.ndarray:
 
 
 def write_matrix_csv(path: str | Path, values: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for block in _file_rows(values):
-            fh.write("".join(",".join(_fmt(x) for x in row) + "\n" for row in block))
+    write_csv(path, None, (row for block in _file_rows(values) for row in block.tolist()))
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
@@ -233,15 +216,12 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
 
 
 def write_stress_trace(path: str | Path, trace) -> None:
-    lines = ["iter,stress"]
-    lines.extend(f"{k},{_fmt(s)}" for k, s in enumerate(trace))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, "iter,stress", ((k, float(s)) for k, s in enumerate(trace)))
 
 
 def write_mvu_trace(path: str | Path, trace) -> None:
-    lines = ["stage,iter,objective,max_violation"]
-    lines.extend(f"{row[0]},{row[1]},{_fmt(row[2])},{_fmt(row[3])}" for row in trace)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, "stage,iter,objective,max_violation",
+              ((row[0], row[1], float(row[2]), float(row[3])) for row in trace))
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:

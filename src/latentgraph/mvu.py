@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial.distance import pdist
 
-from .embed import classical_mds
+from .embed import _pair_distances, classical_mds
 from .hopdist import INF_HOPS, HopMatrix, _pair_blocks, all_pairs_hops
 from .linkgraph import Adjacency
 
@@ -54,14 +54,9 @@ def _spread(x: np.ndarray) -> float:
     return float(n * (x ** 2).sum() - (x.sum(axis=0) ** 2).sum())
 
 
-def _edge_lengths(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x[a] - x[b], axis=1)
-
-
 def _evaluate(x: np.ndarray, a: np.ndarray, b: np.ndarray, mu: float):
     # penalized objective with the spread and edge terms it was computed from
-    diff = x[a] - x[b]
-    lengths = np.linalg.norm(diff, axis=1)
+    diff, lengths = _pair_distances(x, a, b)
     excess = np.maximum(lengths - 1.0, 0.0)
     spread = _spread(x)
     return spread - mu * float((excess ** 2).sum()), spread, diff, lengths, excess
@@ -103,7 +98,7 @@ def solve_mvu(
     rng = np.random.default_rng(seed)
     x = x + 1e-3 * np.sqrt((x ** 2).mean()) * rng.standard_normal(x.shape)
     x -= x.mean(axis=0)
-    ml = _edge_lengths(x, a, b).max()
+    ml = _pair_distances(x, a, b)[1].max()
     if ml > 1.0:
         x /= ml
 
@@ -147,7 +142,7 @@ def solve_mvu(
     if ml > 1.0:
         x = x / ml
         x -= x.mean(axis=0)
-    violation = float(np.maximum(_edge_lengths(x, a, b) - 1.0, 0.0).max(initial=0.0))
+    violation = float(np.maximum(_pair_distances(x, a, b)[1] - 1.0, 0.0).max(initial=0.0))
     return MvuSolution(
         coords=x,
         objective=_spread(x),

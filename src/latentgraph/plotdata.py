@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import read_manifest, read_points_csv
+from .fileio import read_manifest, read_points_csv, write_csv
 
 __all__ = ["emit_plotdata", "svg_paths", "svg_scatter", "write_scatter_csv"]
 
@@ -22,20 +22,19 @@ _MARKER_RADIUS = 0.25
 
 def write_scatter_csv(path: str | Path, series: dict[str, np.ndarray]) -> None:
     """Stacked 2-d scatter series as ``series,x,y`` rows."""
-    lines = ["series,x,y"]
-    for name, pts in series.items():
-        pts = np.atleast_2d(pts)
-        _require_points(pts)
-        for row in pts:
-            lines.append(f"{name},{row[0]!r},{row[1]!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    clouds = {name: _points(pts) for name, pts in series.items()}
+    write_csv(path, "series,x,y",
+              ([name, x, y] for name, pts in clouds.items() for x, y in pts.tolist()))
 
 
-def _require_points(pts: np.ndarray) -> None:
+def _points(pts) -> np.ndarray:
+    """The first two coordinates of a non-empty n-by-2 or wider array, as float64."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     if pts.size == 0:
         raise ValueError("empty point set")
     if pts.ndim != 2 or pts.shape[1] < 2:
         raise ValueError("need an n-by-2 coordinate array")
+    return pts[:, :2]
 
 
 def svg_scatter(path: str | Path, series: dict[str, np.ndarray]) -> None:
@@ -46,11 +45,7 @@ def svg_scatter(path: str | Path, series: dict[str, np.ndarray]) -> None:
     """
     if not series:
         raise ValueError("no series to render")
-    clouds = {}
-    for name, pts in series.items():
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        _require_points(pts)
-        clouds[name] = pts[:, :2]
+    clouds = {name: _points(pts) for name, pts in series.items()}
     spans = {k: p.max(axis=0) - p.min(axis=0) for k, p in clouds.items()}
     unit = max(max(s[0], s[1]) for s in spans.values())
     rad = _MARKER_RADIUS * unit / 100.0
@@ -84,8 +79,7 @@ def svg_scatter(path: str | Path, series: dict[str, np.ndarray]) -> None:
 
 def svg_paths(path: str | Path, cloud: np.ndarray, polylines: dict[str, np.ndarray]) -> None:
     """One panel: a point cloud with highlighted polylines over it."""
-    cloud = np.atleast_2d(np.asarray(cloud, dtype=np.float64))[:, :2]
-    _require_points(cloud)
+    cloud = _points(cloud)
     span = cloud.max(axis=0) - cloud.min(axis=0)
     rad = max(span[0], span[1]) / 400.0
     lo = cloud.min(axis=0) - 2 * rad
@@ -137,6 +131,8 @@ def emit_plotdata(result_dir: str | Path) -> list[Path]:
             continue
         group = key.rsplit(".", 1)[0]
         groups.setdefault(group, {})[Path(str(value)).stem] = pts
+    if truth is not None and not groups:
+        groups["truth"] = {}  # a result with no recovered points still plots its truth
     written = []
     for group, series in groups.items():
         if truth is not None:
@@ -144,11 +140,6 @@ def emit_plotdata(result_dir: str | Path) -> list[Path]:
         base = result_dir / group.replace(".", "_")
         write_scatter_csv(base.with_suffix(".scatter.csv"), series)
         svg_scatter(base.with_suffix(".svg"), series)
-        written.extend([base.with_suffix(".scatter.csv"), base.with_suffix(".svg")])
-    if truth is not None and not groups:
-        base = result_dir / "truth"
-        write_scatter_csv(base.with_suffix(".scatter.csv"), {"truth": truth})
-        svg_scatter(base.with_suffix(".svg"), {"truth": truth})
         written.extend([base.with_suffix(".scatter.csv"), base.with_suffix(".svg")])
     if not written:
         raise ValueError(f"{manifest_path}: no point files referenced")

@@ -25,7 +25,7 @@ from scipy.spatial import ConvexHull
 
 from . import fileio
 from .cities import ingest_cities
-from .embed import EmbeddingResult, classical_mds, localize, procrustes_align, smacof
+from .embed import EmbeddingResult, ProcrustesResult, classical_mds, localize, procrustes_align, smacof
 from .geometry import (
     Box,
     CoverageBracket,
@@ -98,6 +98,19 @@ def _eps(config: PointConfig) -> CoverageBracket:
     return coverage_radius(config, "convex_hull", float(span.max() / 400.0))
 
 
+def _write_aligned(coords: np.ndarray, truth_pts: np.ndarray, out: Path, tag: str,
+                   man: dict) -> ProcrustesResult:
+    """Align ``coords`` to ``truth_pts``; write ``<tag>_recovered.csv`` and
+    ``<tag>_aligned.csv`` and record them with the fit's error."""
+    fit = procrustes_align(coords, truth_pts)
+    for kind, pts in (("recovered", coords), ("aligned", fit.aligned)):
+        name = f"{tag}_{kind}.csv"
+        fileio.write_points_csv(out / name, pts)
+        man[f"{tag}.{kind}.points_file"] = name
+    man[f"{tag}.rmse_aligned"] = fit.rmse
+    return fit
+
+
 def _embed_and_align(config: PointConfig, est: EstimateMatrix, keep: np.ndarray,
                      out: Path, tag: str, man: dict) -> EmbeddingResult | None:
     man[f"{tag}.n_embedded"] = int(keep.size)
@@ -109,15 +122,7 @@ def _embed_and_align(config: PointConfig, est: EstimateMatrix, keep: np.ndarray,
     truth_pts = config.points[keep]
     if config.dim == 1:
         truth_pts = np.column_stack([truth_pts[:, 0], np.zeros(keep.size)])
-    fit = procrustes_align(emb.coords, truth_pts)
-    rec_name = f"{tag}_recovered.csv"
-    ali_name = f"{tag}_aligned.csv"
-    fileio.write_points_csv(out / rec_name, emb.coords)
-    fileio.write_points_csv(out / ali_name, fit.aligned)
-    man[f"{tag}.recovered.points_file"] = rec_name
-    man[f"{tag}.aligned.points_file"] = ali_name
-    man[f"{tag}.rmse_aligned"] = fit.rmse
-    man[f"{tag}.procrustes_scale"] = fit.scale
+    man[f"{tag}.procrustes_scale"] = _write_aligned(emb.coords, truth_pts, out, tag, man).scale
     return emb
 
 
@@ -269,8 +274,7 @@ def _run_knn_paths(seed: int, out: Path, n: int, man: dict, **_) -> None:
         "near": (np.array([1.8, 0.5]), np.array([2.2, 0.5])),
         "far": (np.array([0.2, 0.5]), np.array([3.8, 0.5])),
     }
-    polylines = {}
-    lines = ["path,step,x,y"]
+    polylines, rows = {}, []
     for name, (a, b) in anchors.items():
         src = int(np.linalg.norm(pts - a, axis=1).argmin())
         dst = int(np.linalg.norm(pts - b, axis=1).argmin())
@@ -279,9 +283,8 @@ def _run_knn_paths(seed: int, out: Path, n: int, man: dict, **_) -> None:
         polylines[name] = poly
         man[f"paths.{name}.hops"] = len(nodes) - 1
         man[f"paths.{name}.euclidean"] = float(np.linalg.norm(pts[src] - pts[dst]))
-        for k, (x, y) in enumerate(poly):
-            lines.append(f"{name},{k},{x!r},{y!r}")
-    (out / "paths.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.extend([name, k, x, y] for k, (x, y) in enumerate(poly.tolist()))
+    fileio.write_csv(out / "paths.csv", "path,step,x,y", rows)
     man["paths.file"] = "paths.csv"
     svg_paths(out / "paths.svg", pts, polylines)
     man["paths.svg"] = "paths.svg"
@@ -293,14 +296,15 @@ def _run_mds_discrete(seed: int, out: Path, n: int, man: dict, **_) -> None:
     config = sample_uniform(rectangle(2.0, 1.0), n, seed)
     _sample(config, out, man)
     hops = _indicator_variant(config, _eps(config), 0.5, seed, out, man).hops
-    h = hops.hops
-    # histogram of the pairs i < j, counted row by row
-    counts = np.zeros(int(h.max()) + 1, dtype=np.int64)
+    h, top = hops.hops, hops.max_finite()
+    # histogram of the connected pairs i < j, counted row by row
+    counts = np.zeros(top + 1, dtype=np.int64)
     for i in range(config.n - 1):
-        counts += np.bincount(h[i, i + 1 :], minlength=counts.size)
+        row = h[i, i + 1 :]
+        counts += np.bincount(row[row != INF_HOPS], minlength=counts.size)
     for v in np.flatnonzero(counts):
         man[f"hops.hist.{int(v)}"] = int(counts[v])
-    man["hops.max"] = hops.max_finite()
+    man["hops.max"] = top
 
 
 def _run_hole_local(seed: int, out: Path, n: int, man: dict, **_) -> None:
@@ -318,12 +322,8 @@ def _run_hole_local(seed: int, out: Path, n: int, man: dict, **_) -> None:
     # share of the n*n entries present, the zero diagonal included
     man["local.present_fraction"] = (2 * partial.i.size + partial.n) / partial.n ** 2
     result = smacof(partial, g.embedding.coords)
-    fit = procrustes_align(result.coords, config.points[keep])
-    fileio.write_points_csv(out / "local_recovered.csv", result.coords)
-    fileio.write_points_csv(out / "local_aligned.csv", fit.aligned)
+    _write_aligned(result.coords, config.points[keep], out, "local", man)
     fileio.write_stress_trace(out / "local_stress.csv", result.stress_trace)
-    man["local.recovered.points_file"] = "local_recovered.csv"
-    man["local.aligned.points_file"] = "local_aligned.csv"
     man["local.stress_file"] = "local_stress.csv"
     man["local.stress_final"] = result.stress
     man["local.iterations"] = result.iterations
@@ -331,7 +331,6 @@ def _run_hole_local(seed: int, out: Path, n: int, man: dict, **_) -> None:
     man["local.stress_monotone"] = bool(
         all(trace[k + 1] <= trace[k] * (1 + 1e-12) + 1e-9 for k in range(len(trace) - 1))
     )
-    man["local.rmse_aligned"] = fit.rmse
 
 
 _RUNNERS: dict[str, tuple[Callable, ExperimentPreset]] = {
@@ -376,10 +375,12 @@ def run_preset(
     if name not in _RUNNERS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(_RUNNERS)}")
     runner, preset = _RUNNERS[name]
+    n = preset.default_n if scale_n is None else int(scale_n)
+    if n < 1:
+        raise ValueError(f"scale_n must be a positive point count, got {n}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     man: dict = {"preset": name, "seed": int(seed)}
-    n = int(scale_n) if scale_n else preset.default_n
     runner(seed, out, n, man, cities_file=cities_file)
     fileio.write_manifest(out / "manifest.json", man)
     return man

@@ -33,6 +33,25 @@ class TestPointsCsv:
             fileio.read_points_csv(path)
 
 
+class TestWriteCsv:
+    def test_header_then_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        fileio.write_csv(path, "name,k,x", [["a", 1, 1 / 3], ("b", -2, 0.1)])
+        assert path.read_text() == "name,k,x\na,1,0.3333333333333333\nb,-2,0.1\n"
+
+    def test_no_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        fileio.write_csv(path, None, iter([[1.5, 2.0], [3.0, -0.0]]))
+        assert path.read_text() == "1.5,2.0\n3.0,-0.0\n"
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        fileio.write_csv(path, "x0,x1", [])
+        assert path.read_text() == "x0,x1\n"
+        fileio.write_csv(path, None, [])
+        assert path.read_bytes() == b""
+
+
 class TestEdgeList:
     def test_roundtrip(self, tmp_path):
         adj = random_graph(30, 0.2, seed=1)

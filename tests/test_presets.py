@@ -142,6 +142,28 @@ class TestPresets:
         assert text.splitlines()[0] == "path,step,x,y"
         assert man["paths.far.hops"] >= man["paths.near.hops"]
         assert "<polyline" in (out / "paths.svg").read_text()
+        xy = np.loadtxt(out / "paths.csv", delimiter=",", skiprows=1, usecols=(2, 3))
+        names = np.loadtxt(out / "paths.csv", delimiter=",", skiprows=1, usecols=0, dtype=str)
+        assert len(xy) == man["paths.near.hops"] + man["paths.far.hops"] + 2
+        assert set(names) == {"near", "far"}
+        truth = fileio.read_points_csv(out / man["truth.points_file"])
+        # each path vertex is a sample point, bit for bit
+        assert (truth[None, :, :] == xy[:, None, :]).all(axis=2).any(axis=1).all()
+
+    def test_mds_discrete_histogram_counts_connected_pairs_only(self, tmp_path):
+        _, man = run_small("mds-discrete", tmp_path, seed=0, scale_n=8)
+        assert man["r0.5.components"] > 1
+        assert "hops.hist.65535" not in man
+        hist = {k: v for k, v in man.items() if k.startswith("hops.hist.")}
+        assert sum(hist.values()) == man["r0.5.bound.pairs_connected"]
+        assert max(int(k.rsplit(".", 1)[1]) for k in hist) == man["hops.max"]
+
+    def test_scale_n_zero_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="scale_n"):
+            run_preset("hole", seed=0, out_dir=tmp_path, scale_n=0)
+        assert cli_main(["--out", str(tmp_path / "p"), "preset", "run", "hole",
+                         "--scale-n", "0"]) == 2
+        assert not (tmp_path / "p" / "truth.csv").exists()
 
 
 class TestPlotData:
@@ -166,6 +188,28 @@ class TestPlotData:
         written = emit_plotdata(out)
         assert any(p.suffix == ".svg" for p in written)
         assert any(p.name.endswith(".scatter.csv") for p in written)
+
+    def test_scatter_csv_rejects_a_bad_series_before_writing(self, tmp_path):
+        square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+        path = tmp_path / "bad.csv"
+        for bad in (np.empty((0, 2)), np.zeros((3, 1))):
+            with pytest.raises(ValueError):
+                write_scatter_csv(path, {"truth": square, "bad": bad})
+            assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["rectangles", "knn-paths"])
+    def test_emitted_scatter_csv_parses_with_truth_rows(self, tmp_path, name):
+        # rectangles plots one group per recovered point file, knn-paths its truth alone
+        out, man = run_small(name, tmp_path, scale_n=300)
+        truth = fileio.read_points_csv(out / man["truth.points_file"])
+        scatters = [p for p in emit_plotdata(out) if p.name.endswith(".scatter.csv")]
+        point_files = sum(key.endswith("points_file") for key in man)
+        assert len(scatters) == (point_files - 1 if name == "rectangles" else 1)
+        for path in scatters:
+            assert path.read_text().splitlines()[0] == "series,x,y"
+            xy = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2))
+            series = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0, dtype=str)
+            assert np.array_equal(xy[series == "truth"], truth)
 
     def test_emit_plotdata_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
