@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .hopdist import HopMatrix
 
@@ -66,8 +66,8 @@ def classical_mds(d: np.ndarray, v: int) -> EmbeddingResult:
     centered and symmetrized in place, a strip of rows at a time, so the
     function holds one n-by-n float64 beside its input (a uint16 hop matrix
     is squared straight into it); the input is never written.  Lanczos
-    (``eigsh``) takes the top eigenpairs at every size; the dense ``eigh``
-    runs only when ``v >= n - 1``, where ``eigsh`` cannot.
+    (``eigsh``) takes the top eigenpairs at every size; ``eigh`` runs only when
+    ``v >= n - 1``, where ``eigsh`` cannot, or when ARPACK fails.
     """
     d = np.asarray(d)
     n = d.shape[0]
@@ -94,13 +94,15 @@ def classical_mds(d: np.ndarray, v: int) -> EmbeddingResult:
         raise ValueError(_NO_SPECTRUM)
     if v >= n - 1:
         w, u = eigh(b)
-        order = np.argsort(w)[::-1][:v]
     else:
         # fixed start vector, and a fixed generator for the restarts ARPACK
         # draws when its Krylov space closes early: deterministic either way
         v0 = np.full(n, 1.0 / np.sqrt(n))
-        w, u = eigsh(b, k=v, which="LA", v0=v0, rng=0)
-        order = np.argsort(w)[::-1]
+        try:
+            w, u = eigsh(b, k=v, which="LA", v0=v0, rng=0)
+        except ArpackError:
+            w, u = eigh(b)  # centering maps v0 to 0; a 4-node hop matrix fails restarts too
+    order = np.argsort(w)[::-1][:v]
     lam, u = w[order], u[:, order]
     if np.all(lam <= 0):
         raise ValueError(_NO_SPECTRUM)

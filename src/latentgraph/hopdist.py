@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import reverse_cuthill_mckee, shortest_path
 from scipy.spatial.distance import cdist
 
 from .geometry import PointConfig, boundary_distances
@@ -129,8 +129,7 @@ class _Band(NamedTuple):
 
 def _band(adj: Adjacency) -> _Band:
     n = adj.n
-    lists = csr_matrix((np.ones(adj.indices.size, dtype=np.int8), adj.indices, adj.indptr),
-                       shape=(n, n))
+    lists = adj._csr()
     perm = reverse_cuthill_mckee(lists, symmetric_mode=True).astype(np.intp)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(n)
@@ -438,24 +437,18 @@ def monotone_path_check(config_1d: PointConfig, knn: KnnAdjacency) -> bool:
     """True when every connected pair of a one-dimensional neighbor graph is
     joined by a shortest path whose sorted coordinates strictly increase.
 
-    Verified constructively: hop distances restricted to the increasing DAG
-    (edges oriented by sorted position) must equal the unconstrained ones.
+    Verified constructively: BFS hop distances over the increasing DAG (edges
+    oriented by sorted position) must equal the unconstrained ones.
     """
     if config_1d.dim != 1:
         raise ValueError("configuration must be one-dimensional")
     adj = symmetrize_union(knn)
-    order = np.argsort(config_1d.points[:, 0], kind="stable")
-    w = adj.dense()[np.ix_(order, order)]
-    hops = all_pairs_hops(adj).hops[np.ix_(order, order)]
     n = adj.n
-    for a in range(n - 1):
-        dag = np.full(n, np.inf)
-        dag[a] = 0.0
-        for b in range(a + 1, n):
-            preds = np.flatnonzero(w[b, a:b]) + a
-            if preds.size:
-                dag[b] = dag[preds].min() + 1.0
-        row = hops[a, a + 1 :]
-        if not np.array_equal(np.where(row == INF_HOPS, np.inf, row), dag[a + 1 :]):
-            return False
-    return True
+    order = np.argsort(config_1d.points[:, 0], kind="stable")
+    rank = np.argsort(order)  # each node's sorted position
+    lo, hi = np.sort(rank[adj.edges()], axis=1).T
+    dag = csr_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n))
+    up = np.triu_indices(n, 1)
+    dag_hops = shortest_path(dag, directed=True, unweighted=True)[up]
+    hops = all_pairs_hops(adj).hops[np.ix_(order, order)][up]
+    return bool(np.array_equal(np.where(hops == INF_HOPS, np.inf, hops), dag_hops))

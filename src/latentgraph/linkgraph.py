@@ -11,7 +11,7 @@ n² distances: a k-d tree gives the pairs within a link's support and each
 point's nearest candidates, whose distances are then recomputed by
 ``cdist``'s formula, so every decision sees the same bits as
 ``pairwise_distances``.  Edge pairs are sorted straight into the neighbour
-lists of an ``Adjacency``; no graph builder forms an n×n array.
+lists of an ``Adjacency``; no builder, nor the denoiser, forms an n×n array.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -195,6 +196,11 @@ class Adjacency:
     def _rows(self) -> np.ndarray:
         """The node whose list holds each entry of ``indices``."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def _csr(self) -> csr_matrix:
+        # intp ones: scipy keeps the data type through A @ A, and int8 counts would wrap
+        ones = np.ones(self.indices.size, dtype=np.intp)
+        return csr_matrix((ones, self.indices, self.indptr), shape=(self.n, self.n))
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=bool)
@@ -472,13 +478,10 @@ def common_neighbor_denoise(adj: Adjacency, tau: float) -> Adjacency:
     """
     if not 0 < tau <= 1:
         raise ValueError("need 0 < tau <= 1")
-    w = adj.dense()
-    wf = w.astype(np.float32)  # counts stay below 2**24, exact in float32
-    common = (wf @ wf).astype(np.int64)
-    deg = w.sum(axis=1).astype(np.int64)
-    union = deg[:, None] + deg[None, :] - common
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(union > 0, common / np.maximum(union, 1), 0.0)
-    out = ratio >= tau
-    np.fill_diagonal(out, False)
-    return Adjacency.from_dense(out)
+    # a pair with no common neighbour has ratio 0 < tau: only the product's entries count
+    common = (adj._csr() @ adj._csr()).tocoo()
+    upper = common.row < common.col
+    i, j, nij = common.row[upper], common.col[upper], common.data[upper]
+    deg = adj.degrees()
+    keep = nij / (deg[i] + deg[j] - nij) >= tau
+    return _from_pairs(adj.n, i[keep], j[keep])

@@ -129,7 +129,7 @@ def emit_plotdata(result_dir: str | Path) -> list[Path]:
         if key == "truth.points_file":
             truth = pts
             continue
-        group = key.rsplit(".", 1)[0]
+        group = key.rsplit(".", 2)[0]  # "<tag>.<kind>.points_file" groups by tag
         groups.setdefault(group, {})[Path(str(value)).stem] = pts
     if truth is not None and not groups:
         groups["truth"] = {}  # a result with no recovered points still plots its truth

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
 
 from . import fileio
@@ -132,16 +133,12 @@ def _estimate(config: PointConfig, adj: Adjacency, r: float, eps: CoverageBracke
     """One graph's estimate at scale ``r``; ``check`` gives its bound report."""
     hops = all_pairs_hops(adj)
     est = scale_hops(hops, r)
-    # nodes share a component exactly when their hop distance is finite;
-    # label each node by the smallest index it reaches, one hop row per component
-    labels = np.full(hops.n, -1)
-    for node in range(hops.n):
-        if labels[node] < 0:
-            labels[hops.hops[node] != INF_HOPS] = node
-    uniq, counts = np.unique(labels, return_counts=True)
+    # scipy numbers the components in the order of their smallest node, so
+    # argmax gives a tie to the component with the smallest node index
+    components, labels = connected_components(adj._csr(), directed=False)
     man[f"{tag}.r"] = r
     man[f"{tag}.edge_count"] = adj.edge_count()
-    man[f"{tag}.components"] = int(uniq.size)
+    man[f"{tag}.components"] = int(components)
     man[f"{tag}.eps_lower"] = eps.lower
     man[f"{tag}.eps_upper"] = eps.upper
     man[f"{tag}.eps_over_r"] = eps.upper / r
@@ -149,7 +146,7 @@ def _estimate(config: PointConfig, adj: Adjacency, r: float, eps: CoverageBracke
     adj_name = f"{tag}_edges.txt"
     fileio.write_edge_list(out / adj_name, adj)
     man[f"{tag}.adjacency_file"] = adj_name
-    keep = np.flatnonzero(labels == uniq[counts.argmax()])
+    keep = np.flatnonzero(labels == np.bincount(labels).argmax())
     return _GraphEstimate(hops, est, keep, _embed_and_align(config, est, keep, out, tag, man))
 
 

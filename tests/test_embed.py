@@ -80,6 +80,12 @@ class TestClassicalMds:
         emb = classical_mds(truth, v=2)
         assert embedding_distance_error(emb.coords, truth) < 1e-9
 
+    def test_four_node_path_hops(self):
+        # centering maps ARPACK's start vector to zero: eigh takes over
+        truth = pairwise_distances(np.arange(4.0)[:, None])
+        emb = classical_mds(truth, v=2)
+        assert embedding_distance_error(emb.coords, truth) < 1e-9
+
     def test_rank_v_exact_recovery(self):
         rng = np.random.default_rng(3)
         pts = rng.random((30, 3))

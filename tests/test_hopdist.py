@@ -16,6 +16,7 @@ from latentgraph import (
     HopMatrix,
     INF_HOPS,
     Indicator,
+    KnnAdjacency,
     PointConfig,
     ScaledIndicator,
     all_pairs_hops,
@@ -608,6 +609,11 @@ class TestMonotonePaths:
             for b in range(a + 1, n):
                 if np.isfinite(h[a, b]):
                     assert increasing_paths_exist(a, b, int(h[a, b]))
+
+    def test_detects_a_path_that_must_turn_back(self):
+        # edges 0-2, 1-2 and 1-3: the only path from 0 to 3 goes back through 1
+        cfg = PointConfig(np.arange(4.0)[:, None], interval(3.0))
+        assert not monotone_path_check(cfg, KnnAdjacency(4, 1, [[2], [3], [1], [1]]))
 
     def test_requires_one_dimension(self):
         cfg = sample_uniform(rectangle(1, 1), 10, seed=0)

@@ -368,6 +368,12 @@ class TestCommonNeighborDenoise:
         tight = common_neighbor_denoise(adj, tau2)
         assert not (tight.dense() & ~loose.dense()).any()
 
+    def test_complete_graph_counts_do_not_wrap(self):
+        # every pair shares 198 neighbours: ratio 198 / 200, above tau
+        n = 200
+        adj = Adjacency.from_edges(n, np.column_stack(np.triu_indices(n, 1)))
+        assert common_neighbor_denoise(adj, 0.9) == adj
+
     def test_validation(self):
         adj = random_graph(10, 0.5, seed=0)
         with pytest.raises(ValueError):
@@ -584,6 +590,12 @@ class TestGraphConstructionMemory:
     def test_indicator_graph(self):
         cfg = sample_uniform(rectangle(2, 1), 4000, seed=1)
         assert self.peak_mb(lambda: generate_graph(cfg, Indicator(0.05), 0)) < self.LIMIT_MB
+
+    def test_denoise_of_a_two_level_graph(self):
+        # one n×n float32 is 61 MB; the cap is about half of it
+        cfg = sample_uniform(rectangle(2, 1), 4000, seed=1)
+        adj = generate_graph(cfg, TwoLevel(0.05, 0.9, 0.001), 0)
+        assert self.peak_mb(lambda: common_neighbor_denoise(adj, 0.3)) < 32.0
 
     def test_path_lists_grow_with_edges_not_with_n_squared(self):
         # packed rows of a 30 000-node graph alone would take 107 MB

@@ -6,7 +6,18 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from latentgraph import fileio, pairwise_distances, preset_names, presets, run_preset
+from latentgraph import (
+    Adjacency,
+    CoverageBracket,
+    check_simple_bound,
+    fileio,
+    pairwise_distances,
+    preset_names,
+    presets,
+    rectangle,
+    run_preset,
+    sample_uniform,
+)
 from latentgraph.cli import main as cli_main
 from latentgraph.plotdata import emit_plotdata, svg_scatter, write_scatter_csv
 from tests import reference_graphs
@@ -99,6 +110,24 @@ class TestPresets:
             assert man[f"{tag}.components"] == k
             assert man[f"{tag}.n_embedded"] == np.bincount(labels).max()
         assert max(counts) > 1  # the sparse graph has several
+
+    @pytest.mark.parametrize("edges, components, keep", [
+        # the larger of {0, 1} and {2, 3, 4}, beside the isolated 5, 6 and 7
+        ([[0, 1], [2, 3], [3, 4]], 5, [2, 3, 4]),
+        # a tie goes to the component holding the smallest node index
+        ([[1, 3], [3, 5], [5, 7], [0, 2], [2, 4], [4, 6]], 2, [0, 2, 4, 6]),
+    ])
+    def test_estimate_keeps_the_largest_component(self, tmp_path, edges, components, keep):
+        config = sample_uniform(rectangle(2, 1), 8, seed=0)
+        adj = Adjacency.from_edges(8, edges)
+        eps = CoverageBracket(0.1, 0.2)
+        man = {}
+        got = presets._estimate(config, adj, 0.5, eps,
+                                lambda est: check_simple_bound(est, config.points, eps.upper, 0.5),
+                                tmp_path, "g", man)
+        assert man["g.components"] == components
+        assert got.keep.tolist() == keep
+        assert man["g.n_embedded"] == len(keep)
 
     def test_seed_changes_output(self, tmp_path):
         _, man1 = run_small("hole", tmp_path, seed=3, sub="a")
@@ -199,17 +228,21 @@ class TestPlotData:
 
     @pytest.mark.parametrize("name", ["rectangles", "knn-paths"])
     def test_emitted_scatter_csv_parses_with_truth_rows(self, tmp_path, name):
-        # rectangles plots one group per recovered point file, knn-paths its truth alone
+        # rectangles plots one group per variant (its recovered and aligned
+        # point files together), knn-paths its truth alone
         out, man = run_small(name, tmp_path, scale_n=300)
         truth = fileio.read_points_csv(out / man["truth.points_file"])
         scatters = [p for p in emit_plotdata(out) if p.name.endswith(".scatter.csv")]
         point_files = sum(key.endswith("points_file") for key in man)
-        assert len(scatters) == (point_files - 1 if name == "rectangles" else 1)
+        assert len(scatters) == ((point_files - 1) // 2 if name == "rectangles" else 1)
         for path in scatters:
             assert path.read_text().splitlines()[0] == "series,x,y"
             xy = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2))
             series = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0, dtype=str)
             assert np.array_equal(xy[series == "truth"], truth)
+            if name == "rectangles":
+                kinds = {str(s).rsplit("_", 1)[-1] for s in series}
+                assert kinds == {"truth", "recovered", "aligned"}
 
     def test_emit_plotdata_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
