@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _NO_SPECTRUM = "no positive spectrum: dissimilarities carry no Euclidean part"
+# the error cho_solve raises on a non-finite input; smacof scans its inputs itself
+_NOT_FINITE = "array must not contain infs or NaNs"
 # rows per strip when classical scaling symmetrizes its matrix in place
 _SYM_ROWS = 64
 # SMACOF stops once an iteration lowers the stress by less than this fraction,
@@ -188,10 +190,25 @@ def localize(hops: HopMatrix, max_hops: int, r: float) -> PartialDissimilarity:
     return PartialDissimilarity(hops.n, i, j, r * hops.hops[i, j].astype(np.float64))
 
 
-def _pair_distances(x: np.ndarray, pi: np.ndarray, pj: np.ndarray):
-    """Differences ``x[pi] - x[pj]`` and their Euclidean lengths."""
-    diff = x[pi] - x[pj]
-    return diff, np.sqrt((diff * diff).sum(axis=1))
+def _pair_distances(xt: np.ndarray, pi: np.ndarray, pj: np.ndarray):
+    """Pair differences and their Euclidean lengths, coordinate-major.
+
+    ``xt`` is the transposed iterate, ``dim`` by ``n`` (contiguous when
+    ``x`` is in Fortran order, as ``cho_solve`` returns it; any layout
+    works).  Returns ``diff`` of shape ``(dim, P)``, ``diff[k] = xt[k, pi] -
+    xt[k, pj]``, and the lengths, whose squares are summed in coordinate
+    order before the square root.  That is the order of ``cdist``.  For
+    ``dim`` < 8 it is also bitwise the row sum of the row-major
+    ``x[pi] - x[pj]``, which numpy adds left to right below eight entries;
+    from eight on numpy keeps eight partial sums, and the two differ by
+    rounding.
+    """
+    diff = xt.take(pi, axis=1)
+    diff -= xt.take(pj, axis=1)
+    lengths = diff[0] * diff[0]
+    for d in diff[1:]:
+        lengths += d * d
+    return diff, np.sqrt(lengths, out=lengths)
 
 
 def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
@@ -202,25 +219,36 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     ``partial.i < partial.j`` only: each iterate's pair differences and
     distances are evaluated once and give both its stress and the next
     Guttman step, so an iteration costs O(present pairs); the one n-by-n
-    array is ``V + 1/n``, built from the pairs and factored once.  The
-    step's right-hand side ``B(x) x`` is summed from the pair terms
-    ``(delta_ij / dis_ij)(x_i - x_j)``, each at most ``delta_ij`` in size;
-    the dense form (row sums of the ratios times ``x_i`` minus the ratios
-    times ``x_j``) cancels catastrophically when two points nearly
-    coincide.  Stops after ``_SMACOF_MAX_ITER`` steps or when the relative
-    stress decrease falls below ``_SMACOF_REL_TOL``.
+    array is ``V + 1/n``, built from the pairs, factored once and scanned
+    for finiteness once (each right-hand side is scanned on every step and
+    raises the error ``cho_solve`` would).  The step's right-hand side
+    ``B(x) x`` is summed from the pair terms ``(delta_ij / dis_ij)(x_i -
+    x_j)``, each at most ``delta_ij`` in size; the dense form (row sums of
+    the ratios times ``x_i`` minus the ratios times ``x_j``) cancels
+    catastrophically when two points nearly coincide.
+
+    The iterate is read coordinate-major: ``cho_solve`` returns ``x`` in
+    Fortran order, so ``x.T`` is contiguous; the pair differences are
+    ``(dim, P)`` arrays, and the right-hand side is one pair of ``bincount``
+    calls per coordinate, which sum each node's terms in pair order.  The
+    lengths sum their squares in coordinate order, bitwise the row-major row
+    sum below eight dimensions (see ``_pair_distances``).  Stops after
+    ``_SMACOF_MAX_ITER`` steps or when the relative stress decrease falls
+    below ``_SMACOF_REL_TOL``.
     """
     n = partial.n
     x = np.array(init, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != n:
         raise ValueError("init must be n-by-v")
+    if not np.isfinite(x).all():
+        raise ValueError("init must be finite")
     dim = x.shape[1]
     pi, pj, delta = partial.i, partial.j, partial.values
-    graph = csr_matrix((np.ones(pi.size), (pi, pj)), shape=(n, n))
-    if connected_components(graph, connection="weak", return_labels=False) != 1:
+    # unnamed, so the pair graph (12 bytes a pair) is freed before the iterations
+    parts = connected_components(csr_matrix((np.ones(pi.size), (pi, pj)), shape=(n, n)),
+                                 connection="weak", return_labels=False)
+    if parts != 1:
         raise ValueError("localization threshold too small: present pairs are disconnected")
-    bins_i = (pi[:, None] * dim + np.arange(dim)).ravel()
-    bins_j = (pj[:, None] * dim + np.arange(dim)).ravel()
     # Guttman step solves V x = B(x) x; V = Laplacian of the present-pair
     # graph, made definite by the rank-one centering term (solution stays
     # centered because B(x) x is orthogonal to the ones vector).  V + 1/n is
@@ -230,19 +258,25 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     vmat[pi, pj] = vmat[pj, pi] = 1.0 / n - 1.0
     vmat.flat[:: n + 1] = np.bincount(pi, minlength=n) + np.bincount(pj, minlength=n) + 1.0 / n
     factor = cho_factor(vmat.T, lower=True, overwrite_a=True)
+    if not np.isfinite(factor[0]).all():
+        raise ValueError(_NOT_FINITE)
 
     x = x - x.mean(axis=0)
-    diff, dis = _pair_distances(x, pi, pj)
+    diff, dis = _pair_distances(x.T, pi, pj)
     trace = [float(((dis - delta) ** 2).sum())]
     iterations = 0
+    bx = np.empty((dim, n))
     for it in range(1, _SMACOF_MAX_ITER + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(dis > 0, delta / dis, 0.0)
-        term = (ratio[:, None] * diff).ravel()
-        bx = np.bincount(bins_i, term, n * dim) - np.bincount(bins_j, term, n * dim)
-        x = cho_solve(factor, bx.reshape(n, dim))
+        for k in range(dim):
+            term = ratio * diff[k]
+            np.subtract(np.bincount(pi, term, n), np.bincount(pj, term, n), out=bx[k])
+        if not np.isfinite(bx).all():
+            raise ValueError(_NOT_FINITE)
+        x = cho_solve(factor, bx.T, check_finite=False)
         x = x - x.mean(axis=0)
-        diff, dis = _pair_distances(x, pi, pj)
+        diff, dis = _pair_distances(x.T, pi, pj)
         s = float(((dis - delta) ** 2).sum())
         trace.append(s)
         iterations = it

@@ -55,11 +55,12 @@ def _spread(x: np.ndarray) -> float:
 
 
 def _evaluate(x: np.ndarray, a: np.ndarray, b: np.ndarray, mu: float):
-    # penalized objective with the spread and edge terms it was computed from
-    diff, lengths = _pair_distances(x, a, b)
+    # penalized objective with the spread and edge terms it was computed from;
+    # the differences come back edge-major, as a view of the coordinate-major ones
+    diff, lengths = _pair_distances(x.T, a, b)
     excess = np.maximum(lengths - 1.0, 0.0)
     spread = _spread(x)
-    return spread - mu * float((excess ** 2).sum()), spread, diff, lengths, excess
+    return spread - mu * float((excess ** 2).sum()), spread, diff.T, lengths, excess
 
 
 def _algebraic_connectivity(n: int, a: np.ndarray, b: np.ndarray) -> float:
@@ -98,7 +99,7 @@ def solve_mvu(
     rng = np.random.default_rng(seed)
     x = x + 1e-3 * np.sqrt((x ** 2).mean()) * rng.standard_normal(x.shape)
     x -= x.mean(axis=0)
-    ml = _pair_distances(x, a, b)[1].max()
+    ml = _pair_distances(x.T, a, b)[1].max()
     if ml > 1.0:
         x /= ml
 
@@ -142,7 +143,7 @@ def solve_mvu(
     if ml > 1.0:
         x = x / ml
         x -= x.mean(axis=0)
-    violation = float(np.maximum(_pair_distances(x, a, b)[1] - 1.0, 0.0).max(initial=0.0))
+    violation = float(np.maximum(_pair_distances(x.T, a, b)[1] - 1.0, 0.0).max(initial=0.0))
     return MvuSolution(
         coords=x,
         objective=_spread(x),

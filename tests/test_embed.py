@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.sparse.linalg import eigsh
 from scipy.spatial.distance import pdist
 
@@ -66,6 +66,48 @@ def dense_classical_mds(d, v):
     """Classical scaling by the full dense eigendecomposition."""
     w, u = eigh(centered_squares(d))
     return coords_from(w, u, np.argsort(w)[::-1][:v])
+
+
+def hole_fixture(n=150, r=0.35, seed=9):
+    hole = Box(np.array([0.5, 0.25]), np.array([1.5, 0.75]))
+    cfg = sample_uniform(RectangleWithHole(rectangle(2, 1), hole), n, seed=seed)
+    hops = all_pairs_hops(generate_graph(cfg, Indicator(r), seed=seed))
+    return localize(hops, 2, r=r), scale_hops(hops, r).values
+
+
+def flat_bin_smacof(partial, init):
+    """SMACOF with row-major pair differences and the Guttman right-hand side
+    scattered over the flat bins ``i*dim + k`` (the row-major reference)."""
+    n, pi, pj, delta = partial.n, partial.i, partial.j, partial.values
+    x = np.array(init, dtype=np.float64)
+    dim = x.shape[1]
+    bins_i = (pi[:, None] * dim + np.arange(dim)).ravel()
+    bins_j = (pj[:, None] * dim + np.arange(dim)).ravel()
+    vmat = np.full((n, n), 1.0 / n)
+    vmat[pi, pj] = vmat[pj, pi] = 1.0 / n - 1.0
+    vmat.flat[:: n + 1] = np.bincount(pi, minlength=n) + np.bincount(pj, minlength=n) + 1.0 / n
+    factor = cho_factor(vmat.T, lower=True, overwrite_a=True)
+
+    def evaluate(x):
+        diff = x[pi] - x[pj]
+        return diff, np.sqrt((diff * diff).sum(axis=1))
+
+    x = x - x.mean(axis=0)
+    diff, dis = evaluate(x)
+    trace = [float(((dis - delta) ** 2).sum())]
+    for _ in range(embed._SMACOF_MAX_ITER):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(dis > 0, delta / dis, 0.0)
+        term = (ratio[:, None] * diff).ravel()
+        bx = np.bincount(bins_i, term, n * dim) - np.bincount(bins_j, term, n * dim)
+        x = cho_solve(factor, bx.reshape(n, dim))
+        x = x - x.mean(axis=0)
+        diff, dis = evaluate(x)
+        trace.append(float(((dis - delta) ** 2).sum()))
+        prev = trace[-2]
+        if prev <= 0 or (prev - trace[-1]) / prev < embed._SMACOF_REL_TOL:
+            break
+    return x, tuple(trace)
 
 
 class TestClassicalMds:
@@ -283,6 +325,22 @@ class TestLocalize:
         assert peak < n * n * 8
 
 
+class TestPairDistances:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_bitwise_the_row_major_formula(self, dim, order):
+        # numpy sums a row of fewer than eight entries left to right, which
+        # is the coordinate order _pair_distances adds in
+        rng = np.random.default_rng(dim)
+        x = np.asarray(rng.standard_normal((90, dim)) * 10.0 ** rng.integers(-3, 4, (90, dim)),
+                       order=order)
+        pi, pj = np.triu_indices(90, 1)
+        diff, lengths = embed._pair_distances(x.T, pi, pj)
+        want = x[pi] - x[pj]
+        assert diff.tobytes() == np.ascontiguousarray(want.T).tobytes()
+        assert lengths.tobytes() == np.sqrt((want * want).sum(axis=1)).tobytes()
+
+
 class TestSmacof:
     def test_exact_input_exact_init_is_fixed_point(self):
         cfg = sample_uniform(rectangle(2, 1), 40, seed=7)
@@ -421,3 +479,47 @@ class TestSmacof:
         want.flat[:: n + 1] = (mask.sum(axis=1) - 1) + 1.0 / n
         assert len(captured) == 1
         assert captured[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bitwise_the_flat_bin_reference(self, dim):
+        part, est = hole_fixture()
+        init = classical_mds(est, v=dim).coords
+        res = smacof(part, init)
+        coords, trace = flat_bin_smacof(part, init)
+        assert res.iterations > 1
+        assert res.stress_trace == trace
+        assert res.coords.tobytes() == coords.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_init_rejected(self, bad):
+        part, est = hole_fixture()
+        init = classical_mds(est, v=2).coords
+        init[17, 1] = bad
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="init must be finite"):
+            smacof(part, init)
+
+    def test_step_that_overflows_is_rejected(self):
+        # a finite start whose right-hand side overflows raises cho_solve's error
+        part, est = hole_fixture()
+        huge = PartialDissimilarity(part.n, part.i, part.j, np.full(part.i.size, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            smacof(huge, classical_mds(est, v=2).coords)
+
+    def test_holds_the_factor_and_a_few_pair_arrays(self, monkeypatch):
+        # beside V + 1/n, a few float64 arrays of one entry per present pair;
+        # every iteration allocates the same, so three show the peak
+        monkeypatch.setattr(embed, "_SMACOF_MAX_ITER", 3)
+        n = 2000
+        part, est = hole_fixture(n=n, r=0.2, seed=3)
+        init = classical_mds(est, v=2).coords
+        del est
+        tracemalloc.start()
+        try:
+            res = smacof(part, init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        p = part.i.size
+        assert res.iterations == 3
+        assert 0 < p < n * (n - 1) // 2
+        assert peak < n * n * 8 + 13 * 8 * p

@@ -18,6 +18,7 @@ from latentgraph import (
     sample_uniform,
     solve_mvu,
 )
+from latentgraph import mvu
 from latentgraph.mvu import MvuBoundReport
 from tests.conftest import float_hops
 
@@ -86,6 +87,24 @@ class TestSolveMvu:
             monkeypatch.setattr(Adjacency, name, counting)
         solve_mvu(adj, rank=4, seed=0, steps_per_stage=20)
         assert calls == [("edges", 40)]
+
+    @pytest.mark.parametrize("rank", [2, 3, 5])
+    def test_evaluate_bitwise_the_row_major_formula(self, rank):
+        _, adj = small_rgg(n=90, r=0.4, seed=8)
+        e = adj.edges()
+        a, b = e[:, 0], e[:, 1]
+        x = classical_mds(float_hops(all_pairs_hops(adj)), rank).coords
+        x += 0.1 * np.random.default_rng(rank).standard_normal(x.shape)
+        f, spread, diff, lengths, excess = mvu._evaluate(x, a, b, mu=3.0)
+        want = x[a] - x[b]
+        want_lengths = np.sqrt((want * want).sum(axis=1))
+        want_excess = np.maximum(want_lengths - 1.0, 0.0)
+        assert 0 < np.count_nonzero(excess) < e.shape[0]
+        assert np.ascontiguousarray(diff).tobytes() == want.tobytes()
+        assert lengths.tobytes() == want_lengths.tobytes()
+        assert excess.tobytes() == want_excess.tobytes()
+        assert spread == mvu._spread(x)
+        assert f == spread - 3.0 * float((want_excess ** 2).sum())
 
     def test_coordinates_centered(self):
         _, adj = small_rgg(n=50, r=0.5, seed=6)

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+import latentgraph
 from latentgraph import (
     Adjacency,
     CoverageBracket,
@@ -193,6 +198,39 @@ class TestPresets:
         assert cli_main(["--out", str(tmp_path / "p"), "preset", "run", "hole",
                          "--scale-n", "0"]) == 2
         assert not (tmp_path / "p" / "truth.csv").exists()
+
+
+# SMACOF's dense solves (cho_solve) add in an order set by the BLAS pool, so
+# the localization's coordinates and stress differ by rounding between pools
+_POOL_DEPENDENT = {"local_aligned.csv", "local_recovered.csv", "local_stress.csv"}
+_POOL_PRESETS = ("rectangles", "knn-band", "hole-local")
+_POOL_SCRIPT = """
+import sys
+from latentgraph import run_preset
+for name in sys.argv[2:]:
+    run_preset(name, seed=1, out_dir=f"{sys.argv[1]}/{name}", scale_n=300)
+"""
+
+
+def test_outputs_under_one_and_two_blas_threads(tmp_path):
+    src = str(Path(latentgraph.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-c", _POOL_SCRIPT, str(tmp_path / threads),
+                        *_POOL_PRESETS], env=env, check=True, timeout=120)
+    one, two = tmp_path / "1", tmp_path / "2"
+    files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+    for rel in files:
+        if rel.name not in _POOL_DEPENDENT | {"manifest.json"}:
+            assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+    for name in _POOL_PRESETS:
+        man1, man2 = (json.loads((d / name / "manifest.json").read_text()) for d in (one, two))
+        assert man1.keys() == man2.keys()
+        kept = [k for k in man1 if not k.startswith("local.")
+                or k in ("local.max_hops", "local.present_fraction")]
+        assert {k: man1[k] for k in kept} == {k: man2[k] for k in kept}
 
 
 class TestPlotData:
