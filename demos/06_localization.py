@@ -24,7 +24,6 @@ from latentgraph import (
     procrustes_align,
     rectangle,
     sample_uniform,
-    scale_hops,
     smacof,
 )
 from latentgraph.plotdata import svg_scatter
@@ -39,9 +38,9 @@ config = sample_uniform(domain, n, seed)
 adj = generate_graph(config, Indicator(r), seed)
 hops = all_pairs_hops(adj)
 assert hops.is_connected()
-est = scale_hops(hops, r)
 
-classical = classical_mds(est.values, v=2)
+# classical scaling of the estimates r * hops, squared from the uint16 hops
+classical = classical_mds(hops.hops, v=2, scale=r)
 fit_c = procrustes_align(classical.coords, config.points)
 print(f"classical scaling of all hop estimates: aligned rmse {fit_c.rmse:.4f}")
 

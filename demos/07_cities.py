@@ -20,7 +20,6 @@ from latentgraph import (
     generate_graph,
     ingest_cities,
     procrustes_align,
-    scale_hops,
 )
 from latentgraph.plotdata import svg_scatter
 
@@ -55,7 +54,7 @@ for r in (3.0, 5.0, 7.0):
     if not hops.is_connected():
         print(f"r={r}: graph disconnected, skipping")
         continue
-    emb = classical_mds(scale_hops(hops, r).values, v=2)
+    emb = classical_mds(hops.hops, v=2, scale=r)
     fit = procrustes_align(emb.coords, config.points)
     series[f"recovered r={r:g}"] = fit.aligned
     print(f"r={r}: {adj.edge_count()} edges, diameter {hops.max_finite()} hops, "

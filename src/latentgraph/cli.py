@@ -149,10 +149,10 @@ def _run(args) -> int:
         hops = fileio.read_hops_binary(args.hops)
         est = scale_hops(hops, args.r)
         if args.csv:
-            fileio.write_matrix_csv(out / "estimate.csv", est.values)
+            fileio.write_matrix_csv(out / "estimate.csv", est)
             print("wrote estimate.csv (disconnected pairs as -1)")
         else:
-            fileio.write_matrix_binary(out / "estimate.bin", est.values)
+            fileio.write_matrix_binary(out / "estimate.bin", est)
             print("wrote estimate.bin (disconnected pairs as -1)")
         return 0
 
@@ -185,7 +185,8 @@ def _run(args) -> int:
         path = Path(args.estimate)
         values = (fileio.read_matrix_csv(path) if path.suffix == ".csv"
                   else fileio.read_matrix_binary(path))
-        est = EstimateMatrix(np.where(values < 0, np.inf, values))
+        values[values < 0] = np.inf
+        est = EstimateMatrix(values)
         points = fileio.read_points_csv(args.truth)
         if args.kind == "simple":
             rep = check_simple_bound(est, points, args.eps, args.r)

@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, eigsh
 
-from .hopdist import HopMatrix
+from .hopdist import INF_HOPS, HopMatrix
 
 __all__ = [
     "EmbeddingResult",
@@ -56,30 +56,36 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * signs
 
 
-def classical_mds(d: np.ndarray, v: int) -> EmbeddingResult:
-    """Classical scaling of a finite symmetric dissimilarity matrix.
+def classical_mds(d: np.ndarray, v: int, scale: float = 1.0) -> EmbeddingResult:
+    """Classical scaling of the finite symmetric dissimilarities ``scale * d``.
 
     Double-centers the squared dissimilarities, takes the top ``v``
     eigenpairs, and scales eigenvectors by the square roots of the
     eigenvalues clamped at zero (hop matrices are not exactly Euclidean).
     Raises when the leading spectrum has no positive part.
 
-    The centered matrix is built in one n-by-n buffer: the squares are
-    centered and symmetrized in place, a strip of rows at a time, so the
-    function holds one n-by-n float64 beside its input (a uint16 hop matrix
-    is squared straight into it); the input is never written.  Lanczos
-    (``eigsh``) takes the top eigenpairs at every size; ``eigh`` runs only when
-    ``v >= n - 1``, where ``eigsh`` cannot, or when ARPACK fails.
+    One n-by-n float64, squared from its input: ``scale * d`` is formed and
+    squared in that buffer, which is then centered and symmetrized in
+    place, a strip of rows at a time.  So the uint16 hops with ``scale=r``
+    embed bitwise like the float64 estimate ``r * hops``, with no estimate
+    built; the hop sentinel 0xFFFF is infinity and is rejected like any
+    non-finite entry.  The input is never written.  Lanczos (``eigsh``)
+    takes the top eigenpairs at every size; ``eigh`` runs only when ``v >=
+    n - 1``, where ``eigsh`` cannot, or when ARPACK fails.
     """
     d = np.asarray(d)
     n = d.shape[0]
     if d.shape != (n, n):
         raise ValueError("dissimilarity matrix must be square")
-    if not np.isfinite(d).all():
+    finite = d.max(initial=0) != INF_HOPS if d.dtype == np.uint16 else np.isfinite(d).all()
+    if not finite:
         raise ValueError("dissimilarities must be finite")
+    if not 0 < scale < np.inf:
+        raise ValueError("scale must be positive and finite")
     if v < 1:
         raise ValueError("need v >= 1")
-    b = np.square(d, dtype=np.float64)
+    b = np.multiply(d, scale, dtype=np.float64)
+    np.square(b, out=b)
     row = b.mean(axis=1, keepdims=True)
     col = b.mean(axis=0, keepdims=True)
     mean = b.mean()
@@ -152,8 +158,9 @@ class PartialDissimilarity:
     """Dissimilarities of ``n`` objects observed on some pairs only.
 
     Holds the present pairs ``i < j`` in row-major order (strictly
-    increasing ``i * n + j``) and their non-negative ``values``; every other
-    pair is missing.  Symmetry and the zero diagonal hold by construction.
+    increasing ``i * n + j``) and their finite non-negative ``values``;
+    every other pair is missing.  Symmetry and the zero diagonal hold by
+    construction.
     """
 
     n: int
@@ -172,6 +179,8 @@ class PartialDissimilarity:
             raise ValueError(f"every pair must satisfy 0 <= i < j < n={n}")
         if (np.diff(i * n + j) <= 0).any():
             raise ValueError("pairs must be distinct and in row-major order")
+        if not np.isfinite(vals).all():
+            raise ValueError("dissimilarities must be finite")
         if (vals < 0).any():
             raise ValueError("dissimilarities must be non-negative")
         for name, a in (("i", i), ("j", j), ("values", vals)):

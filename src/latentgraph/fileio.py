@@ -12,19 +12,23 @@ edge list, and the reader builds the neighbour lists from the set bits,
 unpacked one block at a time.  Hop
 matrices: magic ``LGH1``, u64 n, row-major u16 little-endian with 0xFFFF
 for infinity.  Dense float matrices: CSV or magic ``LGD1``, u64 n,
-row-major f64 little-endian.  Manifests are flat JSON objects with sorted
-keys so equal runs produce byte-identical files.
+row-major f64 little-endian; an ``EstimateMatrix`` is written from its
+rows, a block at a time, so the dense estimate is never built.  The binary
+readers check the payload length against the file size, then read the
+payload straight into the array they return.  Manifests are flat JSON
+objects with sorted keys so equal runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .hopdist import HopMatrix
+from .hopdist import EstimateMatrix, HopMatrix
 from .linkgraph import Adjacency
 
 __all__ = [
@@ -114,20 +118,27 @@ def read_edge_list(path: str | Path) -> Adjacency:
     return adj
 
 
-def _read_binary(path: str | Path, magic: bytes, payload_bytes) -> tuple[int, memoryview]:
-    """Node count and payload of a binary file; ``payload_bytes(n)`` is the
-    exact payload length the format needs, checked before any n-sized
-    allocation."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != magic:
-        raise ValueError(f"{path}: bad magic, expected {magic.decode()}")
-    if len(raw) < 12:
-        raise ValueError(f"{path}: header is {len(raw)} bytes, expected 12")
-    n = struct.unpack("<Q", raw[4:12])[0]
-    expected = payload_bytes(n)
-    if len(raw) - 12 != expected:
-        raise ValueError(f"{path}: payload is {len(raw) - 12} bytes, n={n} needs {expected}")
-    return n, memoryview(raw)[12:]
+def _read_binary(path: str | Path, magic: bytes, payload_bytes) -> tuple[int, np.ndarray]:
+    """Node count and payload of a binary file, the payload as a uint8 array
+    read straight from the file.  ``payload_bytes(n)`` is the exact payload
+    length the format needs; it is checked against the file size before the
+    payload is allocated, and the payload is the only n-sized allocation."""
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+        if head[:4] != magic:
+            raise ValueError(f"{path}: bad magic, expected {magic.decode()}")
+        if len(head) < 12:
+            raise ValueError(f"{path}: header is {len(head)} bytes, expected 12")
+        n = struct.unpack("<Q", head[4:])[0]
+        expected = payload_bytes(n)
+        size = os.fstat(fh.fileno()).st_size - 12
+        if size != expected:
+            raise ValueError(f"{path}: payload is {size} bytes, n={n} needs {expected}")
+        payload = np.empty(expected, dtype=np.uint8)
+        got = fh.readinto(payload)
+    if got != expected:
+        raise ValueError(f"{path}: payload is {got} bytes, n={n} needs {expected}")
+    return n, payload
 
 
 def _write_binary(path: str | Path, magic: bytes, n: int, chunks) -> None:
@@ -156,9 +167,8 @@ def write_adjacency_binary(path: str | Path, adj: Adjacency) -> None:
 
 
 def read_adjacency_binary(path: str | Path) -> Adjacency:
-    n, payload = _read_binary(path, _MAGIC_ADJ, lambda n: (n * (n - 1) // 2 + 7) // 8)
+    n, data = _read_binary(path, _MAGIC_ADJ, lambda n: (n * (n - 1) // 2 + 7) // 8)
     m = n * (n - 1) // 2
-    data = np.frombuffer(payload, dtype=np.uint8)
     if m % 8 and data[-1] >> (m % 8):
         raise ValueError(f"{path}: padding bits after the {m} data bits are not zero")
     # the stream positions of the set bits, unpacked one block at a time
@@ -179,23 +189,29 @@ def write_hops_binary(path: str | Path, hops: HopMatrix) -> None:
 
 def read_hops_binary(path: str | Path) -> HopMatrix:
     n, payload = _read_binary(path, _MAGIC_HOP, lambda n: 2 * n * n)
-    hops = np.frombuffer(payload, dtype="<u2").reshape(n, n)
-    return HopMatrix(n, hops.astype(np.uint16))
+    return HopMatrix(n, payload.view("<u2").reshape(n, n))
 
 
-def _file_rows(values: np.ndarray):
-    """Blocks of whole rows of ``values`` as little-endian float64 copies in
-    which every non-finite entry is -1, about ``_BLOCK_ENTRIES`` entries each."""
-    m = np.atleast_2d(np.asarray(values))
-    step = max(1, _BLOCK_ENTRIES // max(1, m.shape[1]))
-    for lo in range(0, m.shape[0], step):
-        block = np.array(m[lo : lo + step], dtype="<f8", order="C")
+def _file_rows(values):
+    """Blocks of whole rows of ``values`` (an array, or an ``EstimateMatrix``
+    read through ``rows``) as little-endian float64 copies in which every
+    non-finite entry is -1, about ``_BLOCK_ENTRIES`` entries each."""
+    if isinstance(values, EstimateMatrix):
+        shape, rows = (values.n, values.n), values.rows
+    else:
+        m = np.atleast_2d(np.asarray(values))
+        shape, rows = m.shape, lambda lo, hi: np.array(m[lo:hi], dtype="<f8", order="C")
+    step = max(1, _BLOCK_ENTRIES // max(1, shape[1]))
+    for lo in range(0, shape[0], step):
+        block = np.asarray(rows(lo, lo + step), dtype="<f8")
         block[~np.isfinite(block)] = -1.0
         yield block
 
 
-def write_matrix_binary(path: str | Path, values: np.ndarray) -> None:
-    shape = np.shape(values)
+def write_matrix_binary(path: str | Path, values) -> None:
+    """Write a square array or an ``EstimateMatrix`` as ``LGD1``, streamed
+    one block of rows at a time."""
+    shape = (values.n, values.n) if isinstance(values, EstimateMatrix) else np.shape(values)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("matrix must be square")
     _write_binary(path, _MAGIC_DEN, shape[0], _file_rows(values))
@@ -203,10 +219,11 @@ def write_matrix_binary(path: str | Path, values: np.ndarray) -> None:
 
 def read_matrix_binary(path: str | Path) -> np.ndarray:
     n, payload = _read_binary(path, _MAGIC_DEN, lambda n: 8 * n * n)
-    return np.frombuffer(payload, dtype="<f8").reshape(n, n).copy()
+    return payload.view("<f8").reshape(n, n)
 
 
-def write_matrix_csv(path: str | Path, values: np.ndarray) -> None:
+def write_matrix_csv(path: str | Path, values) -> None:
+    """Write an array or an ``EstimateMatrix`` as CSV rows, streamed."""
     write_csv(path, None, (row for block in _file_rows(values) for row in block.tolist()))
 
 

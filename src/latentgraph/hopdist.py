@@ -29,17 +29,23 @@ kernel that pulled every list at every level took 6.3 s on the same machine
 (medians of three runs each), and its peak allocation was 201 MB, of which
 the returned matrix is 191 MB.
 
+The estimate ``r * hops`` is a view of the hop matrix (``EstimateMatrix``
+with the uint16 hops as its base and ``r`` as its scale), not an n-by-n
+float64: its readers take a block of rows at a time, scaled on each read,
+so the hops are the only n-by-n array between the search and the checks.
+
 The simple, general and kNN checks share one report builder: the excess
 ``est - d`` against ``a (eps/r)^gamma d + b r``, plus the lower bound
 ``est >= d`` over all connected or over qualifying pairs.
 
 The checks and ``check_boundary_bias`` read the true distances from the
 points: they stream the pairs ``i < j`` in row-major blocks of whole rows,
-about ``_BLOCK_PAIRS`` pairs each, take each block's distances from
-``cdist`` (bitwise the entries of ``squareform(pdist(points))``) and keep
-only counts, maxima and minima.  Their scratch memory is therefore a few
-megabytes at any n, beside the estimate they read; none of the reductions
-depends on order, so the reports equal the ones over all pairs at once, bit
+about ``_BLOCK_PAIRS`` pairs each, take each block's estimates from
+``EstimateMatrix.rows`` and its distances from ``cdist`` (bitwise the
+entries of ``squareform(pdist(points))``), and keep only counts, maxima and
+minima.  Their scratch memory is therefore a few megabytes at any n, beside
+the hops the estimate reads; none of the reductions depends on order, so
+the reports equal the ones over all pairs of a dense estimate at once, bit
 for bit.
 """
 
@@ -237,30 +243,51 @@ def shortest_path_nodes(adj: Adjacency, source: int, target: int) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class EstimateMatrix:
-    """Scaled hop distances ``r * hops`` (infinity propagates)."""
+    """Scaled hop distances ``scale * base``, read a block of rows at a time.
 
-    values: np.ndarray
+    ``base`` is either a uint16 hop matrix, whose 0xFFFF entries read as
+    infinity, or any square float64 matrix.  ``scale_hops`` makes the
+    estimate a view of the hops: it holds no n-by-n float64 of its own, and
+    ``rows`` scales a block of hops on each call, bitwise the entries of the
+    dense ``r * hops``.  ``values`` is that dense matrix, built on demand.
+    """
+
+    base: np.ndarray
+    scale: float = 1.0
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"estimate must be a square matrix, got shape {v.shape}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        b = np.asarray(self.base)
+        b = np.ascontiguousarray(b, dtype=np.uint16 if b.dtype == np.uint16 else np.float64)
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise ValueError(f"estimate must be a square matrix, got shape {b.shape}")
+        if not self.scale > 0:
+            raise ValueError("scale must be positive")
+        b.setflags(write=False)
+        object.__setattr__(self, "base", b)
+        object.__setattr__(self, "scale", float(self.scale))
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.base.shape[0]
+
+    def rows(self, lo: int, hi: int, start: int = 0) -> np.ndarray:
+        """Rows ``lo, ..., hi - 1`` of the estimate from column ``start`` on,
+        as a new float64 array."""
+        block = self.base[lo:hi, start:]
+        out = np.multiply(block, self.scale, dtype=np.float64)
+        if block.dtype == np.uint16:
+            out[block == INF_HOPS] = np.inf
+        return out
+
+    @property
+    def values(self) -> np.ndarray:
+        """The whole estimate as a new n-by-n float64 array."""
+        return self.rows(0, self.n)
 
 
 def scale_hops(hops: HopMatrix, r: float) -> EstimateMatrix:
-    if r <= 0:
-        raise ValueError("scale must be positive")
-    # one float64 buffer, scaled in place: bitwise r * float(hops)
-    out = hops.hops.astype(np.float64)
-    out *= r
-    out[hops.hops == INF_HOPS] = np.inf
-    return EstimateMatrix(out)
+    """The estimate ``r * hops`` as a view of the hop matrix: no n-sized work."""
+    return EstimateMatrix(hops.hops, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,11 +319,15 @@ class BoundReport:
     lower_checked_pairs: int | None = None
 
 
-def _pair_blocks(values: np.ndarray, points: np.ndarray):
-    """The pairs ``i < j`` of the n-by-n ``values`` in row-major order, one
-    block of whole rows at a time: indices ``i`` and ``j``, ``values[i, j]``
-    and point distances, each at most ``_BLOCK_PAIRS`` long (or one row)."""
-    n = values.shape[0]
+def _pair_blocks(values, points: np.ndarray):
+    """The pairs ``i < j`` of ``values`` (an ``EstimateMatrix``, read through
+    ``rows``, or any n-by-n array) in row-major order, one block of whole
+    rows at a time: indices ``i`` and ``j``, ``values[i, j]`` and point
+    distances, each at most ``_BLOCK_PAIRS`` long (or one row)."""
+    if isinstance(values, EstimateMatrix):
+        n, rows = values.n, values.rows
+    else:
+        n, rows = values.shape[0], lambda lo, hi, start: values[lo:hi, start:]
     points = np.asarray(points)
     if points.ndim != 2 or points.shape[0] != n:
         raise ValueError(f"need one point per estimate row: {n} rows, got shape {points.shape}")
@@ -304,14 +335,14 @@ def _pair_blocks(values: np.ndarray, points: np.ndarray):
     while lo < n - 1:
         # rows shorten toward the end, so the first row of a block is its longest
         hi = min(n - 1, lo + max(1, _BLOCK_PAIRS // (n - 1 - lo)))
-        rows = np.arange(lo, hi)
-        counts = n - 1 - rows
+        block = np.arange(lo, hi)
+        counts = n - 1 - block
         # row i's pairs start at its offset in the block and run to j = n - 1
         starts = np.cumsum(counts) - counts
-        i = np.repeat(rows, counts)
-        j = np.arange(starts[-1] + counts[-1]) - np.repeat(starts - rows - 1, counts)
-        upper = np.arange(lo + 1, n) > rows[:, None]
-        yield i, j, values[lo:hi, lo + 1 :][upper], cdist(points[lo:hi], points[lo + 1 :])[upper]
+        i = np.repeat(block, counts)
+        j = np.arange(starts[-1] + counts[-1]) - np.repeat(starts - block - 1, counts)
+        upper = np.arange(lo + 1, n) > block[:, None]
+        yield i, j, rows(lo, hi, lo + 1)[upper], cdist(points[lo:hi], points[lo + 1 :])[upper]
         lo = hi
 
 
@@ -330,7 +361,7 @@ def _report(est, points, eps, r, gamma, a, b, asserted, qualifying=None) -> Boun
     scale = (eps / r) ** gamma
     total = connected = lower_viol = upper_viol = checked = 0
     maxima, minima, relative, fitted = [], [], [], []
-    for i, j, dhat, d in _pair_blocks(est.values, points):
+    for i, j, dhat, d in _pair_blocks(est, points):
         finite = np.isfinite(dhat)
         df = d[finite]
         resid = dhat[finite] - df
@@ -423,7 +454,7 @@ def check_boundary_bias(est: EstimateMatrix, points: np.ndarray,
     if threshold_d <= 0:
         raise ValueError("threshold must be positive")
     ratios, pairs = [], 0
-    for _, _, dhat, d in _pair_blocks(est.values, points):
+    for _, _, dhat, d in _pair_blocks(est, points):
         sel = d >= threshold_d
         if sel.any():
             ratios.append((dhat[sel] / d[sel]).max())

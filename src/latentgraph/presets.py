@@ -7,7 +7,11 @@ sample, ``_estimate`` turns one graph into hops, estimate, bound report, edge
 list and aligned embedding and hands the hops and the embedding on, and
 ``_indicator_variant`` adds an indicator graph's hop and estimate files.  The
 points are the only truth: the checks read their distances one row block at
-a time, so no n-by-n distance matrix is built.
+a time, so no n-by-n distance matrix is built.  The estimate is a view of
+the uint16 hops (``scale_hops``): the checks and the ``LGD1`` writer read it
+a block of rows at a time, and classical scaling squares ``r * hops`` into
+its own buffer, the only n-by-n float64 between the hops and the
+coordinates.
 
 Every preset is determined by (name, seed): two runs write byte-identical
 artifacts and manifests.  ``scale_n`` shrinks a preset proportionally for
@@ -117,9 +121,10 @@ def _embed_and_align(config: PointConfig, est: EstimateMatrix, keep: np.ndarray,
     man[f"{tag}.n_embedded"] = int(keep.size)
     if keep.size < max(3, config.dim + 1):
         return None  # nothing meaningful to embed at this sparsity
-    # a connected graph keeps every node: embed its estimate without a copy
-    sub = est.values if keep.size == est.n else est.values[np.ix_(keep, keep)]
-    emb = classical_mds(sub, v=max(config.dim, 2))
+    # classical scaling squares scale * base into its one buffer; a connected
+    # graph keeps every node and embeds the base itself, without a copy
+    sub = est.base if keep.size == est.n else est.base[np.ix_(keep, keep)]
+    emb = classical_mds(sub, v=max(config.dim, 2), scale=est.scale)
     truth_pts = config.points[keep]
     if config.dim == 1:
         truth_pts = np.column_stack([truth_pts[:, 0], np.zeros(keep.size)])
@@ -160,7 +165,7 @@ def _indicator_variant(config: PointConfig, eps: CoverageBracket, r: float, seed
                   lambda est: check_simple_bound(est, config.points, eps.upper, r), out, tag, man)
     hop_name, est_name = f"{tag}_hops.bin", f"{tag}_est.bin"
     fileio.write_hops_binary(out / hop_name, g.hops)
-    fileio.write_matrix_binary(out / est_name, g.est.values)
+    fileio.write_matrix_binary(out / est_name, g.est)
     man[f"{tag}.hops_file"] = hop_name
     man[f"{tag}.estimate_file"] = est_name
     return g

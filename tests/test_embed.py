@@ -10,6 +10,7 @@ from scipy.spatial.distance import pdist
 
 from latentgraph import embed
 from latentgraph import (
+    INF_HOPS,
     Box,
     Indicator,
     PartialDissimilarity,
@@ -200,6 +201,31 @@ class TestClassicalMds:
         got = classical_mds(hops.hops, v=2)
         want = classical_mds(hops.hops.astype(np.float64), v=2)
         assert got.coords.tobytes() == want.coords.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 63, 64, 65, 300])
+    def test_scaled_uint16_is_bitwise_the_float_estimate(self, n):
+        # sizes around the 64-row symmetrizing strip; any symmetric counts do
+        rng = np.random.default_rng(n)
+        h = np.triu(rng.integers(1, 40, (n, n)), 1).astype(np.uint16)
+        h += h.T
+        h.setflags(write=False)
+        r = 0.137
+        got = classical_mds(h, v=2, scale=r)
+        want = classical_mds(r * h.astype(np.float64), v=2)
+        assert got.coords.tobytes() == want.coords.tobytes()
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+    def test_hop_sentinel_is_not_finite(self):
+        h = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.uint16)
+        classical_mds(h, v=1)
+        h[0, 2] = h[2, 0] = INF_HOPS
+        with pytest.raises(ValueError, match="dissimilarities must be finite"):
+            classical_mds(h, v=1, scale=0.5)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            classical_mds(np.ones((3, 3)) - np.eye(3), v=1, scale=scale)
 
     def test_repeated_eigenvalue_is_deterministic(self):
         # the unit square's top eigenvalue is double: Lanczos restarts from
@@ -458,6 +484,11 @@ class TestSmacof:
         ):
             with pytest.raises(ValueError):
                 PartialDissimilarity(4, i, j, values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_partial_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="dissimilarities must be finite"):
+            PartialDissimilarity(4, [0, 1], [1, 2], [1.0, bad])
 
     def test_factors_the_dense_mask_matrix(self, monkeypatch):
         # V + 1/n from the pairs is bitwise the matrix built from a dense mask

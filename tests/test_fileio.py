@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latentgraph import INF_HOPS, HopMatrix, all_pairs_hops
+from latentgraph import INF_HOPS, HopMatrix, all_pairs_hops, scale_hops
 from latentgraph import fileio, linkgraph
 from latentgraph.cli import main as cli_main
 from tests.conftest import random_graph
@@ -209,6 +209,41 @@ class TestBinaryFormats:
             path = tmp_path / "h.bin"
             fileio.write_hops_binary(path, HopMatrix(9, values))
             assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("kind", ["matrix", "hops"])
+    def test_read_back_holds_one_copy_of_the_payload(self, tmp_path, kind):
+        # the payload is read straight into the returned array: no bytes
+        # object beside it, and no second array converted from one
+        n = 1000
+        path = tmp_path / "big.bin"
+        if kind == "matrix":
+            payload = n * n * 8
+            fileio.write_matrix_binary(path, np.random.default_rng(0).random((n, n)))
+            reader = fileio.read_matrix_binary
+        else:
+            payload = n * n * 2
+            fileio.write_hops_binary(path, HopMatrix(n, np.full((n, n), 7, dtype=np.uint16)))
+            reader = fileio.read_hops_binary
+        tracemalloc.start()
+        try:
+            back = reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * payload, peak
+        want = path.read_bytes()[12:]
+        assert (back if kind == "matrix" else back.hops).tobytes() == want
+
+    @pytest.mark.parametrize("block", [1 << 16, 5])
+    def test_estimate_streams_like_its_dense_matrix(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", block)
+        hops = all_pairs_hops(random_graph(23, 0.1, seed=5))
+        assert (hops.hops == INF_HOPS).any()
+        est = scale_hops(hops, 0.3)
+        for write, name in ((fileio.write_matrix_binary, "m.bin"), (fileio.write_matrix_csv, "m.csv")):
+            write(tmp_path / f"view-{name}", est)
+            write(tmp_path / f"dense-{name}", est.values)
+            assert (tmp_path / f"view-{name}").read_bytes() == (tmp_path / f"dense-{name}").read_bytes()
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "junk.bin"

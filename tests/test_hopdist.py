@@ -267,6 +267,38 @@ class TestScaleHops:
         with pytest.raises(ValueError):
             scale_hops(hops, 0.0)
 
+    def test_estimate_is_a_view_of_the_hops(self):
+        hops = all_pairs_hops(random_graph(30, 0.1, seed=4))
+        assert (hops.hops == INF_HOPS).any()
+        est = scale_hops(hops, 0.37)
+        assert est.base.dtype == np.uint16 and np.shares_memory(est.base, hops.hops)
+        # rows of any range are bitwise the old dense estimate, astype then *= r
+        dense = hops.hops.astype(np.float64)
+        dense *= 0.37
+        dense[hops.hops == INF_HOPS] = np.inf
+        assert est.values.tobytes() == dense.tobytes()
+        for lo, hi, start in ((0, 30, 0), (3, 4, 0), (5, 17, 6), (29, 30, 29), (7, 7, 0)):
+            assert est.rows(lo, hi, start).tobytes() == dense[lo:hi, start:].tobytes()
+
+    def test_float_base_reads_itself(self):
+        values = np.random.default_rng(1).random((6, 6))
+        values[2, 3] = np.inf
+        est = EstimateMatrix(values)
+        assert est.scale == 1.0 and est.base.dtype == np.float64
+        assert est.values.tobytes() == values.tobytes()
+        assert est.rows(1, 3, 2).tobytes() == values[1:3, 2:].tobytes()
+
+    def test_scale_hops_allocates_nothing_n_sized(self):
+        n = 1500
+        hops = HopMatrix(n, np.full((n, n), 3, dtype=np.uint16))
+        tracemalloc.start()
+        try:
+            scale_hops(hops, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n, peak
+
 
 class TestSimpleBound:
     def test_indicator_graph_zero_violations(self):
@@ -525,6 +557,26 @@ class TestStreamedChecks:
         threshold = float(truth.max()) * 0.6
         got, want = check_boundary_bias(est, pts, threshold), dense_boundary_bias(est, truth, threshold)
         assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("kind", ["indicator", "knn"])
+    def test_view_and_dense_estimate_report_alike(self, monkeypatch, kind, block):
+        # the checks read the hop view a block of rows at a time; the dense
+        # r * hops they used to read must give the same reports, bit for bit
+        monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
+        cfg, view, truth = streamed_inputs(kind)
+        assert view.base.dtype == np.uint16
+        dense = EstimateMatrix(view.values)
+        eps, r, pts = 0.08, 0.15, cfg.points
+        threshold = float(truth.max()) * 0.6
+        for check in (
+            lambda est: check_simple_bound(est, pts, eps, r),
+            lambda est: check_general_bound(est, pts, eps, r, alpha=0.5, c2=0.7),
+            lambda est: check_knn_bounds(est, cfg, eps, r),
+        ):
+            assert report_fields(check(view)) == report_fields(check(dense))
+        assert repr(check_boundary_bias(view, pts, threshold)) == \
+            repr(check_boundary_bias(dense, pts, threshold))
 
     def test_counts_cover_every_pair(self, monkeypatch):
         monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", 5)

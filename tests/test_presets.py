@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,10 @@ from scipy.sparse.csgraph import connected_components
 
 import latentgraph
 from latentgraph import (
+    INF_HOPS,
     Adjacency,
     CoverageBracket,
+    EstimateMatrix,
     check_simple_bound,
     fileio,
     pairwise_distances,
@@ -88,6 +91,56 @@ class TestPresets:
         monkeypatch.setattr(fileio, "write_edge_list", reference_graphs.fstring_write_edge_list)
         dense, _ = run_small(name, tmp_path, scale_n=300, sub="dense")
         assert digests(fast) == digests(dense)
+
+    @pytest.mark.parametrize("name", ["rectangles", "knn-band", "hole", "hole-local", "mds-discrete"])
+    def test_artifacts_equal_with_dense_estimate(self, tmp_path, monkeypatch, name):
+        # the estimate as a dense float64 r * hops with infinity, as it was
+        # built before it became a view of the hops
+        def dense_scale_hops(hops, r):
+            h = hops.hops
+            return EstimateMatrix(np.where(h == INF_HOPS, np.inf, r * h.astype(np.float64)))
+
+        def digests(out):
+            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+        view, _ = run_small(name, tmp_path, scale_n=300, sub="view")
+        monkeypatch.setattr(presets, "scale_hops", dense_scale_hops)
+        dense, _ = run_small(name, tmp_path, scale_n=300, sub="dense")
+        assert digests(view) == digests(dense)
+
+    def test_pipeline_never_builds_the_dense_estimate(self, tmp_path, monkeypatch):
+        def refuse(est):
+            raise AssertionError("the dense estimate was built")
+
+        monkeypatch.setattr(EstimateMatrix, "values", property(refuse))
+        for name in ("rectangles", "knn-band", "hole-local"):
+            run_small(name, tmp_path, scale_n=200, sub=name)
+        for extra in ([], ["--csv"]):
+            assert cli_main(["--out", str(tmp_path), "estimate", "--hops",
+                             str(tmp_path / "rectangles" / "r0.1_hops.bin"), "--r", "0.1", *extra]) == 0
+        assert (tmp_path / "estimate.bin").read_bytes() == \
+            (tmp_path / "rectangles" / "r0.1_est.bin").read_bytes()
+
+    def test_hops_check_and_embed_hold_one_float_matrix(self, tmp_path):
+        # beside the uint16 hops: classical scaling's buffer, the estimate
+        # being a view and the check streaming its rows
+        n = 1500
+        config = sample_uniform(rectangle(2, 1), n, seed=2)
+        r = 0.15
+        adj = presets.generate_graph(config, presets.Indicator(r), 2)
+        hops = presets.all_pairs_hops(adj)
+        assert hops.is_connected()
+        eps = presets._eps(config)
+        tracemalloc.start()
+        try:
+            est = presets.scale_hops(hops, r)
+            check_simple_bound(est, config.points, eps.upper, r)
+            emb = presets._embed_and_align(config, est, np.arange(n), tmp_path, "g", {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emb.coords.shape == (n, 2)
+        assert peak < 1.3 * n * n * 8, peak / (n * n * 8)
 
     def test_manifest_carries_bound_outcomes(self, tmp_path):
         _, man = run_small("hole", tmp_path)
