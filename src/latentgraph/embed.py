@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .hopdist import INF_HOPS, HopMatrix
 
@@ -31,7 +31,10 @@ __all__ = [
 _NO_SPECTRUM = "no positive spectrum: dissimilarities carry no Euclidean part"
 # the error cho_solve raises on a non-finite input; smacof scans its inputs itself
 _NOT_FINITE = "array must not contain infs or NaNs"
-# rows per strip when classical scaling symmetrizes its matrix in place
+# rows per block of classical scaling's operator: the block's float64
+# squares stay in cache (128 rows and more fall out of it)
+_MATVEC_ROWS = 16
+# rows per strip of classical scaling's symmetry check
 _SYM_ROWS = 64
 # SMACOF stops once an iteration lowers the stress by less than this fraction,
 # or after this many iterations
@@ -56,60 +59,95 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * signs
 
 
+def _is_symmetric(d: np.ndarray) -> bool:
+    # a strip of rows against the matching strip of columns, with no n-by-n
+    # temporary
+    n = d.shape[0]
+    for lo in range(0, n, _SYM_ROWS):
+        hi = lo + _SYM_ROWS
+        if not np.array_equal(d[lo:hi, lo:], d[lo:, lo:hi].T):
+            return False
+    return True
+
+
+def _centered_squares(d: np.ndarray, scale: float) -> LinearOperator:
+    """``-1/2 J (scale * d)∘(scale * d) J`` as an operator that reads ``d`` a
+    block of rows at a time and stores nothing n-by-n."""
+    n = d.shape[0]
+    buf = np.empty((min(_MATVEC_ROWS, n), n))
+
+    def matvec(y):
+        y = np.ravel(y)
+        z = y - y.mean()
+        out = np.empty(n)
+        for lo in range(0, n, _MATVEC_ROWS):
+            hi = min(lo + _MATVEC_ROWS, n)
+            b = buf[:hi - lo]
+            np.copyto(b, d[lo:hi])  # exact, and faster than a casting multiply
+            b *= scale
+            np.square(b, out=b)
+            np.dot(b, z, out=out[lo:hi])
+        out *= -0.5
+        out -= out.mean()
+        return out
+
+    return LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+
+
 def classical_mds(d: np.ndarray, v: int, scale: float = 1.0) -> EmbeddingResult:
     """Classical scaling of the finite symmetric dissimilarities ``scale * d``.
 
     Double-centers the squared dissimilarities, takes the top ``v``
     eigenpairs, and scales eigenvectors by the square roots of the
     eigenvalues clamped at zero (hop matrices are not exactly Euclidean).
-    Raises when the leading spectrum has no positive part.
+    Raises when the leading spectrum has no positive part, and when ``d`` is
+    not exactly symmetric.
 
-    One n-by-n float64, squared from its input: ``scale * d`` is formed and
-    squared in that buffer, which is then centered and symmetrized in
-    place, a strip of rows at a time.  So the uint16 hops with ``scale=r``
-    embed bitwise like the float64 estimate ``r * hops``, with no estimate
-    built; the hop sentinel 0xFFFF is infinity and is rejected like any
-    non-finite entry.  The input is never written.  Lanczos (``eigsh``)
-    takes the top eigenpairs at every size; ``eigh`` runs only when ``v >=
-    n - 1``, where ``eigsh`` cannot, or when ARPACK fails.
+    Matrix-free: Lanczos (``eigsh``) applies ``-1/2 J D∘D J``, with ``D =
+    scale * d`` and ``J`` the centering, to one vector at a time, and each
+    product reads ``d`` a block of ``_MATVEC_ROWS`` rows at a time: the
+    block is scaled and squared in a small float64 buffer and multiplied by
+    the centered vector.  Nothing n-by-n is formed and the input is never
+    written, so the uint16 hops with ``scale=r`` embed with no float64 copy,
+    bitwise like the float64 estimate ``r * hops`` (each entry is scaled,
+    then squared, in the same order); the hop sentinel 0xFFFF is infinity
+    and is rejected like any non-finite entry.  Lanczos starts from a fixed
+    centered vector (a centered standard normal draw of
+    ``default_rng(0)``), since the constant vector lies in the null space
+    of ``J``, and draws its restarts from a fixed generator.  ``eigh`` runs
+    on the dense matrix built from the operator only when ``v >= n - 1``,
+    where ``eigsh`` cannot, or when ARPACK fails.
     """
     d = np.asarray(d)
     n = d.shape[0]
     if d.shape != (n, n):
         raise ValueError("dissimilarity matrix must be square")
-    finite = d.max(initial=0) != INF_HOPS if d.dtype == np.uint16 else np.isfinite(d).all()
+    if d.dtype == np.uint16:
+        finite = d.max(initial=0) != INF_HOPS
+    else:  # min and max propagate NaN; no n-by-n mask
+        finite = np.isfinite(d.min(initial=0)) and np.isfinite(d.max(initial=0))
     if not finite:
         raise ValueError("dissimilarities must be finite")
     if not 0 < scale < np.inf:
         raise ValueError("scale must be positive and finite")
     if v < 1:
         raise ValueError("need v >= 1")
-    b = np.multiply(d, scale, dtype=np.float64)
-    np.square(b, out=b)
-    row = b.mean(axis=1, keepdims=True)
-    col = b.mean(axis=0, keepdims=True)
-    mean = b.mean()
-    b -= row
-    b -= col
-    b += mean
-    b *= -0.5
-    for lo in range(0, n, _SYM_ROWS):
-        hi = lo + _SYM_ROWS
-        strip = 0.5 * (b[lo:hi, lo:] + b[lo:, lo:hi].T)
-        b[lo:hi, lo:] = strip
-        b[lo:, lo:hi] = strip.T
-    if not b.any():  # ARPACK cannot start on the zero matrix
+    if not _is_symmetric(d):
+        raise ValueError("dissimilarities must be symmetric")
+    if not d.any():  # ARPACK cannot start on the zero matrix
         raise ValueError(_NO_SPECTRUM)
+    op = _centered_squares(d, scale)
     if v >= n - 1:
-        w, u = eigh(b)
+        w, u = eigh(op @ np.eye(n))
     else:
-        # fixed start vector, and a fixed generator for the restarts ARPACK
-        # draws when its Krylov space closes early: deterministic either way
-        v0 = np.full(n, 1.0 / np.sqrt(n))
+        # fixed centered start vector, and a fixed generator for the restarts
+        # ARPACK draws when its Krylov space closes early: deterministic
+        v0 = np.random.default_rng(0).standard_normal(n)
+        v0 -= v0.mean()
         try:
-            w, u = eigsh(b, k=v, which="LA", v0=v0, rng=0)
+            w, u = eigsh(op, k=v, which="LA", v0=v0, rng=0)
         except ArpackError:
-            w, u = eigh(b)  # centering maps v0 to 0; a 4-node hop matrix fails restarts too
+            w, u = eigh(op @ np.eye(n))
     order = np.argsort(w)[::-1][:v]
     lam, u = w[order], u[:, order]
     if np.all(lam <= 0):
@@ -184,6 +222,7 @@ class PartialDissimilarity:
         if (vals < 0).any():
             raise ValueError("dissimilarities must be non-negative")
         for name, a in (("i", i), ("j", j), ("values", vals)):
+            a = a.view()  # freeze a view, not the caller's array
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 

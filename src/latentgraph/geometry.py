@@ -38,7 +38,8 @@ MEMBERSHIP_TOL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    # a read-only view: the caller's own array stays writeable
+    a = np.ascontiguousarray(a, dtype=np.float64).view()
     a.setflags(write=False)
     return a
 

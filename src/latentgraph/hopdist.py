@@ -92,7 +92,8 @@ class HopMatrix:
     hops: np.ndarray  # (n, n) uint16
 
     def __post_init__(self):
-        h = np.ascontiguousarray(self.hops, dtype=np.uint16)
+        # freeze a view: the caller's own array stays writeable
+        h = np.ascontiguousarray(self.hops, dtype=np.uint16).view()
         if h.shape != (self.n, self.n):
             raise ValueError("hop matrix must be n-by-n")
         h.setflags(write=False)
@@ -257,7 +258,7 @@ class EstimateMatrix:
 
     def __post_init__(self):
         b = np.asarray(self.base)
-        b = np.ascontiguousarray(b, dtype=np.uint16 if b.dtype == np.uint16 else np.float64)
+        b = np.ascontiguousarray(b, dtype=np.uint16 if b.dtype == np.uint16 else np.float64).view()
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"estimate must be a square matrix, got shape {b.shape}")
         if not self.scale > 0:

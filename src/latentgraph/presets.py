@@ -9,9 +9,10 @@ list and aligned embedding and hands the hops and the embedding on, and
 points are the only truth: the checks read their distances one row block at
 a time, so no n-by-n distance matrix is built.  The estimate is a view of
 the uint16 hops (``scale_hops``): the checks and the ``LGD1`` writer read it
-a block of rows at a time, and classical scaling squares ``r * hops`` into
-its own buffer, the only n-by-n float64 between the hops and the
-coordinates.
+a block of rows at a time, and classical scaling applies its centered
+squares of ``r * hops`` as an operator that reads the hops a few rows at a
+time.  So no n-by-n float64 lies between the hops and the coordinates: the
+hops are the only n-by-n array, beside SMACOF's factor in ``hole-local``.
 
 Every preset is determined by (name, seed): two runs write byte-identical
 artifacts and manifests.  ``scale_n`` shrinks a preset proportionally for
@@ -121,7 +122,7 @@ def _embed_and_align(config: PointConfig, est: EstimateMatrix, keep: np.ndarray,
     man[f"{tag}.n_embedded"] = int(keep.size)
     if keep.size < max(3, config.dim + 1):
         return None  # nothing meaningful to embed at this sparsity
-    # classical scaling squares scale * base into its one buffer; a connected
+    # classical scaling reads scale * base a row block at a time; a connected
     # graph keeps every node and embeds the base itself, without a copy
     sub = est.base if keep.size == est.n else est.base[np.ix_(keep, keep)]
     emb = classical_mds(sub, v=max(config.dim, 2), scale=est.scale)

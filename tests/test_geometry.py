@@ -49,6 +49,18 @@ class TestDomains:
         assert inside.tolist() == [True, False]
 
 
+class TestPointConfig:
+    def test_leaves_the_callers_array_writeable(self):
+        pts = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        cfg = PointConfig(pts, rectangle(1, 1))
+        assert np.shares_memory(cfg.points, pts)
+        assert not cfg.points.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.points[0, 0] = 0.7
+        pts[0, 0] = 0.7
+        assert cfg.points[0, 0] == 0.7
+
+
 class TestSampling:
     def test_rectangle_sample_inside(self):
         cfg = sample_uniform(rectangle(2, 1), 5000, seed=7)

@@ -241,6 +241,28 @@ class TestBandedOrder:
                 assert prev == closer[0]
 
 
+def assert_freezes_a_view(held, given):
+    # the holder's array is read-only and shares the caller's memory; the
+    # caller's own array stays writeable
+    assert np.shares_memory(held, given)
+    assert not held.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        held[0, 1] = 1
+    given[0, 1] = 1
+    assert held[0, 1] == 1
+
+
+class TestFrozenViews:
+    def test_hop_matrix_leaves_the_callers_array_writeable(self):
+        h = np.zeros((3, 3), dtype=np.uint16)
+        assert_freezes_a_view(HopMatrix(3, h).hops, h)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float64])
+    def test_estimate_leaves_the_callers_array_writeable(self, dtype):
+        a = np.zeros((3, 3), dtype=dtype)
+        assert_freezes_a_view(EstimateMatrix(a).base, a)
+
+
 class TestScaleHops:
     def test_elementwise(self):
         hops = HopMatrix(3, np.array([[0, 3, 1], [3, 0, 2], [1, 2, 0]], dtype=np.uint16))
