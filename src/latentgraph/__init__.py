@@ -18,14 +18,12 @@ from .embed import (
 )
 from .geometry import (
     Box,
-    ConvexPolygon,
     CoverageBracket,
     Domain,
     PointConfig,
     RectangleWithHole,
     boundary_distances,
     coverage_radius,
-    erosion_membership,
     interval,
     minimax_eta,
     minimax_pair,
@@ -58,7 +56,6 @@ from .linkgraph import (
     TwoLevel,
     common_neighbor_denoise,
     couple_thin,
-    evaluate_link,
     generate_graph,
     knn_graph,
     knn_radii,
@@ -67,6 +64,6 @@ from .linkgraph import (
     unit_ball_volume,
 )
 from .mvu import MvuBoundReport, MvuSolution, check_mvu_bound, discrepancy_ratio, solve_mvu
-from .presets import PRESETS, ExperimentPreset, preset_names, run_preset
+from .presets import PRESETS, ExperimentPreset, run_preset
 
 __version__ = "0.1.0"

@@ -64,4 +64,4 @@ def ingest_cities(
     pick = rng.choice(len(coords), size=n_sub, replace=False)
     pts = np.asarray(coords, dtype=np.float64)[np.sort(pick)]
     domain = Box(pts.min(axis=0), pts.max(axis=0))
-    return PointConfig(pts, domain, provenance=f"cities({path.name},seed={seed})")
+    return PointConfig(pts, domain)

@@ -16,6 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+from .geometry import _pair_distances
 from .hopdist import INF_HOPS, HopMatrix
 
 __all__ = [
@@ -236,27 +237,6 @@ def localize(hops: HopMatrix, max_hops: int, r: float) -> PartialDissimilarity:
         raise ValueError("scale must be positive")
     i, j = np.nonzero(np.triu(hops.hops <= max_hops, 1))
     return PartialDissimilarity(hops.n, i, j, r * hops.hops[i, j].astype(np.float64))
-
-
-def _pair_distances(xt: np.ndarray, pi: np.ndarray, pj: np.ndarray):
-    """Pair differences and their Euclidean lengths, coordinate-major.
-
-    ``xt`` is the transposed iterate, ``dim`` by ``n`` (contiguous when
-    ``x`` is in Fortran order, as ``cho_solve`` returns it; any layout
-    works).  Returns ``diff`` of shape ``(dim, P)``, ``diff[k] = xt[k, pi] -
-    xt[k, pj]``, and the lengths, whose squares are summed in coordinate
-    order before the square root.  That is the order of ``cdist``.  For
-    ``dim`` < 8 it is also bitwise the row sum of the row-major
-    ``x[pi] - x[pj]``, which numpy adds left to right below eight entries;
-    from eight on numpy keeps eight partial sums, and the two differ by
-    rounding.
-    """
-    diff = xt.take(pi, axis=1)
-    diff -= xt.take(pj, axis=1)
-    lengths = diff[0] * diff[0]
-    for d in diff[1:]:
-        lengths += d * d
-    return diff, np.sqrt(lengths, out=lengths)
 
 
 def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:

@@ -12,8 +12,9 @@ edge list, and the reader builds the neighbour lists from the set bits,
 unpacked one block at a time.  Hop
 matrices: magic ``LGH1``, u64 n, row-major u16 little-endian with 0xFFFF
 for infinity.  Dense float matrices: CSV or magic ``LGD1``, u64 n,
-row-major f64 little-endian; an ``EstimateMatrix`` is written from its
-rows, a block at a time, so the dense estimate is never built.  The binary
+row-major f64 little-endian, -1 for every non-finite entry; the writers take
+an ``EstimateMatrix`` and write its rows a block at a time, so the dense
+estimate is never built.  The binary
 readers check the payload length against the file size, then read the
 payload straight into the array they return.  Manifests are flat JSON
 objects with sorted keys so equal runs produce byte-identical files.
@@ -192,29 +193,19 @@ def read_hops_binary(path: str | Path) -> HopMatrix:
     return HopMatrix(n, payload.view("<u2").reshape(n, n))
 
 
-def _file_rows(values):
-    """Blocks of whole rows of ``values`` (an array, or an ``EstimateMatrix``
-    read through ``rows``) as little-endian float64 copies in which every
-    non-finite entry is -1, about ``_BLOCK_ENTRIES`` entries each."""
-    if isinstance(values, EstimateMatrix):
-        shape, rows = (values.n, values.n), values.rows
-    else:
-        m = np.atleast_2d(np.asarray(values))
-        shape, rows = m.shape, lambda lo, hi: np.array(m[lo:hi], dtype="<f8", order="C")
-    step = max(1, _BLOCK_ENTRIES // max(1, shape[1]))
-    for lo in range(0, shape[0], step):
-        block = np.asarray(rows(lo, lo + step), dtype="<f8")
+def _file_rows(est: EstimateMatrix):
+    """Blocks of whole rows of ``est`` as little-endian float64 arrays in
+    which every non-finite entry is -1, about ``_BLOCK_ENTRIES`` entries each."""
+    step = max(1, _BLOCK_ENTRIES // max(1, est.n))
+    for lo in range(0, est.n, step):
+        block = np.asarray(est.rows(lo, lo + step), dtype="<f8")
         block[~np.isfinite(block)] = -1.0
         yield block
 
 
-def write_matrix_binary(path: str | Path, values) -> None:
-    """Write a square array or an ``EstimateMatrix`` as ``LGD1``, streamed
-    one block of rows at a time."""
-    shape = (values.n, values.n) if isinstance(values, EstimateMatrix) else np.shape(values)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError("matrix must be square")
-    _write_binary(path, _MAGIC_DEN, shape[0], _file_rows(values))
+def write_matrix_binary(path: str | Path, est: EstimateMatrix) -> None:
+    """Write ``est`` as ``LGD1``, streamed one block of rows at a time."""
+    _write_binary(path, _MAGIC_DEN, est.n, _file_rows(est))
 
 
 def read_matrix_binary(path: str | Path) -> np.ndarray:
@@ -222,9 +213,9 @@ def read_matrix_binary(path: str | Path) -> np.ndarray:
     return payload.view("<f8").reshape(n, n)
 
 
-def write_matrix_csv(path: str | Path, values) -> None:
-    """Write an array or an ``EstimateMatrix`` as CSV rows, streamed."""
-    write_csv(path, None, (row for block in _file_rows(values) for row in block.tolist()))
+def write_matrix_csv(path: str | Path, est: EstimateMatrix) -> None:
+    """Write ``est`` as CSV rows, streamed."""
+    write_csv(path, None, (row for block in _file_rows(est) for row in block.tolist()))
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:

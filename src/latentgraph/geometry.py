@@ -1,10 +1,13 @@
 """Latent point configurations: domains, sampling, adversarial twin
-configurations, coverage radii, erosion membership and exact pairwise
-distances.
+configurations, coverage radii and exact pairwise distances.
 
 All coordinates are plain float64 arrays in latent-space units.  Domains are
 small immutable value objects that know how to sample uniformly, test
-membership and measure distance to their own boundary.
+membership (within ``MEMBERSHIP_TOL``) and measure distance to their own
+boundary.  Distances follow ``cdist``'s formula: squared coordinate
+differences summed in coordinate order, then the square root, so the
+distances of selected pairs (``_pair_distances``) equal the entries of
+``pairwise_distances`` bit for bit.
 """
 
 from __future__ import annotations
@@ -19,14 +22,12 @@ from scipy.spatial.distance import pdist, squareform
 
 __all__ = [
     "Box",
-    "ConvexPolygon",
     "CoverageBracket",
     "Domain",
     "PointConfig",
     "RectangleWithHole",
     "boundary_distances",
     "coverage_radius",
-    "erosion_membership",
     "interval",
     "minimax_pair",
     "pairwise_distances",
@@ -72,9 +73,9 @@ class Box:
     def bounding_box(self) -> "Box":
         return self
 
-    def contains(self, points: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         p = np.atleast_2d(points)
-        return np.all((p >= self.lo - tol) & (p <= self.hi + tol), axis=1)
+        return np.all((p >= self.lo - MEMBERSHIP_TOL) & (p <= self.hi + MEMBERSHIP_TOL), axis=1)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.lo + rng.random((n, self.dim)) * (self.hi - self.lo)
@@ -124,10 +125,11 @@ class RectangleWithHole:
     def bounding_box(self) -> Box:
         return self.outer
 
-    def contains(self, points: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         p = np.atleast_2d(points)
-        in_hole = np.all((p > self.hole.lo + tol) & (p < self.hole.hi - tol), axis=1)
-        return self.outer.contains(p, tol) & ~in_hole
+        in_hole = np.all((p > self.hole.lo + MEMBERSHIP_TOL) & (p < self.hole.hi - MEMBERSHIP_TOL),
+                         axis=1)
+        return self.outer.contains(p) & ~in_hole
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # rejection keeps the conditional law exactly uniform on the domain
@@ -143,64 +145,7 @@ class RectangleWithHole:
         return np.minimum(self.outer.boundary_distance(p), _distance_to_box(p, self.hole))
 
 
-@dataclass(frozen=True, eq=False)
-class ConvexPolygon:
-    """Strictly convex planar polygon, vertices in counterclockwise order."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = _readonly(np.atleast_2d(self.vertices))
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise ValueError("need at least 3 planar vertices")
-        e = np.roll(v, -1, axis=0) - v
-        cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-        if not np.all(cross > 0):
-            raise ValueError("vertices must be strictly convex and counterclockwise")
-        object.__setattr__(self, "vertices", v)
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    @property
-    def volume(self) -> float:
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        return float(0.5 * np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
-
-    def bounding_box(self) -> Box:
-        return Box(self.vertices.min(axis=0), self.vertices.max(axis=0))
-
-    def contains(self, points: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-        p = np.atleast_2d(points)
-        v = self.vertices
-        e = np.roll(v, -1, axis=0) - v
-        # signed distance to each CCW edge; inside means all non-negative
-        rel = p[:, None, :] - v[None, :, :]
-        cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
-        return np.all(cross >= -tol * np.linalg.norm(e, axis=1)[None, :], axis=1)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        bb = self.bounding_box()
-        out = np.empty((0, 2))
-        while out.shape[0] < n:
-            cand = bb.sample(rng, max(n, 64))
-            out = np.vstack([out, cand[self.contains(cand, tol=0.0)]])
-        return out[:n]
-
-    def boundary_distance(self, points: np.ndarray) -> np.ndarray:
-        p = np.atleast_2d(points)
-        v = self.vertices
-        e = np.roll(v, -1, axis=0) - v
-        len2 = (e ** 2).sum(axis=1)
-        rel = p[:, None, :] - v[None, :, :]
-        t = np.clip((rel * e[None, :, :]).sum(axis=2) / len2[None, :], 0.0, 1.0)
-        proj = v[None, :, :] + t[:, :, None] * e[None, :, :]
-        return np.linalg.norm(p[:, None, :] - proj, axis=2).min(axis=1)
-
-
-Domain = Union[Box, RectangleWithHole, ConvexPolygon]
+Domain = Union[Box, RectangleWithHole]
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +158,6 @@ class PointConfig:
 
     points: np.ndarray
     domain: Domain
-    provenance: str = "constructed"
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -247,7 +191,7 @@ def sample_uniform(domain: Domain, n: int, seed: int) -> PointConfig:
     if domain.volume <= 0:
         raise ValueError("degenerate domain with zero volume")
     rng = np.random.default_rng(seed)
-    return PointConfig(domain.sample(rng, n), domain, provenance=f"sampled(seed={seed})")
+    return PointConfig(domain.sample(rng, n), domain)
 
 
 def pairwise_distances(config: PointConfig | np.ndarray) -> np.ndarray:
@@ -256,19 +200,34 @@ def pairwise_distances(config: PointConfig | np.ndarray) -> np.ndarray:
     return squareform(pdist(pts))
 
 
+def _pair_distances(xt: np.ndarray, pi: np.ndarray, pj: np.ndarray):
+    """Pair differences and their Euclidean lengths, coordinate-major.
+
+    ``xt`` is the transposed configuration, ``dim`` by ``n`` (any layout;
+    contiguous for a Fortran-order ``x``, as ``cho_solve`` returns it).
+    ``pi`` and ``pj`` broadcast against each other, and ``pi`` must have the
+    broadcast shape.  Returns ``diff``, ``diff[k] = xt[k, pi] - xt[k, pj]``,
+    and the lengths, whose squares are summed in coordinate order before the
+    square root: ``cdist``'s formula, so each length is bitwise its
+    ``pairwise_distances`` entry.  For ``dim`` < 8 it is also bitwise the
+    row sum of the row-major ``x[pi] - x[pj]``, which numpy adds left to
+    right below eight entries; from eight on numpy keeps eight partial sums,
+    and the two differ by rounding.
+    """
+    diff = xt.take(pi, axis=1)
+    diff -= xt.take(pj, axis=1)
+    lengths = diff[0] * diff[0]
+    for d in diff[1:]:
+        lengths += d * d
+    return diff, np.sqrt(lengths, out=lengths)
+
+
 def boundary_distances(config: PointConfig) -> np.ndarray:
     """Distance from each point to the boundary of its domain."""
     domain = config.domain
     if not hasattr(domain, "boundary_distance"):
         raise TypeError(f"unsupported domain kind: {type(domain).__name__}")
     return domain.boundary_distance(config.points)
-
-
-def erosion_membership(config: PointConfig, u: float) -> np.ndarray:
-    """Flags points whose distance to the domain boundary exceeds ``u``."""
-    if u < 0:
-        raise ValueError("erosion depth must be non-negative")
-    return boundary_distances(config) > u
 
 
 class CoverageBracket(NamedTuple):
@@ -348,9 +307,7 @@ def minimax_pair(n: int, r: float) -> tuple[PointConfig, PointConfig]:
     x1 = i / (n - 1)
     x2 = i * (1.0 - eta * i) / ((n - 1) * (1.0 - eta * (n - 1)))
     dom = interval(1.0)
-    cfg1 = PointConfig(x1[:, None], dom, provenance="constructed(uniform-grid)")
-    cfg2 = PointConfig(x2[:, None], dom, provenance="constructed(warped-grid)")
-    return cfg1, cfg2
+    return PointConfig(x1[:, None], dom), PointConfig(x2[:, None], dom)
 
 
 def minimax_eta(n: int, r: float) -> float:

@@ -261,8 +261,8 @@ class EstimateMatrix:
         b = np.ascontiguousarray(b, dtype=np.uint16 if b.dtype == np.uint16 else np.float64).view()
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"estimate must be a square matrix, got shape {b.shape}")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise ValueError("scale must be positive and finite")
         b.setflags(write=False)
         object.__setattr__(self, "base", b)
         object.__setattr__(self, "scale", float(self.scale))
@@ -320,15 +320,12 @@ class BoundReport:
     lower_checked_pairs: int | None = None
 
 
-def _pair_blocks(values, points: np.ndarray):
-    """The pairs ``i < j`` of ``values`` (an ``EstimateMatrix``, read through
-    ``rows``, or any n-by-n array) in row-major order, one block of whole
-    rows at a time: indices ``i`` and ``j``, ``values[i, j]`` and point
-    distances, each at most ``_BLOCK_PAIRS`` long (or one row)."""
-    if isinstance(values, EstimateMatrix):
-        n, rows = values.n, values.rows
-    else:
-        n, rows = values.shape[0], lambda lo, hi, start: values[lo:hi, start:]
+def _pair_blocks(est: EstimateMatrix, points: np.ndarray):
+    """The pairs ``i < j`` of ``est`` in row-major order, one block of whole
+    rows at a time: indices ``i`` and ``j``, the estimates ``est[i, j]`` (read
+    through ``rows``) and point distances, each at most ``_BLOCK_PAIRS`` long
+    (or one row)."""
+    n = est.n
     points = np.asarray(points)
     if points.ndim != 2 or points.shape[0] != n:
         raise ValueError(f"need one point per estimate row: {n} rows, got shape {points.shape}")
@@ -343,7 +340,7 @@ def _pair_blocks(values, points: np.ndarray):
         i = np.repeat(block, counts)
         j = np.arange(starts[-1] + counts[-1]) - np.repeat(starts - block - 1, counts)
         upper = np.arange(lo + 1, n) > block[:, None]
-        yield i, j, rows(lo, hi, lo + 1)[upper], cdist(points[lo:hi], points[lo + 1 :])[upper]
+        yield i, j, est.rows(lo, hi, lo + 1)[upper], cdist(points[lo:hi], points[lo + 1 :])[upper]
         lo = hi
 
 
@@ -358,7 +355,12 @@ def _report(est, points, eps, r, gamma, a, b, asserted, qualifying=None) -> Boun
     With ``a`` given, the excess is held against ``a (eps/r)^gamma d + b r``.
     The lower bound ``est >= d`` is counted over all connected pairs, or only
     over the pairs for which ``qualifying(i, j, d)`` is true when it is given.
+    Needs ``0 < r < inf`` and ``0 <= eps < inf``.
     """
+    if not 0 < r < np.inf:
+        raise ValueError(f"need 0 < r < inf, got r={r}")
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"need 0 <= eps < inf, got eps={eps}")
     scale = (eps / r) ** gamma
     total = connected = lower_viol = upper_viol = checked = 0
     maxima, minima, relative, fitted = [], [], [], []
@@ -417,17 +419,14 @@ def check_simple_bound(est: EstimateMatrix, points: np.ndarray, eps: float, r: f
 
 
 def check_general_bound(est: EstimateMatrix, points: np.ndarray, eps: float, r: float,
-                        alpha: float, c2: float | None = None) -> BoundReport:
+                        alpha: float) -> BoundReport:
     """Report the smallest constant C with
     ``est - d <= C [ (eps/r)^(1/(1+alpha)) d + r ]`` over connected pairs,
     plus the always-required lower bound ``est >= d``.
-
-    Supply ``c2`` to additionally count violations against a fixed constant.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("need alpha >= 0")
-    return _report(est, points, eps, r, 1.0 / (1.0 + alpha), c2,
-                   1.0 if c2 is not None else None, False)
+    return _report(est, points, eps, r, 1.0 / (1.0 + alpha), None, None, False)
 
 
 def check_knn_bounds(est: EstimateMatrix, config: PointConfig, eps: float, r: float) -> BoundReport:

@@ -28,7 +28,7 @@ from scipy.spatial.distance import cdist
 from ._rng import pair_uniform_row
 # pairwise_distances is no longer used here; it stays importable because
 # perfbench/tracing.py wraps linkgraph.pairwise_distances by name
-from .geometry import Domain, PointConfig, pairwise_distances  # noqa: F401
+from .geometry import Domain, PointConfig, _pair_distances, pairwise_distances  # noqa: F401
 
 __all__ = [
     "Adjacency",
@@ -41,7 +41,6 @@ __all__ = [
     "TwoLevel",
     "common_neighbor_denoise",
     "couple_thin",
-    "evaluate_link",
     "generate_graph",
     "knn_graph",
     "knn_radii",
@@ -131,15 +130,6 @@ LinkFunction = Union[Indicator, ScaledIndicator, PolynomialEdge, TwoLevel]
 _TREE_MARGIN = 1e-9
 # candidates a kNN query takes beyond the kappa neighbours and the point itself
 _KNN_SPARE = 8
-
-
-def evaluate_link(link: LinkFunction, d) -> np.ndarray | float:
-    """Edge probability at distance ``d >= 0``."""
-    d = np.asarray(d, dtype=np.float64)
-    if np.any(d < 0):
-        raise ValueError("distances must be non-negative")
-    out = link(d)
-    return float(out) if out.ndim == 0 else out
 
 
 class Adjacency:
@@ -263,22 +253,6 @@ def _from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> Adjacency:
     return Adjacency(n, indptr, np.remainder(keys, n, out=keys))
 
 
-def _pair_distances(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Distances of the pairs ``(i, j)`` (broadcast together) by ``cdist``'s
-    formula: squared coordinate differences summed in coordinate order, then
-    the square root.  Each equals its ``pairwise_distances`` entry bit for bit."""
-    total = None
-    for coord in points.T:
-        step = coord[j]
-        np.subtract(coord[i], step, out=step)
-        step *= step
-        if total is None:
-            total = step
-        else:
-            total += step
-    return np.sqrt(total, out=total)
-
-
 def _pairs_within(points: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """The pairs i < j within distance r, in row-major order, by a k-d tree
     query widened by ``_TREE_MARGIN``: a superset of the pairs with d_ij <= r."""
@@ -328,7 +302,7 @@ def generate_graph(config: PointConfig, link: LinkFunction, seed: int) -> Adjace
         return _from_pairs(n, np.concatenate(i), np.concatenate(j))
     # the exact support test is link(d) on the recomputed distances
     i, j = _pairs_within(pts, link.r)
-    keep = _pair_outcomes(seed, i, j, link(_pair_distances(pts, i, j)))
+    keep = _pair_outcomes(seed, i, j, link(_pair_distances(pts.T, i, j)[1]))
     i = i[keep]  # one array at a time: the candidates can be many
     j = j[keep]
     return _from_pairs(n, i, j)
@@ -396,7 +370,8 @@ def _nearest(config: PointConfig, kappa: int) -> tuple[np.ndarray, np.ndarray]:
         limit = farthest[:, -1] * (1.0 - _TREE_MARGIN)
         del farthest  # freed before the distances: it is as large as they are
         rows = todo[:, None]
-        d = _pair_distances(pts, rows, idx)
+        # idx before rows: the first index array sets the shape of the differences
+        d = _pair_distances(pts.T, idx, rows)[1]
         d[idx == rows] = np.inf  # a point is not its own neighbour
         order = np.lexsort((idx, d))[:, :kappa]
         idx = np.take_along_axis(idx, order, axis=1)
@@ -442,27 +417,17 @@ class KnnScale:
     omega: float
 
 
-def knn_scale(
-    domain: Domain,
-    n: int,
-    kappa: int,
-    c1: float = 1.0,
-    v: int | None = None,
-    omega: float | None = None,
-) -> KnnScale:
+def knn_scale(domain: Domain, n: int, kappa: int, c1: float = 1.0) -> KnnScale:
     """Hop scale for k-nearest-neighbor graphs on uniform samples.
 
-    ``r_circ = (omega * kappa / n)^(1/v)`` with ``omega = |domain| / beta``
-    (beta the unit-ball volume), ``eps = c1 (log(n)/n)^(1/v)`` and
-    ``r = r_circ + eps``.  Pass ``omega`` explicitly to override the measured
-    value (some experiment write-ups quote the raw domain area instead).
+    ``r_circ = (omega * kappa / n)^(1/v)`` with ``v`` the domain's dimension,
+    ``omega = |domain| / beta`` (beta the unit-ball volume), ``eps = c1
+    (log(n)/n)^(1/v)`` and ``r = r_circ + eps``.
     """
     if kappa < 1 or n <= kappa:
         raise ValueError("need 1 <= kappa < n")
-    if v is None:
-        v = domain.dim
-    if omega is None:
-        omega = domain.volume / unit_ball_volume(v)
+    v = domain.dim
+    omega = domain.volume / unit_ball_volume(v)
     r_circ = (omega * kappa / n) ** (1.0 / v)
     eps = c1 * (math.log(n) / n) ** (1.0 / v)
     return KnnScale(r_circ=r_circ, eps=eps, r=r_circ + eps, omega=omega)

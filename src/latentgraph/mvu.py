@@ -17,8 +17,9 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial.distance import pdist
 
-from .embed import _pair_distances, classical_mds
-from .hopdist import INF_HOPS, HopMatrix, _pair_blocks, all_pairs_hops
+from .embed import classical_mds
+from .geometry import _pair_distances
+from .hopdist import EstimateMatrix, HopMatrix, _pair_blocks, all_pairs_hops
 from .linkgraph import Adjacency
 
 __all__ = [
@@ -166,15 +167,16 @@ def check_mvu_bound(sol: MvuSolution, hops: HopMatrix) -> MvuBoundReport:
     A feasible point can never exceed it (chain the edges of a shortest
     path); residual edge violations propagate multiplicatively, so the
     tolerance per pair is ``max_edge_violation * hops + _TOL``.  The pairs
-    are streamed in row blocks beside the uint16 hops.
+    are streamed in row blocks of the hops read as an estimate at scale 1:
+    exact, with the sentinel read as infinity.
     """
     if sol.coords.shape[0] != hops.n:
         raise ValueError("solution and hop matrix sizes differ")
     pairs = violations = 0
     max_excess = -np.inf
-    for _, _, h, g in _pair_blocks(hops.hops, sol.coords):
-        finite = h != INF_HOPS
-        hf = h[finite].astype(np.float64)
+    for _, _, h, g in _pair_blocks(EstimateMatrix(hops.hops), sol.coords):
+        finite = np.isfinite(h)
+        hf = h[finite]
         excess = g[finite] - hf
         pairs += hf.size
         violations += int((excess > sol.max_edge_violation * hf + _TOL).sum())

@@ -58,7 +58,7 @@ from .hopdist import (
 from .linkgraph import Adjacency, Indicator, couple_thin, generate_graph, knn_graph, knn_scale, symmetrize_union
 from .plotdata import svg_paths
 
-__all__ = ["ExperimentPreset", "PRESETS", "preset_names", "run_preset"]
+__all__ = ["ExperimentPreset", "PRESETS", "run_preset"]
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ def _run_rectangles(seed: int, out: Path, n: int, man: dict, **_) -> None:
     patch1 = Box(np.array([0.25, 0.25]), np.array([0.75, 0.75]))
     patch2 = Box(np.array([1.25, 0.0]), np.array([1.5, 1.0]))
     pts = np.vstack([base.sample(rng, n0), patch1.sample(rng, n1), patch2.sample(rng, n2)])
-    config = PointConfig(pts, base, provenance=f"sampled(seed={seed})")
+    config = PointConfig(pts, base)
     _sample(config, out, man)
     eps = _eps(config)
     for r in (0.05, 0.1, 0.2):
@@ -357,10 +357,6 @@ _RUNNERS: dict[str, tuple[Callable, ExperimentPreset]] = {
 }
 
 PRESETS: dict[str, ExperimentPreset] = {k: v[1] for k, v in _RUNNERS.items()}
-
-
-def preset_names() -> list[str]:
-    return list(_RUNNERS)
 
 
 def run_preset(

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latentgraph import INF_HOPS, HopMatrix, all_pairs_hops, scale_hops
+from latentgraph import INF_HOPS, EstimateMatrix, HopMatrix, all_pairs_hops, scale_hops
 from latentgraph import fileio, linkgraph
 from latentgraph.cli import main as cli_main
 from tests.conftest import random_graph
@@ -181,7 +181,7 @@ class TestBinaryFormats:
         rng = np.random.default_rng(4)
         mat = rng.random((17, 17))
         path = tmp_path / "m.bin"
-        fileio.write_matrix_binary(path, mat)
+        fileio.write_matrix_binary(path, EstimateMatrix(mat))
         assert np.array_equal(fileio.read_matrix_binary(path), mat)
         assert path.read_bytes()[:4] == b"LGD1"
 
@@ -197,7 +197,7 @@ class TestBinaryFormats:
             monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", block)
             for values in (base, wide[:, ::2], np.asfortranarray(base), base.astype(">f8")):
                 path = tmp_path / "m.bin"
-                fileio.write_matrix_binary(path, values)
+                fileio.write_matrix_binary(path, EstimateMatrix(values))
                 assert path.read_bytes() == want
 
     def test_hops_bytes_from_strided_and_big_endian_input(self, tmp_path):
@@ -218,7 +218,7 @@ class TestBinaryFormats:
         path = tmp_path / "big.bin"
         if kind == "matrix":
             payload = n * n * 8
-            fileio.write_matrix_binary(path, np.random.default_rng(0).random((n, n)))
+            fileio.write_matrix_binary(path, EstimateMatrix(np.random.default_rng(0).random((n, n))))
             reader = fileio.read_matrix_binary
         else:
             payload = n * n * 2
@@ -242,7 +242,7 @@ class TestBinaryFormats:
         est = scale_hops(hops, 0.3)
         for write, name in ((fileio.write_matrix_binary, "m.bin"), (fileio.write_matrix_csv, "m.csv")):
             write(tmp_path / f"view-{name}", est)
-            write(tmp_path / f"dense-{name}", est.values)
+            write(tmp_path / f"dense-{name}", EstimateMatrix(est.values))
             assert (tmp_path / f"view-{name}").read_bytes() == (tmp_path / f"dense-{name}").read_bytes()
 
     def test_magic_checked(self, tmp_path):
@@ -261,7 +261,8 @@ class TestBinaryFormats:
         for name, writer, reader, value in (
             ("adj.bin", fileio.write_adjacency_binary, fileio.read_adjacency_binary, adj),
             ("hops.bin", fileio.write_hops_binary, fileio.read_hops_binary, all_pairs_hops(adj)),
-            ("m.bin", fileio.write_matrix_binary, fileio.read_matrix_binary, np.ones((43, 43))),
+            ("m.bin", fileio.write_matrix_binary, fileio.read_matrix_binary,
+             EstimateMatrix(np.ones((43, 43)))),
         ):
             writer(tmp_path / name, value)
             files.append((tmp_path / name, reader))
@@ -287,7 +288,7 @@ class TestMatrixCsv:
         rng = np.random.default_rng(5)
         mat = rng.random((9, 9))
         path = tmp_path / "m.csv"
-        fileio.write_matrix_csv(path, mat)
+        fileio.write_matrix_csv(path, EstimateMatrix(mat))
         assert np.array_equal(fileio.read_matrix_csv(path), mat)
 
     def test_non_finite_entries_written_as_minus_one(self, tmp_path, monkeypatch):
@@ -298,7 +299,7 @@ class TestMatrixCsv:
         for block in (1 << 16, 5):  # one block, then one row per block
             monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", block)
             path = tmp_path / "m.csv"
-            fileio.write_matrix_csv(path, mat)
+            fileio.write_matrix_csv(path, EstimateMatrix(mat))
             assert path.read_text() == text
             assert np.array_equal(fileio.read_matrix_csv(path), want)
 

@@ -3,12 +3,10 @@ import pytest
 
 from latentgraph import (
     Box,
-    ConvexPolygon,
     PointConfig,
     RectangleWithHole,
     boundary_distances,
     coverage_radius,
-    erosion_membership,
     interval,
     minimax_eta,
     minimax_pair,
@@ -33,20 +31,6 @@ class TestDomains:
     def test_hole_must_be_inside(self):
         with pytest.raises(ValueError):
             RectangleWithHole(rectangle(1, 1), Box(np.array([0.5, 0.5]), np.array([1.5, 0.8])))
-
-    def test_polygon_must_be_ccw_convex(self):
-        square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-        ConvexPolygon(square)
-        with pytest.raises(ValueError):
-            ConvexPolygon(square[::-1])  # clockwise
-        with pytest.raises(ValueError):
-            ConvexPolygon(np.array([[0, 0], [1, 0], [2, 0], [1, 1]], dtype=float))
-
-    def test_polygon_area_and_membership(self):
-        tri = ConvexPolygon(np.array([[0, 0], [2, 0], [0, 2]], dtype=float))
-        assert tri.volume == pytest.approx(2.0)
-        inside = tri.contains(np.array([[0.5, 0.5], [1.5, 1.5]]))
-        assert inside.tolist() == [True, False]
 
 
 class TestPointConfig:
@@ -159,24 +143,23 @@ class TestCoverage:
 
 
 class TestErosion:
+    """Points deeper than u inside the domain: ``boundary_distances > u``."""
+
     def test_center_point_deep(self):
         pts = np.array([[0.5, 0.5], [0.2, 0.2], [0.8, 0.8]])
         cfg = PointConfig(pts, rectangle(1, 1))
-        flags = erosion_membership(cfg, 0.4)
-        assert flags[0]
+        assert boundary_distances(cfg)[0] > 0.4
 
     def test_near_boundary_shallow(self):
         pts = np.array([[0.05, 0.5], [0.5, 0.5], [0.6, 0.5]])
         cfg = PointConfig(pts, rectangle(1, 1))
-        flags = erosion_membership(cfg, 0.1)
-        assert not flags[0]
+        assert not boundary_distances(cfg)[0] > 0.1
 
     def test_matches_per_edge_oracle(self):
         cfg = sample_uniform(rectangle(4, 1), 100, seed=11)
-        flags = erosion_membership(cfg, 0.2)
         x, y = cfg.points[:, 0], cfg.points[:, 1]
-        oracle = np.minimum.reduce([x, 4 - x, y, 1 - y]) > 0.2
-        assert np.array_equal(flags, oracle)
+        oracle = np.minimum.reduce([x, 4 - x, y, 1 - y])
+        assert np.array_equal(boundary_distances(cfg), oracle)
 
     def test_hole_counts_both_boundaries(self):
         pts = np.array([[0.45, 0.5], [0.1, 0.5], [1.0, 0.9]])

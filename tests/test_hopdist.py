@@ -286,8 +286,13 @@ class TestScaleHops:
 
     def test_positive_scale_required(self):
         hops = all_pairs_hops(random_graph(5, 0.5, seed=1))
-        with pytest.raises(ValueError):
-            scale_hops(hops, 0.0)
+        # an infinite scale would read the diagonal as 0 * inf = nan and
+        # every other pair as disconnected
+        for scale in (0.0, -0.5, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                scale_hops(hops, scale)
+            with pytest.raises(ValueError, match="positive and finite"):
+                EstimateMatrix(hops.hops.astype(np.float64), scale)
 
     def test_estimate_is_a_view_of_the_hops(self):
         hops = all_pairs_hops(random_graph(30, 0.1, seed=4))
@@ -409,11 +414,32 @@ class TestGeneralBound:
         rep = check_general_bound(est, cfg.points, eps, r, alpha=0.0)
         assert rep.fitted_constant <= 4.0
 
-    def test_supplied_constant_counts_violations(self):
-        points = sample_uniform(rectangle(2, 1), 30, seed=8).points
-        est = EstimateMatrix(pairwise_distances(points) * 3.0)
-        rep = check_general_bound(est, points, eps=0.01, r=0.2, alpha=0.0, c2=0.5)
-        assert rep.upper_violations > 0
+
+class TestScaleValidation:
+    """Every check rejects a scale it cannot divide by, and a negative or
+    infinite coverage radius, before reading a pair."""
+
+    @pytest.mark.parametrize("eps, r", [(0.05, 0.0), (0.05, -0.4), (0.05, np.inf), (0.05, np.nan),
+                                        (-1.0, 0.4), (np.inf, 0.4), (np.nan, 0.4)])
+    def test_bad_scale_rejected(self, eps, r):
+        cfg = sample_uniform(rectangle(2, 1), 20, seed=1)
+        est = EstimateMatrix(pairwise_distances(cfg))
+        for check in (lambda: check_simple_bound(est, cfg.points, eps, r),
+                      lambda: check_general_bound(est, cfg.points, eps, r, alpha=0.5),
+                      lambda: check_knn_bounds(est, cfg, eps, r)):
+            with pytest.raises(ValueError, match="need 0"):
+                check()
+
+    def test_zero_eps_accepted(self):
+        cfg = sample_uniform(rectangle(2, 1), 20, seed=1)
+        rep = check_simple_bound(EstimateMatrix(pairwise_distances(cfg)), cfg.points, 0.0, 0.4)
+        assert rep.lower_violations == 0 and rep.upper_violations == 0
+
+    @pytest.mark.parametrize("alpha", [-0.5, np.nan])
+    def test_general_bound_rejects_bad_alpha(self, alpha):
+        cfg = sample_uniform(rectangle(2, 1), 20, seed=1)
+        with pytest.raises(ValueError, match="alpha"):
+            check_general_bound(EstimateMatrix(pairwise_distances(cfg)), cfg.points, 0.05, 0.4, alpha)
 
 
 class TestKnnBounds:
@@ -545,8 +571,9 @@ class TestStreamedChecks:
         monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
         n = 1000
         pts = np.random.default_rng(dim).uniform(-3.0, 5.0, (n, dim))
-        values = np.arange(n * n).reshape(n, n)
-        i, j, v, d = (np.concatenate(parts) for parts in zip(*hopdist._pair_blocks(values, pts)))
+        values = np.arange(n * n).reshape(n, n)  # exact as float64
+        est = EstimateMatrix(values)
+        i, j, v, d = (np.concatenate(parts) for parts in zip(*hopdist._pair_blocks(est, pts)))
         dense = pairwise_distances(pts)
         assert np.array_equal(i * n + j, np.flatnonzero(np.triu(np.ones((n, n), bool), 1)))
         assert np.array_equal(v, i * n + j)
@@ -569,13 +596,13 @@ class TestStreamedChecks:
              dense_report(est, truth, eps, r, 1.0, 4.0, 1.0, bool(eps <= r / 4))),
             (check_general_bound(est, pts, eps, r, alpha=0.5),
              dense_report(est, truth, eps, r, 1.0 / 1.5, None, None, False)),
-            (check_general_bound(est, pts, eps, r, alpha=0.5, c2=0.7),
-             dense_report(est, truth, eps, r, 1.0 / 1.5, 0.7, 1.0, False)),
             (check_knn_bounds(est, cfg, eps, r),
              dense_report(est, truth, eps, r, 1.0, 8.0, 1.0, False, qualifying)),
         ]
         for got, want in cases:
             assert report_fields(got) == report_fields(want)
+        if kind == "indicator":  # the simple and kNN upper counts are not all zero
+            assert cases[0][0].upper_violations > 0 and cases[2][0].upper_violations > 0
         threshold = float(truth.max()) * 0.6
         got, want = check_boundary_bias(est, pts, threshold), dense_boundary_bias(est, truth, threshold)
         assert repr(got) == repr(want)
@@ -593,7 +620,7 @@ class TestStreamedChecks:
         threshold = float(truth.max()) * 0.6
         for check in (
             lambda est: check_simple_bound(est, pts, eps, r),
-            lambda est: check_general_bound(est, pts, eps, r, alpha=0.5, c2=0.7),
+            lambda est: check_general_bound(est, pts, eps, r, alpha=0.5),
             lambda est: check_knn_bounds(est, cfg, eps, r),
         ):
             assert report_fields(check(view)) == report_fields(check(dense))
@@ -625,7 +652,7 @@ class TestStreamedChecks:
         pts = cfg.points
         for check in (
             lambda: check_simple_bound(est, pts, 0.05, 0.2),
-            lambda: check_general_bound(est, pts, 0.05, 0.2, alpha=0.5, c2=2.0),
+            lambda: check_general_bound(est, pts, 0.05, 0.2, alpha=0.5),
             lambda: check_knn_bounds(est, cfg, 0.05, 0.2),
             lambda: check_boundary_bias(est, pts, 2.0),
         ):

@@ -17,7 +17,6 @@ from latentgraph import (
     TwoLevel,
     common_neighbor_denoise,
     couple_thin,
-    evaluate_link,
     generate_graph,
     interval,
     knn_graph,
@@ -29,7 +28,7 @@ from latentgraph import (
     symmetrize_union,
     unit_ball_volume,
 )
-from latentgraph import linkgraph
+from latentgraph import geometry, linkgraph
 from latentgraph._rng import pair_uniform_row
 from tests.conftest import random_graph
 from tests.reference_graphs import (
@@ -67,25 +66,25 @@ def assert_knn_matches_reference(cfg: PointConfig, kappa: int) -> None:
 class TestLinkFunctions:
     def test_indicator(self):
         link = Indicator(0.2)
-        assert evaluate_link(link, 0.1) == 1.0
-        assert evaluate_link(link, 0.3) == 0.0
-        assert evaluate_link(link, 0.2) == 1.0
+        assert link(0.1) == 1.0
+        assert link(0.3) == 0.0
+        assert link(0.2) == 1.0
 
     def test_polynomial_linear_ramp(self):
         link = PolynomialEdge(r=1.0, c0=1.0, alpha=1.0)
-        assert evaluate_link(link, 0.5) == pytest.approx(0.5)
-        assert evaluate_link(link, 1.5) == 0.0
+        assert link(0.5) == pytest.approx(0.5)
+        assert link(1.5) == 0.0
 
     def test_two_level_far_value(self):
         link = TwoLevel(r=1.0, p=0.8, q=0.1)
-        assert evaluate_link(link, 2.0) == pytest.approx(0.1)
-        assert evaluate_link(link, 0.5) == pytest.approx(0.8)
+        assert link(2.0) == pytest.approx(0.1)
+        assert link(0.5) == pytest.approx(0.8)
 
     def test_values_in_unit_interval_and_nonincreasing(self):
         grid = np.linspace(0, 3, 301)
         for link in (Indicator(0.7), ScaledIndicator(0.7, 0.4),
                      PolynomialEdge(0.7, 0.9, 2.0), TwoLevel(0.7, 0.8, 0.05)):
-            vals = evaluate_link(link, grid)
+            vals = link(grid)
             assert np.all((vals >= 0) & (vals <= 1))
             assert np.all(np.diff(vals) <= 1e-12)
 
@@ -100,8 +99,6 @@ class TestLinkFunctions:
             PolynomialEdge(1.0, 0.5, -0.1)
         with pytest.raises(ValueError):
             TwoLevel(1.0, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            evaluate_link(Indicator(1.0), -0.5)
 
 
 class TestGenerateGraph:
@@ -314,11 +311,6 @@ class TestKnnScale:
         assert s.eps == 0.0
         assert s.r == s.r_circ
 
-    def test_omega_override(self):
-        s = knn_scale(rectangle(4, 1), 5000, 25, omega=4.0)
-        assert s.omega == 4.0
-        assert s.r_circ == pytest.approx(np.sqrt(4.0 * 25 / 5000))
-
     def test_unit_ball_volume(self):
         assert unit_ball_volume(1) == pytest.approx(2.0)
         assert unit_ball_volume(2) == pytest.approx(np.pi)
@@ -501,10 +493,11 @@ class TestKnnAgainstDenseReference:
         i = rng.integers(0, 200, 5000)
         j = rng.integers(0, 200, 5000)
         want = cdist(pts, pts)[i, j]
-        assert linkgraph._pair_distances(pts, i, j).tobytes() == want.tobytes()
+        assert geometry._pair_distances(pts.T, i, j)[1].tobytes() == want.tobytes()
         rows = np.arange(200)[:, None]
         cols = rng.integers(0, 200, (200, 12))
-        got = linkgraph._pair_distances(pts, rows, cols)
+        # the broadcast shape comes first, as _nearest passes it
+        got = geometry._pair_distances(pts.T, cols, rows)[1]
         assert got.tobytes() == np.take_along_axis(cdist(pts, pts), cols, axis=1).tobytes()
 
     def test_symmetrize_union_equals_dense_reference(self):
@@ -533,7 +526,7 @@ class TestGraphConstructionAgainstRowLoop:
         adj = generate_graph(cfg, Indicator(r), 0)
         assert adj == row_loop_generate_graph(cfg, Indicator(r), 0)
         i, j = adj.edges().T
-        assert np.any(linkgraph._pair_distances(cfg.points, i, j) == r)
+        assert np.any(geometry._pair_distances(cfg.points.T, i, j)[1] == r)
         for link in (ScaledIndicator(r, 0.5), PolynomialEdge(r, 0.8, 0.0), PolynomialEdge(r, 1.0, 2.0)):
             assert generate_graph(cfg, link, 3) == row_loop_generate_graph(cfg, link, 3)
 

@@ -17,10 +17,11 @@ from latentgraph import (
     Adjacency,
     CoverageBracket,
     EstimateMatrix,
+    HopMatrix,
+    PRESETS,
     check_simple_bound,
     fileio,
     pairwise_distances,
-    preset_names,
     presets,
     rectangle,
     run_preset,
@@ -57,7 +58,7 @@ class TestPresets:
 
         for name in calls:
             monkeypatch.setattr(presets, name, counted(name))
-        for name in preset_names():
+        for name in PRESETS:
             for seen in calls.values():
                 seen.clear()
             out, man = run_small(name, tmp_path, cities_csv=cities_csv, sub=name)
@@ -412,8 +413,8 @@ class TestCli:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         fileio.write_points_csv(tmp_path / "points.csv", pts)
         # estimates below the true distances violate the lower bound
-        fileio.write_matrix_csv(tmp_path / "est.csv",
-                                np.array([[0.0, 0.1, 0.1], [0.1, 0.0, 0.1], [0.1, 0.1, 0.0]]))
+        fileio.write_matrix_csv(tmp_path / "est.csv", EstimateMatrix(
+            np.array([[0.0, 0.1, 0.1], [0.1, 0.0, 0.1], [0.1, 0.1, 0.0]])))
         assert cli_main(["check", "--estimate", f"{out}/est.csv",
                          "--truth", f"{out}/points.csv",
                          "--eps", "0.05", "--r", "0.4", "--strict"]) == 3
@@ -422,13 +423,35 @@ class TestCli:
     def test_check_rejects_non_square_estimate(self, tmp_path, shape):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         fileio.write_points_csv(tmp_path / "points.csv", pts)
-        fileio.write_matrix_csv(tmp_path / "est.csv", np.full(shape, 2.0))
+        fileio.write_csv(tmp_path / "est.csv", None, np.full(shape, 2.0).tolist())
         assert cli_main(["check", "--estimate", f"{tmp_path}/est.csv",
                          "--truth", f"{tmp_path}/points.csv",
                          "--eps", "0.05", "--r", "0.4", "--strict"]) == 2
 
+    @pytest.mark.parametrize("kind", ["simple", "general"])
+    @pytest.mark.parametrize("flags", [["--eps", "0.05", "--r", "0"],
+                                       ["--eps", "0.05", "--r", "-0.4"],
+                                       ["--eps", "-1", "--r", "0.4", "--strict"]],
+                             ids=["r-zero", "r-negative", "eps-negative-strict"])
+    def test_check_with_a_bad_scale_is_exit_2(self, tmp_path, capsys, flags, kind):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        fileio.write_points_csv(tmp_path / "points.csv", pts)
+        fileio.write_matrix_csv(tmp_path / "est.csv", EstimateMatrix(pairwise_distances(pts)))
+        assert cli_main(["check", "--estimate", f"{tmp_path}/est.csv", "--truth",
+                         f"{tmp_path}/points.csv", "--kind", kind, *flags]) == 2
+        captured = capsys.readouterr()
+        assert "need 0" in captured.err and captured.out == ""
+
+    def test_estimate_with_an_infinite_scale_is_exit_2(self, tmp_path, capsys):
+        hops = HopMatrix(3, np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.uint16))
+        fileio.write_hops_binary(tmp_path / "hops.bin", hops)
+        assert cli_main(["--out", str(tmp_path), "estimate",
+                         "--hops", f"{tmp_path}/hops.bin", "--r", "inf"]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "estimate.bin").exists()
+
     def test_embed_of_zero_matrix_is_exit_2(self, tmp_path, capsys):
-        fileio.write_matrix_binary(tmp_path / "zero.bin", np.zeros((1300, 1300)))
+        fileio.write_matrix_binary(tmp_path / "zero.bin", EstimateMatrix(np.zeros((1300, 1300))))
         assert cli_main(["--out", str(tmp_path), "embed",
                          "--matrix", f"{tmp_path}/zero.bin", "--dim", "2"]) == 2
         assert "no positive spectrum" in capsys.readouterr().err
@@ -436,7 +459,7 @@ class TestCli:
     def test_embed_of_asymmetric_matrix_is_exit_2(self, tmp_path, capsys):
         mat = pairwise_distances(np.arange(5.0)[:, None])
         mat[1, 4] += 0.5
-        fileio.write_matrix_csv(tmp_path / "asym.csv", mat)
+        fileio.write_matrix_csv(tmp_path / "asym.csv", EstimateMatrix(mat))
         assert cli_main(["--out", str(tmp_path), "embed",
                          "--matrix", f"{tmp_path}/asym.csv", "--dim", "2"]) == 2
         assert "dissimilarities must be symmetric" in capsys.readouterr().err
