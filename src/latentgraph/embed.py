@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .geometry import _pair_distances
-from .hopdist import INF_HOPS, HopMatrix
+from .hopdist import _BLOCK_PAIRS, INF_HOPS, HopMatrix
 
 __all__ = [
     "EmbeddingResult",
@@ -235,8 +235,17 @@ def localize(hops: HopMatrix, max_hops: int, r: float) -> PartialDissimilarity:
         raise ValueError("need max_hops >= 1")
     if r <= 0:
         raise ValueError("scale must be positive")
-    i, j = np.nonzero(np.triu(hops.hops <= max_hops, 1))
-    return PartialDissimilarity(hops.n, i, j, r * hops.hops[i, j].astype(np.float64))
+    # blocks of rows from the diagonal on: no n-by-n mask; one empty block at n = 0
+    n = hops.n
+    step = max(1, _BLOCK_PAIRS // max(1, n))
+    rows, cols = [], []
+    for lo in range(0, max(1, n), step):
+        ii, jj = np.nonzero(hops.hops[lo : lo + step, lo:] <= max_hops)
+        upper = jj > ii  # row and column offsets are both lo
+        rows.append(ii[upper] + lo)
+        cols.append(jj[upper] + lo)
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    return PartialDissimilarity(n, i, j, r * hops.hops[i, j].astype(np.float64))
 
 
 def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:

@@ -224,10 +224,7 @@ def _pair_distances(xt: np.ndarray, pi: np.ndarray, pj: np.ndarray):
 
 def boundary_distances(config: PointConfig) -> np.ndarray:
     """Distance from each point to the boundary of its domain."""
-    domain = config.domain
-    if not hasattr(domain, "boundary_distance"):
-        raise TypeError(f"unsupported domain kind: {type(domain).__name__}")
-    return domain.boundary_distance(config.points)
+    return config.domain.boundary_distance(config.points)
 
 
 class CoverageBracket(NamedTuple):

@@ -39,14 +39,21 @@ The simple, general and kNN checks share one report builder: the excess
 ``est >= d`` over all connected or over qualifying pairs.
 
 The checks and ``check_boundary_bias`` read the true distances from the
-points: they stream the pairs ``i < j`` in row-major blocks of whole rows,
-about ``_BLOCK_PAIRS`` pairs each, take each block's estimates from
-``EstimateMatrix.rows`` and its distances from ``cdist`` (bitwise the
-entries of ``squareform(pdist(points))``), and keep only counts, maxima and
-minima.  Their scratch memory is therefore a few megabytes at any n, beside
-the hops the estimate reads; none of the reductions depends on order, so
-the reports equal the ones over all pairs of a dense estimate at once, bit
-for bit.
+points.  They take blocks of ``max(1, _BLOCK_PAIRS // n)`` rows from the
+diagonal on, each block's estimates from one ``EstimateMatrix.rows`` read
+and its distances from one ``cdist`` (bitwise the entries of
+``squareform(pdist(points))``), and cut each block into two tiles of pairs
+``i < j``: the rectangle right of the block's diagonal square, a 2-D view
+whose row and column indices broadcast, and the triangle above that
+square's diagonal, a flat copy.  No per-pair index array and no copy of
+the rectangle is made.  A tile whose estimates are all finite and whose
+distances are all positive is reduced whole; only a tile with a
+disconnected or a coincident pair is compressed by a mask.  The checks
+keep only counts, maxima and minima, so their scratch memory is at most
+six float64 blocks (3 MiB) at any n, beside the hops the estimate reads;
+every element is computed by the same formula and none of the reductions
+depends on order, so the reports equal the ones over all pairs of a dense
+estimate at once, bit for bit.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ __all__ = [
 INF_HOPS = np.uint16(0xFFFF)
 # slack of every bound comparison, recorded in ``BoundReport.tol``
 _TOL = 1e-9
-# pairs per row block of the streamed checks: bounds their scratch memory
+# pairs per block of rows of the tiled checks and of localize: bounds their scratch
 _BLOCK_PAIRS = 1 << 16
 
 
@@ -250,7 +257,7 @@ class EstimateMatrix:
     infinity, or any square float64 matrix.  ``scale_hops`` makes the
     estimate a view of the hops: it holds no n-by-n float64 of its own, and
     ``rows`` scales a block of hops on each call, bitwise the entries of the
-    dense ``r * hops``.  ``values`` is that dense matrix, built on demand.
+    dense ``r * hops``.
     """
 
     base: np.ndarray
@@ -279,11 +286,6 @@ class EstimateMatrix:
         if block.dtype == np.uint16:
             out[block == INF_HOPS] = np.inf
         return out
-
-    @property
-    def values(self) -> np.ndarray:
-        """The whole estimate as a new n-by-n float64 array."""
-        return self.rows(0, self.n)
 
 
 def scale_hops(hops: HopMatrix, r: float) -> EstimateMatrix:
@@ -321,27 +323,36 @@ class BoundReport:
 
 
 def _pair_blocks(est: EstimateMatrix, points: np.ndarray):
-    """The pairs ``i < j`` of ``est`` in row-major order, one block of whole
-    rows at a time: indices ``i`` and ``j``, the estimates ``est[i, j]`` (read
-    through ``rows``) and point distances, each at most ``_BLOCK_PAIRS`` long
-    (or one row)."""
+    """The pairs ``i < j`` of ``est`` in tiles, two for each block of rows
+    ``lo, ..., hi - 1`` (``max(1, _BLOCK_PAIRS // n)`` rows): the rectangle
+    ``[lo:hi, hi:n]``, whose pairs all have ``i < j``, and then the strict
+    upper triangle of the square ``[lo:hi, lo:hi]``, flattened.  A tile is
+    its indices ``i`` and ``j``, its estimates (read through ``rows``) and its
+    point distances; the rectangle's ``i`` is a column and its ``j`` a row,
+    which broadcast against its 2-D values.  Empty tiles are skipped.
+
+    A block is one ``rows`` read and one ``cdist``; the rectangle is a view
+    of them and the triangle a copy.  The generator keeps no tile it has
+    handed out, so the block is freed as soon as the caller drops the
+    rectangle's arrays, and at the latest when it takes the triangle: before
+    the next block is read.
+    """
     n = est.n
     points = np.asarray(points)
     if points.ndim != 2 or points.shape[0] != n:
         raise ValueError(f"need one point per estimate row: {n} rows, got shape {points.shape}")
-    lo = 0
-    while lo < n - 1:
-        # rows shorten toward the end, so the first row of a block is its longest
-        hi = min(n - 1, lo + max(1, _BLOCK_PAIRS // (n - 1 - lo)))
-        block = np.arange(lo, hi)
-        counts = n - 1 - block
-        # row i's pairs start at its offset in the block and run to j = n - 1
-        starts = np.cumsum(counts) - counts
-        i = np.repeat(block, counts)
-        j = np.arange(starts[-1] + counts[-1]) - np.repeat(starts - block - 1, counts)
-        upper = np.arange(lo + 1, n) > block[:, None]
-        yield i, j, est.rows(lo, hi, lo + 1)[upper], cdist(points[lo:hi], points[lo + 1 :])[upper]
-        lo = hi
+    step = max(1, _BLOCK_PAIRS // max(1, n))
+    for lo in range(0, n - 1, step):
+        hi = min(n, lo + step)
+        dhat, d = est.rows(lo, hi, lo), cdist(points[lo:hi], points[lo:])
+        iu = np.triu_indices(hi - lo, 1)
+        tiles = [(iu[0] + lo, iu[1] + lo, dhat[iu], d[iu]),
+                 (np.arange(lo, hi)[:, None], np.arange(hi, n)[None, :],
+                  dhat[:, hi - lo :], d[:, hi - lo :])]
+        del dhat, d
+        tiles = [tile for tile in tiles if tile[3].size]
+        while tiles:
+            yield tiles.pop()
 
 
 def _fold(reduce, values: list) -> float:
@@ -354,8 +365,9 @@ def _report(est, points, eps, r, gamma, a, b, asserted, qualifying=None) -> Boun
 
     With ``a`` given, the excess is held against ``a (eps/r)^gamma d + b r``.
     The lower bound ``est >= d`` is counted over all connected pairs, or only
-    over the pairs for which ``qualifying(i, j, d)`` is true when it is given.
-    Needs ``0 < r < inf`` and ``0 <= eps < inf``.
+    over the pairs for which ``qualifying(i, j, d)`` is true when it is given
+    (it gets a tile of ``_pair_blocks``: ``i`` and ``j`` broadcast against
+    ``d``).  Needs ``0 < r < inf`` and ``0 <= eps < inf``.
     """
     if not 0 < r < np.inf:
         raise ValueError(f"need 0 < r < inf, got r={r}")
@@ -365,27 +377,31 @@ def _report(est, points, eps, r, gamma, a, b, asserted, qualifying=None) -> Boun
     total = connected = lower_viol = upper_viol = checked = 0
     maxima, minima, relative, fitted = [], [], [], []
     for i, j, dhat, d in _pair_blocks(est, points):
-        finite = np.isfinite(dhat)
-        df = d[finite]
-        resid = dhat[finite] - df
         total += d.size
-        connected += int(finite.sum())
-        if qualifying is None:
-            lower_viol += int((resid < -_TOL).sum())
-        else:
+        if qualifying is not None:
             # disconnected qualifying pairs have est = inf >= d: no violation
             q = qualifying(i, j, d)
-            lower_viol += int((q & (dhat < d - _TOL)).sum())
-            checked += int(q.sum())
+            lower_viol += int(np.count_nonzero(q & (dhat < d - _TOL)))
+            checked += int(np.count_nonzero(q))
+        finite = np.isfinite(dhat)
+        if not finite.all():  # a disconnected pair: keep the connected ones
+            dhat, d = dhat[finite], d[finite]
+        connected += d.size
+        if not d.size:
+            continue
+        resid = dhat - d
+        if qualifying is None:
+            lower_viol += int(np.count_nonzero(resid < -_TOL))
         if a is not None:
-            upper_viol += int((resid > a * scale * df + b * r + _TOL).sum())
-        if resid.size:
-            maxima.append(resid.max())
-            minima.append(resid.min())
-            fitted.append((resid / (scale * df + r)).max())
-        pos = df > 0
-        if pos.any():
-            relative.append((np.abs(resid[pos]) / df[pos]).max())
+            upper_viol += int(np.count_nonzero(resid > a * scale * d + b * r + _TOL))
+        maxima.append(resid.max())
+        minima.append(resid.min())
+        fitted.append((resid / (scale * d + r)).max())
+        pos = d > 0
+        if not pos.all():  # a coincident pair: no relative error
+            resid, d = resid[pos], d[pos]
+        if d.size:
+            relative.append((np.abs(resid) / d).max())
     return BoundReport(
         n=est.n,
         pairs_total=total,
@@ -456,9 +472,10 @@ def check_boundary_bias(est: EstimateMatrix, points: np.ndarray,
     ratios, pairs = [], 0
     for _, _, dhat, d in _pair_blocks(est, points):
         sel = d >= threshold_d
-        if sel.any():
-            ratios.append((dhat[sel] / d[sel]).max())
-            pairs += int(sel.sum())
+        count = int(np.count_nonzero(sel))
+        if count:
+            ratios.append(np.divide(dhat, d, out=np.full(d.shape, -np.inf), where=sel).max())
+            pairs += count
     if not pairs:
         raise ValueError("no pairs at or beyond the distance threshold")
     return _fold(np.max, ratios), pairs

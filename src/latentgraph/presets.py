@@ -320,7 +320,8 @@ def _run_hole_local(seed: int, out: Path, n: int, man: dict, **_) -> None:
     if g.embedding is None:
         raise ValueError(f"hole-local needs a component of at least 3 nodes; n={n} is too small")
     keep = g.keep
-    partial = localize(HopMatrix(keep.size, g.hops.hops[np.ix_(keep, keep)]), max_hops, r)
+    hops = g.hops if keep.size == g.hops.n else HopMatrix(keep.size, g.hops.hops[np.ix_(keep, keep)])
+    partial = localize(hops, max_hops, r)
     man["local.max_hops"] = max_hops
     # share of the n*n entries present, the zero diagonal included
     man["local.present_fraction"] = (2 * partial.i.size + partial.n) / partial.n ** 2

@@ -85,7 +85,7 @@ def hole_fixture(n=150, r=0.35, seed=9):
     hole = Box(np.array([0.5, 0.25]), np.array([1.5, 0.75]))
     cfg = sample_uniform(RectangleWithHole(rectangle(2, 1), hole), n, seed=seed)
     hops = all_pairs_hops(generate_graph(cfg, Indicator(r), seed=seed))
-    return localize(hops, 2, r=r), scale_hops(hops, r).values
+    return localize(hops, 2, r=r), scale_hops(hops, r).rows(0, hops.n)
 
 
 def flat_bin_smacof(partial, init):
@@ -159,7 +159,7 @@ class TestClassicalMds:
         cfg = sample_uniform(rectangle(2, 1), 300, seed=2)
         adj = generate_graph(cfg, Indicator(0.5), seed=0)
         est = scale_hops(all_pairs_hops(adj), 0.5)
-        emb = classical_mds(est.values, v=2)
+        emb = classical_mds(est.rows(0, est.n), v=2)
         assert emb.eigenvalues[0] > 0
         assert emb.coords.shape == (300, 2)
 
@@ -364,17 +364,21 @@ class TestLocalize:
         with pytest.raises(ValueError):
             localize(hops, 2, r=0.0)
 
-    def test_pairs_match_dense_triu_reference(self):
+    def test_pairs_match_dense_triu_reference(self, monkeypatch):
+        # localize scans blocks of rows: one row, 9 rows (the last one 3)
+        # and all 120 rows at once
         hops = self.make_hops()
         h = hops.hops
-        for max_hops in (1, 2, hops.max_finite()):
-            part = localize(hops, max_hops, r=0.4)
-            mask = h <= max_hops
-            values = np.where(mask, 0.4 * h.astype(np.float64), 0.0)
-            i, j = np.nonzero(np.triu(mask, 1))
-            assert part.n == hops.n
-            assert np.array_equal(part.i, i) and np.array_equal(part.j, j)
-            assert part.values.tobytes() == values[i, j].tobytes()
+        for block in (1, 1100, 1 << 16):
+            monkeypatch.setattr(embed, "_BLOCK_PAIRS", block)
+            for max_hops in (1, 2, hops.max_finite()):
+                part = localize(hops, max_hops, r=0.4)
+                mask = h <= max_hops
+                values = np.where(mask, 0.4 * h.astype(np.float64), 0.0)
+                i, j = np.nonzero(np.triu(mask, 1))
+                assert part.n == hops.n
+                assert np.array_equal(part.i, i) and np.array_equal(part.j, j)
+                assert part.values.tobytes() == values[i, j].tobytes()
 
     def test_holds_less_than_one_dense_float_matrix(self):
         n = 2000
@@ -419,13 +423,13 @@ class TestSmacof:
     def test_beats_classical_mds_stress_on_full_input(self):
         cfg = sample_uniform(rectangle(2, 1), 60, seed=8)
         adj = generate_graph(cfg, Indicator(0.5), seed=0)
-        est = scale_hops(all_pairs_hops(adj), 0.5)
-        part = all_pairs(est.values)
-        cm = classical_mds(est.values, v=2)
+        est = scale_hops(all_pairs_hops(adj), 0.5).rows(0, 60)
+        part = all_pairs(est)
+        cm = classical_mds(est, v=2)
 
         def full_stress(coords):
             iu = np.triu_indices(60, 1)
-            return (((pairwise_distances(coords) - est.values)[iu]) ** 2).sum()
+            return (((pairwise_distances(coords) - est)[iu]) ** 2).sum()
 
         rng = np.random.default_rng(0)
         res = smacof(part, rng.random((60, 2)))
@@ -437,7 +441,7 @@ class TestSmacof:
         hops = all_pairs_hops(adj)
         assert hops.is_connected()
         part = localize(hops, 2, r=0.35)
-        init = classical_mds(scale_hops(hops, 0.35).values, v=2).coords
+        init = classical_mds(scale_hops(hops, 0.35).rows(0, hops.n), v=2).coords
         res = smacof(part, init)
         trace = np.array(res.stress_trace)
         assert np.all(np.diff(trace) <= 1e-9)
@@ -465,7 +469,7 @@ class TestSmacof:
         hops = all_pairs_hops(generate_graph(cfg, Indicator(0.4), seed=0))
         part = localize(hops, 2, r=0.4)
         assert part.i.size < part.n * (part.n - 1) // 2
-        res = smacof(part, classical_mds(scale_hops(hops, 0.4).values, v=2).coords)
+        res = smacof(part, classical_mds(scale_hops(hops, 0.4).rows(0, hops.n), v=2).coords)
         assert res.iterations > 1
         assert len(calls) == res.iterations + 1
 
@@ -551,7 +555,7 @@ class TestSmacof:
         cfg = sample_uniform(rectangle(2, 1), 150, seed=9)
         hops = all_pairs_hops(generate_graph(cfg, Indicator(0.35), seed=0))
         part = localize(hops, 2, r=0.35)
-        smacof(part, classical_mds(scale_hops(hops, 0.35).values, v=2).coords)
+        smacof(part, classical_mds(scale_hops(hops, 0.35).rows(0, hops.n), v=2).coords)
         n = part.n
         mask = hops.hops <= 2
         want = np.where(mask, 1.0 / n - 1.0, 1.0 / n)

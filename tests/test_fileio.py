@@ -242,7 +242,7 @@ class TestBinaryFormats:
         est = scale_hops(hops, 0.3)
         for write, name in ((fileio.write_matrix_binary, "m.bin"), (fileio.write_matrix_csv, "m.csv")):
             write(tmp_path / f"view-{name}", est)
-            write(tmp_path / f"dense-{name}", EstimateMatrix(est.values))
+            write(tmp_path / f"dense-{name}", EstimateMatrix(est.rows(0, est.n)))
             assert (tmp_path / f"view-{name}").read_bytes() == (tmp_path / f"dense-{name}").read_bytes()
 
     def test_magic_checked(self, tmp_path):

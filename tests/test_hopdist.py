@@ -267,22 +267,22 @@ class TestScaleHops:
     def test_elementwise(self):
         hops = HopMatrix(3, np.array([[0, 3, 1], [3, 0, 2], [1, 2, 0]], dtype=np.uint16))
         est = scale_hops(hops, 0.2)
-        assert est.values[0, 1] == pytest.approx(0.6)
+        assert est.rows(0, est.n)[0, 1] == pytest.approx(0.6)
 
     def test_infinity_propagates(self):
         h = np.array([[0, INF_HOPS], [INF_HOPS, 0]], dtype=np.uint16)
         est = scale_hops(HopMatrix(2, h), 0.5)
-        assert np.isinf(est.values[0, 1])
+        assert np.isinf(est.rows(0, est.n)[0, 1])
 
     def test_matrix_matches_scalar_recompute(self):
         adj = random_graph(25, 0.25, seed=2)
         hops = all_pairs_hops(adj)
-        est = scale_hops(hops, 0.37)
+        dense = scale_hops(hops, 0.37).rows(0, 25)
         for i in range(25):
             for j in range(25):
                 h = hops.hops[i, j]
                 expect = np.inf if h == INF_HOPS else 0.37 * float(h)
-                assert est.values[i, j] == expect
+                assert dense[i, j] == expect
 
     def test_positive_scale_required(self):
         hops = all_pairs_hops(random_graph(5, 0.5, seed=1))
@@ -303,7 +303,7 @@ class TestScaleHops:
         dense = hops.hops.astype(np.float64)
         dense *= 0.37
         dense[hops.hops == INF_HOPS] = np.inf
-        assert est.values.tobytes() == dense.tobytes()
+        assert est.rows(0, est.n).tobytes() == dense.tobytes()
         for lo, hi, start in ((0, 30, 0), (3, 4, 0), (5, 17, 6), (29, 30, 29), (7, 7, 0)):
             assert est.rows(lo, hi, start).tobytes() == dense[lo:hi, start:].tobytes()
 
@@ -312,7 +312,7 @@ class TestScaleHops:
         values[2, 3] = np.inf
         est = EstimateMatrix(values)
         assert est.scale == 1.0 and est.base.dtype == np.float64
-        assert est.values.tobytes() == values.tobytes()
+        assert est.rows(0, est.n).tobytes() == values.tobytes()
         assert est.rows(1, 3, 2).tobytes() == values[1:3, 2:].tobytes()
 
     def test_scale_hops_allocates_nothing_n_sized(self):
@@ -358,7 +358,7 @@ class TestSimpleBound:
         adj = generate_graph(cfg, Indicator(r), seed=0)
         est = scale_hops(all_pairs_hops(adj), r)
         truth = pairwise_distances(cfg)
-        resid = est.values[0, 4] - truth[0, 4]
+        resid = est.rows(0, est.n)[0, 4] - truth[0, 4]
         assert resid == pytest.approx(r, abs=1e-5)
         eps = coverage_radius(cfg, "convex_hull", grid_step=0.001).upper
         rep = check_simple_bound(est, cfg.points, eps, r)
@@ -462,8 +462,9 @@ class TestKnnBounds:
         est = scale_hops(all_pairs_hops(adj), s.r)
         truth = pairwise_distances(cfg)
         iu = np.triu_indices(cfg.n, 1)
-        finite = np.isfinite(est.values[iu])
-        assert np.all(est.values[iu][finite] >= truth[iu][finite] - 1e-9)
+        dhat = est.rows(0, est.n)[iu]
+        finite = np.isfinite(dhat)
+        assert np.all(dhat[finite] >= truth[iu][finite] - 1e-9)
 
     def test_upper_violation_counting(self):
         cfg = sample_uniform(rectangle(2, 1), 30, seed=3)
@@ -493,7 +494,7 @@ def dense_report(est, truth, eps, r, gamma, a, b, asserted, qualifying=None):
     """Bound report over all pairs at once through ``triu_indices``: the
     formulas the streamed checks must reproduce bit for bit."""
     iu = np.triu_indices(est.n, 1)
-    dhat, d = est.values[iu], truth[iu]
+    dhat, d = est.rows(0, est.n)[iu], truth[iu]
     finite = np.isfinite(dhat)
     df = d[finite]
     resid = dhat[finite] - df
@@ -524,7 +525,7 @@ def dense_report(est, truth, eps, r, gamma, a, b, asserted, qualifying=None):
 
 def dense_boundary_bias(est, truth, threshold_d):
     iu = np.triu_indices(est.n, 1)
-    dhat, d = est.values[iu], truth[iu]
+    dhat, d = est.rows(0, est.n)[iu], truth[iu]
     sel = d >= threshold_d
     return float((dhat[sel] / d[sel]).max()), int(sel.sum())
 
@@ -536,7 +537,24 @@ def report_fields(rep):
 
 def streamed_inputs(kind):
     """(config, estimate, truth) with disconnected pairs and both signs of
-    the residual."""
+    the residual, or with the pairs that take the masked paths of a tile:
+    coincident points (d = 0) and disconnected pairs.  At n = 45 and
+    ``_BLOCK_PAIRS`` = 200 the blocks are four rows high, so both kinds sit
+    in the triangle of rows 0-3 or 4-7 and in a rectangle."""
+    if kind == "coincident":
+        cfg = sample_uniform(rectangle(2, 1), 45, seed=17)
+        pts = cfg.points.copy()
+        pts[[5, 6, 40]] = pts[[4, 4, 2]]
+        cfg = SimpleNamespace(points=pts, domain=cfg.domain)
+        truth = pairwise_distances(pts)
+        assert (truth[np.triu_indices(45, 1)] == 0).sum() == 4
+        return cfg, EstimateMatrix(truth * 1.5 + 0.05), truth
+    if kind == "disconnected-tiles":
+        cfg = sample_uniform(rectangle(2, 1), 45, seed=17)
+        truth = pairwise_distances(cfg)
+        values = truth * 1.05
+        values[[1, 2, 0, 30], [2, 1, 30, 0]] = np.inf  # (1, 2) in a triangle, (0, 30) in a rectangle
+        return cfg, EstimateMatrix(values), truth
     if kind.startswith("two"):
         # a point configuration needs three points; the checks read only these fields
         cfg = SimpleNamespace(points=np.array([[0.6, 0.5], [0.9, 0.6]]), domain=rectangle(2, 1))
@@ -548,38 +566,43 @@ def streamed_inputs(kind):
     if kind == "indicator":
         adj = generate_graph(cfg, Indicator(0.3), seed=0)
         est = scale_hops(all_pairs_hops(adj), 0.3)
-        assert not np.isfinite(est.values).all()
+        assert not np.isfinite(est.rows(0, est.n)).all()
     else:  # nearest-neighbor forest: some scaled hop counts fall short of the distance
         adj = symmetrize_union(knn_graph(cfg, 1))
         est = scale_hops(all_pairs_hops(adj), 0.15)
-        assert (est.values < truth - 1e-9).any() and not np.isfinite(est.values).all()
+        dense = est.rows(0, est.n)
+        assert (dense < truth - 1e-9).any() and not np.isfinite(dense).all()
     return cfg, est, truth
 
 
 class TestStreamedChecks:
-    """The row-block checks against the all-pairs reference, with blocks of
-    a few pairs so that they end mid-matrix and vary in length."""
+    """The tiled checks against the all-pairs reference, with blocks of a few
+    pairs, so that the tiles end mid-matrix and vary in shape."""
 
-    KINDS = ["indicator", "knn", "two", "two-disconnected"]
+    KINDS = ["indicator", "knn", "two", "two-disconnected", "coincident", "disconnected-tiles"]
 
     @pytest.mark.parametrize("block", [1, 7, 100, 1 << 16])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_block_distances_equal_pairwise_distances(self, monkeypatch, dim, block):
-        # the checks' distances come from cdist row blocks; blocks of 7 and
-        # 100 pairs end at varying rows, and each must give the bits of the
-        # dense matrix the checks used to take
+        # the checks' distances come from one cdist per block of rows, cut
+        # into a rectangle and a triangle; at n = 45 blocks of 100 pairs are
+        # two rows high, and at n = 1000 blocks of 65536 pairs are 65 rows
+        # high, the last one shorter.  Every pair i < j must come once, with
+        # the bits of the dense matrix
         monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
-        n = 1000
-        pts = np.random.default_rng(dim).uniform(-3.0, 5.0, (n, dim))
-        values = np.arange(n * n).reshape(n, n)  # exact as float64
-        est = EstimateMatrix(values)
-        i, j, v, d = (np.concatenate(parts) for parts in zip(*hopdist._pair_blocks(est, pts)))
-        dense = pairwise_distances(pts)
-        assert np.array_equal(i * n + j, np.flatnonzero(np.triu(np.ones((n, n), bool), 1)))
-        assert np.array_equal(v, i * n + j)
-        assert d.tobytes() == dense[i, j].tobytes()
+        for n in (45, 1000):
+            pts = np.random.default_rng(dim).uniform(-3.0, 5.0, (n, dim))
+            values = np.arange(n * n).reshape(n, n)  # exact as float64
+            est = EstimateMatrix(values)
+            tiles = [np.broadcast_arrays(*tile) for tile in hopdist._pair_blocks(est, pts)]
+            i, j, v, d = (np.concatenate([t[k].ravel() for t in tiles]) for k in range(4))
+            order = np.argsort(i * n + j)
+            i, j, v, d = i[order], j[order], v[order], d[order]
+            assert np.array_equal(i * n + j, np.flatnonzero(np.triu(np.ones((n, n), bool), 1)))
+            assert np.array_equal(v, i * n + j)
+            assert d.tobytes() == pairwise_distances(pts)[i, j].tobytes()
 
-    @pytest.mark.parametrize("block", [1, 3, 7, 1 << 16])
+    @pytest.mark.parametrize("block", [1, 3, 7, 200, 1 << 16])
     @pytest.mark.parametrize("kind", KINDS)
     def test_reports_equal_dense_reference(self, monkeypatch, kind, block):
         monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
@@ -615,7 +638,7 @@ class TestStreamedChecks:
         monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
         cfg, view, truth = streamed_inputs(kind)
         assert view.base.dtype == np.uint16
-        dense = EstimateMatrix(view.values)
+        dense = EstimateMatrix(view.rows(0, view.n))
         eps, r, pts = 0.08, 0.15, cfg.points
         threshold = float(truth.max()) * 0.6
         for check in (
@@ -640,6 +663,31 @@ class TestStreamedChecks:
         cfg, est, truth = streamed_inputs("knn")
         with pytest.raises(ValueError, match="no pairs"):
             check_boundary_bias(est, cfg.points, float(truth.max()) * 1.01)
+
+    def test_scratch_memory_within_six_blocks(self):
+        # a block of rows is one estimate read and one cdist, 16 bytes a
+        # pair; the tiles' temporaries take each check to at most six
+        # float64 blocks, whatever n.  The r = 0.07 graph leaves a node
+        # isolated, so every rectangle takes the masked path
+        n, r = 2000, 0.07
+        cfg = sample_uniform(rectangle(4, 1), n, seed=5)
+        est = scale_hops(all_pairs_hops(generate_graph(cfg, Indicator(r), seed=5)), r)
+        assert ((est.base == INF_HOPS).sum(axis=1) == n - 1).any()
+        cap = 6 * 8 * hopdist._BLOCK_PAIRS
+        pts = cfg.points
+        for check in (
+            lambda: check_simple_bound(est, pts, 0.05, r),
+            lambda: check_general_bound(est, pts, 0.05, r, alpha=0.5),
+            lambda: check_knn_bounds(est, cfg, 0.05, r),
+            lambda: check_boundary_bias(est, pts, 2.0),
+        ):
+            tracemalloc.start()
+            try:
+                check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= cap
 
     def test_scratch_memory_below_a_quarter_matrix(self):
         n = 2000

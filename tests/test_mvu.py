@@ -18,7 +18,7 @@ from latentgraph import (
     sample_uniform,
     solve_mvu,
 )
-from latentgraph import mvu
+from latentgraph import hopdist, mvu
 from latentgraph.mvu import MvuBoundReport
 from tests.conftest import float_hops
 
@@ -161,8 +161,22 @@ class TestCheckMvuBound:
         with pytest.raises(ValueError):
             check_mvu_bound(sol, hops)
 
+    @staticmethod
+    def dense_report(sol, hops):
+        """The report over all pairs at once through ``triu_indices``."""
+        h = float_hops(hops)[np.triu_indices(hops.n, 1)]
+        finite = np.isfinite(h)
+        excess = pdist(sol.coords)[finite] - h[finite]
+        return MvuBoundReport(
+            pairs=int(finite.sum()),
+            violations=int((excess > sol.max_edge_violation * h[finite] + 1e-9).sum()),
+            max_excess=float(excess.max()),
+            tol_base=1e-9,
+        )
+
     def test_streams_pairs_and_matches_dense_reference(self):
-        # at n = 2000 one n-by-n float64 is 32 MB; the check streams the pairs
+        # at n = 2000 one n-by-n float64 is 32 MB; the check streams the
+        # pairs in tiles, within six float64 blocks of scratch
         n, r = 2000, 0.2
         cfg = sample_uniform(rectangle(2, 1), n, seed=1)
         hops = all_pairs_hops(generate_graph(cfg, Indicator(r), seed=1))
@@ -175,18 +189,21 @@ class TestCheckMvuBound:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * n * 8 / 4
+        assert peak <= 6 * 8 * hopdist._BLOCK_PAIRS
+        assert got == self.dense_report(sol, hops)
+        assert got.violations > 0
 
-        h = float_hops(hops)[np.triu_indices(n, 1)]
-        finite = np.isfinite(h)
-        excess = pdist(sol.coords)[finite] - h[finite]
-        want = MvuBoundReport(
-            pairs=int(finite.sum()),
-            violations=int((excess > 1e-3 * h[finite] + 1e-9).sum()),
-            max_excess=float(excess.max()),
-            tol_base=1e-9,
-        )
-        assert got == want
+    @pytest.mark.parametrize("block", [1, 7, 200, 1 << 16])
+    def test_tiles_match_dense_reference(self, monkeypatch, block):
+        # at n = 45, blocks of 200 pairs are four rows high: triangles and
+        # rectangles, some with disconnected pairs; 1 << 16 is one triangle
+        monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
+        cfg = sample_uniform(rectangle(2, 1), 45, seed=17)
+        hops = all_pairs_hops(generate_graph(cfg, Indicator(0.3), seed=0))
+        assert not hops.is_connected()
+        sol = MvuSolution(cfg.points * (1.05 / 0.3), objective=0.0, max_edge_violation=1e-3)
+        got = check_mvu_bound(sol, hops)
+        assert repr(got) == repr(self.dense_report(sol, hops))
         assert got.violations > 0
 
 

@@ -21,6 +21,7 @@ from latentgraph import (
     PRESETS,
     check_simple_bound,
     fileio,
+    hopdist,
     pairwise_distances,
     presets,
     rectangle,
@@ -110,10 +111,18 @@ class TestPresets:
         assert digests(view) == digests(dense)
 
     def test_pipeline_never_builds_the_dense_estimate(self, tmp_path, monkeypatch):
-        def refuse(est):
-            raise AssertionError("the dense estimate was built")
+        # the estimate is read through rows alone, a block at a time: with
+        # blocks of 2000 entries at n = 200, no read may span the matrix
+        read = EstimateMatrix.rows
 
-        monkeypatch.setattr(EstimateMatrix, "values", property(refuse))
+        def rows(est, lo, hi, start=0):
+            if (hi - lo) * (est.n - start) > 2000:
+                raise AssertionError("the dense estimate was built")
+            return read(est, lo, hi, start)
+
+        monkeypatch.setattr(EstimateMatrix, "rows", rows)
+        monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", 2000)
+        monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", 2000)
         for name in ("rectangles", "knn-band", "hole-local"):
             run_small(name, tmp_path, scale_n=200, sub=name)
         for extra in ([], ["--csv"]):
