@@ -126,9 +126,12 @@ def _run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     def read_adjacency(name):
-        path = Path(name)
-        return (fileio.read_adjacency_binary(path) if path.suffix == ".bin"
-                else fileio.read_edge_list(path))
+        binary = Path(name).suffix == ".bin"
+        return fileio.read_adjacency_binary(name) if binary else fileio.read_edge_list(name)
+
+    def read_matrix(name):
+        csv = Path(name).suffix == ".csv"
+        return fileio.read_matrix_csv(name) if csv else fileio.read_matrix_binary(name)
 
     if args.command == "generate":
         config = sample_uniform(_parse_domain(args.domain), args.n, args.seed)
@@ -157,9 +160,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "embed":
-        path = Path(args.matrix)
-        mat = (fileio.read_matrix_csv(path) if path.suffix == ".csv"
-               else fileio.read_matrix_binary(path))
+        mat = read_matrix(args.matrix)
         if (mat < 0).any():
             raise ValueError("matrix contains disconnected (-1) entries; embed a component")
         emb = classical_mds(mat, args.dim)
@@ -182,9 +183,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "check":
-        path = Path(args.estimate)
-        values = (fileio.read_matrix_csv(path) if path.suffix == ".csv"
-                  else fileio.read_matrix_binary(path))
+        values = read_matrix(args.estimate)
         values[values < 0] = np.inf
         est = EstimateMatrix(values)
         points = fileio.read_points_csv(args.truth)

@@ -9,14 +9,13 @@ then ``i j`` lines, 0-based, i < j, each pair once) and a binary form: magic
 row-major as packed bits (little bit order) with zero bits padding the last
 byte.  Packed bits exist only in the file: the writer sets them from the
 edge list, and the reader builds the neighbour lists from the set bits,
-unpacked one block at a time.  Hop
-matrices: magic ``LGH1``, u64 n, row-major u16 little-endian with 0xFFFF
-for infinity.  Dense float matrices: CSV or magic ``LGD1``, u64 n,
-row-major f64 little-endian, -1 for every non-finite entry; the writers take
-an ``EstimateMatrix`` and write its rows a block at a time, so the dense
-estimate is never built.  The binary
-readers check the payload length against the file size, then read the
-payload straight into the array they return.  Manifests are flat JSON
+unpacked one block at a time.  Hop matrices: magic ``LGH1``, u64 n,
+row-major u16 little-endian with 0xFFFF for infinity.  Dense float
+matrices: CSV or magic ``LGD1``, u64 n, row-major f64 little-endian, -1 for
+every non-finite entry; the writers take an ``EstimateMatrix`` and write
+its rows a block at a time, so the dense estimate is never built.  The
+binary readers check the payload length against the file size, then read
+the payload straight into the array they return.  Manifests are flat JSON
 objects with sorted keys so equal runs produce byte-identical files.
 """
 
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hopdist import EstimateMatrix, HopMatrix
+from .hopdist import _BLOCK_PAIRS, EstimateMatrix, HopMatrix
 from .linkgraph import Adjacency
 
 __all__ = [
@@ -55,9 +54,6 @@ __all__ = [
 _MAGIC_ADJ = b"LGA1"
 _MAGIC_HOP = b"LGH1"
 _MAGIC_DEN = b"LGD1"
-# entries per block when a file is streamed: floats of a dense matrix, or
-# payload bits of an adjacency file
-_BLOCK_ENTRIES = 1 << 16
 
 
 def write_csv(path: str | Path, header: str | None, rows) -> None:
@@ -172,8 +168,8 @@ def read_adjacency_binary(path: str | Path) -> Adjacency:
     m = n * (n - 1) // 2
     if m % 8 and data[-1] >> (m % 8):
         raise ValueError(f"{path}: padding bits after the {m} data bits are not zero")
-    # the stream positions of the set bits, unpacked one block at a time
-    pos, step = [np.empty(0, dtype=np.intp)], _BLOCK_ENTRIES // 8
+    # the stream positions of the set bits, unpacked _BLOCK_PAIRS bits at a time
+    pos, step = [np.empty(0, dtype=np.intp)], _BLOCK_PAIRS // 8
     for lo in range(0, data.size, step):
         pos.append(np.flatnonzero(np.unpackbits(data[lo : lo + step], bitorder="little")))
         pos[-1] += 8 * lo
@@ -195,8 +191,8 @@ def read_hops_binary(path: str | Path) -> HopMatrix:
 
 def _file_rows(est: EstimateMatrix):
     """Blocks of whole rows of ``est`` as little-endian float64 arrays in
-    which every non-finite entry is -1, about ``_BLOCK_ENTRIES`` entries each."""
-    step = max(1, _BLOCK_ENTRIES // max(1, est.n))
+    which every non-finite entry is -1, about ``_BLOCK_PAIRS`` entries each."""
+    step = max(1, _BLOCK_PAIRS // max(1, est.n))
     for lo in range(0, est.n, step):
         block = np.asarray(est.rows(lo, lo + step), dtype="<f8")
         block[~np.isfinite(block)] = -1.0

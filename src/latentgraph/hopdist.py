@@ -15,12 +15,11 @@ The search runs on the graph's own neighbour lists (``Adjacency.indptr``
 and ``indices``) relabelled in reverse Cuthill-McKee order (Cuthill & McKee
 1969), which keeps a geometric graph's lists near the diagonal, and a batch
 takes 64 consecutive relabelled sources.  Only the neighbours of the last
-frontier can gain lanes, and they lie between the
-lowest and the highest neighbour of the frontier's index range; so a level
-pulls over that range of nodes alone, one contiguous slice of the lists,
-and the next frontier's range runs from the first to the last node that
-gained lanes.  The 64 rows go back to the original labels when the batch
-ends.
+frontier can gain lanes, and they lie between the lowest and the highest
+neighbour of the frontier's index range; so a level pulls over that range
+of nodes alone, one contiguous slice of the lists, and the next frontier's
+range runs from the first to the last node that gained lanes.  The 64 rows
+go back to the original labels when the batch ends.
 
 Hops are stored as unsigned 16-bit values with 0xFFFF as infinity, so graphs
 have at most 0xFFFF nodes.  At n = 10^4 (rectangle 2x1, indicator radius
@@ -39,16 +38,12 @@ The simple, general and kNN checks share one report builder: the excess
 ``est >= d`` over all connected or over qualifying pairs.
 
 The checks and ``check_boundary_bias`` read the true distances from the
-points.  They take blocks of ``max(1, _BLOCK_PAIRS // n)`` rows from the
-diagonal on, each block's estimates from one ``EstimateMatrix.rows`` read
-and its distances from one ``cdist`` (bitwise the entries of
-``squareform(pdist(points))``), and cut each block into two tiles of pairs
-``i < j``: the rectangle right of the block's diagonal square, a 2-D view
-whose row and column indices broadcast, and the triangle above that
-square's diagonal, a flat copy.  No per-pair index array and no copy of
-the rectangle is made.  A tile whose estimates are all finite and whose
-distances are all positive is reduced whole; only a tile with a
-disconnected or a coincident pair is compressed by a mask.  The checks
+points, in the tiles of pairs ``i < j`` of ``_pair_blocks``: each block of
+rows is one ``EstimateMatrix.rows`` read and one ``cdist`` (bitwise the
+entries of ``squareform(pdist(points))``), and no per-pair index array is
+made.  A tile whose estimates are all finite and whose distances are all
+positive is reduced whole; only a tile with a disconnected or a
+coincident pair is compressed by a mask.  The checks
 keep only counts, maxima and minima, so their scratch memory is at most
 six float64 blocks (3 MiB) at any n, beside the hops the estimate reads;
 every element is computed by the same formula and none of the reductions
@@ -106,14 +101,23 @@ class HopMatrix:
         h.setflags(write=False)
         object.__setattr__(self, "hops", h)
 
-    def max_finite(self) -> int:
-        # 0 when no hop is finite; blocks of whole rows: no n-by-n mask
+    def _row_blocks(self):
+        # blocks of max(1, _BLOCK_PAIRS // n) whole rows: no n-by-n mask
         step = max(1, _BLOCK_PAIRS // max(1, self.n))
-        best = 0
-        for lo in range(0, self.n, step):
-            block = self.hops[lo : lo + step]
-            best = max(best, int(block.max(initial=0, where=block != INF_HOPS)))
-        return best
+        return ((lo, self.hops[lo : lo + step]) for lo in range(0, self.n, step))
+
+    def max_finite(self) -> int:
+        # 0 when no hop is finite
+        return max((int(b.max(initial=0, where=b != INF_HOPS)) for _, b in self._row_blocks()),
+                   default=0)
+
+    def components(self) -> np.ndarray:
+        """Each node's smallest reachable node, the first finite entry of its
+        row: two nodes share a component exactly when they share it."""
+        rep = np.empty(self.n, dtype=np.intp)
+        for lo, block in self._row_blocks():
+            rep[lo : lo + block.shape[0]] = np.argmax(block != INF_HOPS, axis=1)
+        return rep
 
     def is_connected(self) -> bool:
         # the sentinel is the largest uint16, so one maximum finds any infinity
@@ -130,8 +134,8 @@ class _Band(NamedTuple):
     """Neighbour lists relabelled in reverse Cuthill-McKee order.  Relabelled
     node k is node ``perm[k]`` and lists ``idx[bounds[k]:bounds[k + 1]]`` in
     ascending order, its neighbours between ``first[k]`` and ``last[k] - 1``.
-    An isolated node lists the pad node n instead (``first = n``, ``last =
-    0``), so no list is empty and ``bitwise_or.reduceat`` needs no mask."""
+    An isolated node lists itself, so no list is empty and ``reduceat``
+    needs no mask; its own lanes are visited already, so it gains none."""
 
     perm: np.ndarray
     inv: np.ndarray  # inv[v]: the relabelled index of node v
@@ -143,18 +147,22 @@ class _Band(NamedTuple):
 
 def _band(adj: Adjacency) -> _Band:
     n = adj.n
-    lists = adj._csr()
-    perm = reverse_cuthill_mckee(lists, symmetric_mode=True).astype(np.intp)
+    perm = reverse_cuthill_mckee(adj._csr(), symmetric_mode=True).astype(np.intp)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(n)
-    rel = csr_matrix((lists.data, inv[lists.indices], lists.indptr), shape=(n, n))[perm]
-    rel.sort_indices()
-    degree = np.diff(rel.indptr)
-    idx = np.insert(rel.indices.astype(np.intp), rel.indptr[:-1][degree == 0], n)
-    bounds = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.maximum(degree, 1), out=bounds[1:])
-    last = np.where(degree > 0, idx[bounds[1:] - 1] + 1, 0)
-    return _Band(perm, inv, idx, bounds, idx[bounds[:-1]], last)
+    # one key inv[v] * n + inv[w] per list entry w of node v, and v itself
+    # for an isolated v; sorted, the keys are the relabelled lists in order
+    degree = np.diff(adj.indptr)
+    isolated = inv[degree == 0]
+    m = adj.indices.size
+    keys = np.empty(m + isolated.size, dtype=np.intp)
+    np.multiply(np.repeat(inv, degree), n, out=keys[:m])
+    keys[:m] += inv[adj.indices]
+    np.multiply(isolated, n + 1, out=keys[m:])
+    keys.sort()
+    bounds = np.searchsorted(keys, np.arange(n + 1) * n)
+    idx = np.remainder(keys, n, out=keys)
+    return _Band(perm, inv, idx, bounds, idx[bounds[:-1]], idx[bounds[1:] - 1] + 1)
 
 
 def _lane_bits(words: np.ndarray) -> np.ndarray:
@@ -171,7 +179,7 @@ def _hops_from(band: _Band, lo: int, hi: int) -> np.ndarray:
     idx, bounds, first, last = band.idx, band.bounds, band.first, band.last
     n = bounds.size - 1
     lanes = hi - lo
-    visited = np.zeros(n + 1, dtype=np.uint64)  # the pad node n stays 0
+    visited = np.zeros(n, dtype=np.uint64)
     visited[lo:hi] = np.left_shift(np.uint64(1), np.arange(lanes, dtype=np.uint64))
     # a level's arrays are slices of these buffers: arrays of a new length
     # at every level fragmented the heap and left knn-band's peak RSS 5 MB higher

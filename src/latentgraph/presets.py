@@ -3,16 +3,13 @@ construction, hop estimation, bound checks and embeddings.
 
 Each runner composes the same stages, and each artifact is built once:
 ``_sample`` writes the points, ``_eps`` computes the coverage radius of a
-sample, ``_estimate`` turns one graph into hops, estimate, bound report, edge
-list and aligned embedding and hands the hops and the embedding on, and
-``_indicator_variant`` adds an indicator graph's hop and estimate files.  The
-points are the only truth: the checks read their distances one row block at
-a time, so no n-by-n distance matrix is built.  The estimate is a view of
-the uint16 hops (``scale_hops``): the checks and the ``LGD1`` writer read it
-a block of rows at a time, and classical scaling applies its centered
-squares of ``r * hops`` as an operator that reads the hops a few rows at a
-time.  So no n-by-n float64 lies between the hops and the coordinates: the
-hops are the only n-by-n array, beside SMACOF's factor in ``hole-local``.
+sample, ``_estimate`` turns one graph into hops, components (read off the
+hops), estimate, bound report, edge list and aligned embedding, and
+``_indicator_variant`` adds an indicator graph's hop and estimate files.
+The points are the only truth, and the estimate is a view of the uint16
+hops (``scale_hops``); the checks, the ``LGD1`` writer and classical
+scaling read both a block of rows at a time.  So the hops are the only
+n-by-n array, beside SMACOF's factor in ``hole-local``.
 
 Every preset is determined by (name, seed): two runs write byte-identical
 artifacts and manifests.  ``scale_n`` shrinks a preset proportionally for
@@ -26,7 +23,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
 
 from . import fileio
@@ -117,15 +113,18 @@ def _write_aligned(coords: np.ndarray, truth_pts: np.ndarray, out: Path, tag: st
     return fit
 
 
-def _embed_and_align(config: PointConfig, est: EstimateMatrix, keep: np.ndarray,
+def _kept(hops: HopMatrix, keep: np.ndarray) -> HopMatrix:
+    """The hops among ``keep``: the hops themselves when every node is kept."""
+    return hops if keep.size == hops.n else HopMatrix(keep.size, hops.hops[np.ix_(keep, keep)])
+
+
+def _embed_and_align(config: PointConfig, hops: HopMatrix, r: float, keep: np.ndarray,
                      out: Path, tag: str, man: dict) -> EmbeddingResult | None:
     man[f"{tag}.n_embedded"] = int(keep.size)
     if keep.size < max(3, config.dim + 1):
         return None  # nothing meaningful to embed at this sparsity
-    # classical scaling reads scale * base a row block at a time; a connected
-    # graph keeps every node and embeds the base itself, without a copy
-    sub = est.base if keep.size == est.n else est.base[np.ix_(keep, keep)]
-    emb = classical_mds(sub, v=max(config.dim, 2), scale=est.scale)
+    # classical scaling reads r * hops a row block at a time
+    emb = classical_mds(_kept(hops, keep).hops, v=max(config.dim, 2), scale=r)
     truth_pts = config.points[keep]
     if config.dim == 1:
         truth_pts = np.column_stack([truth_pts[:, 0], np.zeros(keep.size)])
@@ -139,12 +138,11 @@ def _estimate(config: PointConfig, adj: Adjacency, r: float, eps: CoverageBracke
     """One graph's estimate at scale ``r``; ``check`` gives its bound report."""
     hops = all_pairs_hops(adj)
     est = scale_hops(hops, r)
-    # scipy numbers the components in the order of their smallest node, so
-    # argmax gives a tie to the component with the smallest node index
-    components, labels = connected_components(adj._csr(), directed=False)
+    # each component is named by its smallest node, which argmax prefers in a tie
+    rep = hops.components()
     man[f"{tag}.r"] = r
     man[f"{tag}.edge_count"] = adj.edge_count()
-    man[f"{tag}.components"] = int(components)
+    man[f"{tag}.components"] = int(np.count_nonzero(rep == np.arange(adj.n)))
     man[f"{tag}.eps_lower"] = eps.lower
     man[f"{tag}.eps_upper"] = eps.upper
     man[f"{tag}.eps_over_r"] = eps.upper / r
@@ -152,8 +150,8 @@ def _estimate(config: PointConfig, adj: Adjacency, r: float, eps: CoverageBracke
     adj_name = f"{tag}_edges.txt"
     fileio.write_edge_list(out / adj_name, adj)
     man[f"{tag}.adjacency_file"] = adj_name
-    keep = np.flatnonzero(labels == np.bincount(labels).argmax())
-    return _GraphEstimate(hops, est, keep, _embed_and_align(config, est, keep, out, tag, man))
+    keep = np.flatnonzero(rep == np.bincount(rep).argmax())
+    return _GraphEstimate(hops, est, keep, _embed_and_align(config, hops, r, keep, out, tag, man))
 
 
 def _indicator_variant(config: PointConfig, eps: CoverageBracket, r: float, seed: int,
@@ -320,8 +318,7 @@ def _run_hole_local(seed: int, out: Path, n: int, man: dict, **_) -> None:
     if g.embedding is None:
         raise ValueError(f"hole-local needs a component of at least 3 nodes; n={n} is too small")
     keep = g.keep
-    hops = g.hops if keep.size == g.hops.n else HopMatrix(keep.size, g.hops.hops[np.ix_(keep, keep)])
-    partial = localize(hops, max_hops, r)
+    partial = localize(_kept(g.hops, keep), max_hops, r)
     man["local.max_hops"] = max_hops
     # share of the n*n entries present, the zero diagonal included
     man["local.present_fraction"] = (2 * partial.i.size + partial.n) / partial.n ** 2

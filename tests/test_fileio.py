@@ -130,7 +130,7 @@ class TestBinaryFormats:
             want = b"LGA1" + struct.pack("<Q", n) + np.packbits(bits, bitorder="little").tobytes()
             # one read block, then one byte per read block
             for entries in (1 << 16, 8):
-                monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", entries)
+                monkeypatch.setattr(fileio, "_BLOCK_PAIRS", entries)
                 fileio.write_adjacency_binary(path, adj)
                 assert path.read_bytes() == want
                 assert fileio.read_adjacency_binary(path) == adj
@@ -194,7 +194,7 @@ class TestBinaryFormats:
         want = b"LGD1" + struct.pack("<Q", 6) + b"".join(
             struct.pack("<d", x if np.isfinite(x) else -1.0) for x in base.ravel())
         for block in (1 << 16, 5):  # one block, then one row per block
-            monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", block)
+            monkeypatch.setattr(fileio, "_BLOCK_PAIRS", block)
             for values in (base, wide[:, ::2], np.asfortranarray(base), base.astype(">f8")):
                 path = tmp_path / "m.bin"
                 fileio.write_matrix_binary(path, EstimateMatrix(values))
@@ -236,7 +236,7 @@ class TestBinaryFormats:
 
     @pytest.mark.parametrize("block", [1 << 16, 5])
     def test_estimate_streams_like_its_dense_matrix(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(fileio, "_BLOCK_PAIRS", block)
         hops = all_pairs_hops(random_graph(23, 0.1, seed=5))
         assert (hops.hops == INF_HOPS).any()
         est = scale_hops(hops, 0.3)
@@ -297,7 +297,7 @@ class TestMatrixCsv:
         want = np.where(np.isfinite(mat), mat, -1.0)
         text = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in want)
         for block in (1 << 16, 5):  # one block, then one row per block
-            monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", block)
+            monkeypatch.setattr(fileio, "_BLOCK_PAIRS", block)
             path = tmp_path / "m.csv"
             fileio.write_matrix_csv(path, EstimateMatrix(mat))
             assert path.read_text() == text

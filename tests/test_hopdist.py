@@ -172,6 +172,17 @@ def bandwidth(lists: csr_matrix) -> int:
     return int(np.abs(lists.indices - rows).max(initial=0))
 
 
+def mixed_graph(n: int) -> Adjacency:
+    """A third of the n nodes isolated; the rest, in random order, form two
+    paths, a cycle and a clique."""
+    nodes = np.random.default_rng(n).permutation(n)
+    path1, cycle, clique, path2 = np.array_split(nodes[n // 3 :], 4)
+    edges = [(a, b) for path in (path1, path2) for a, b in zip(path[:-1], path[1:])]
+    edges += list(zip(cycle, np.roll(cycle, 1))) if cycle.size > 2 else []
+    edges += [(a, b) for x, a in enumerate(clique) for b in clique[x + 1 :]]
+    return Adjacency.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
 class TestBandedOrder:
     """The kernel runs in reverse Cuthill-McKee order; its hops come back in
     the original labels, whatever those are."""
@@ -194,33 +205,50 @@ class TestBandedOrder:
         lists = csr_matrix((np.ones(geometric.indices.size), geometric.indices, geometric.indptr),
                            shape=(n, n))
         band = hopdist._band(geometric)
-        assert np.array_equal(np.sort(band.perm), np.arange(geometric.n))
-        assert np.array_equal(band.perm[band.inv], np.arange(geometric.n))
-        relabelled = csr_matrix((np.ones(band.idx.size), band.idx, band.bounds),
-                                shape=(geometric.n, geometric.n + 1))
+        assert np.array_equal(np.sort(band.perm), np.arange(n))
+        assert np.array_equal(band.perm[band.inv], np.arange(n))
+        relabelled = csr_matrix((np.ones(band.idx.size), band.idx, band.bounds), shape=(n, n))
         # shuffled labels spread each list over almost every node; the
         # relabelled lists stay within a narrow band of the diagonal
         assert bandwidth(relabelled) < bandwidth(lists) / 4
-        # an isolated node lists only the pad node and reaches nothing
+        # each list is its node's relabelled neighbours in ascending order;
+        # an isolated node lists itself alone
         isolated = np.diff(lists.indptr)[band.perm] == 0
+        for k, v in enumerate(band.perm):
+            got = band.idx[band.bounds[k] : band.bounds[k + 1]]
+            want = [k] if isolated[k] else np.sort(band.inv[geometric.indices[
+                geometric.indptr[v] : geometric.indptr[v + 1]]])
+            assert np.array_equal(got, want)
         assert np.array_equal(band.first, band.idx[band.bounds[:-1]])
-        assert np.array_equal(band.last, np.where(isolated, 0, band.idx[band.bounds[1:] - 1] + 1))
-        assert np.all(band.idx[band.bounds[:-1][isolated]] == geometric.n)
+        assert np.array_equal(band.last, band.idx[band.bounds[1:] - 1] + 1)
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
     def test_components_and_isolated_nodes(self, n):
-        # a third of the nodes isolated; the rest, in random order, form two
-        # paths, a cycle and a clique
-        nodes = np.random.default_rng(n).permutation(n)
-        path1, cycle, clique, path2 = np.array_split(nodes[n // 3 :], 4)
-        edges = [(a, b) for path in (path1, path2) for a, b in zip(path[:-1], path[1:])]
-        edges += list(zip(cycle, np.roll(cycle, 1))) if cycle.size > 2 else []
-        edges += [(a, b) for x, a in enumerate(clique) for b in clique[x + 1 :]]
-        adj = Adjacency.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        adj = mixed_graph(n)
         if n >= 63:
             assert (adj.degrees() == 0).sum() >= n // 3
             assert connected_components(csr_matrix(adj.dense()))[0] > (adj.degrees() == 0).sum() + 1
         assert np.array_equal(all_pairs_hops(adj).hops, scipy_hops(adj))
+
+    @staticmethod
+    def assert_components_match_scipy(adj: Adjacency):
+        rep = all_pairs_hops(adj).components()
+        count, labels = connected_components(csr_matrix(adj.dense()), directed=False)
+        assert np.count_nonzero(rep == np.arange(adj.n)) == count
+        # each node's representative is the smallest node of its scipy class
+        smallest = np.full(count, adj.n)
+        np.minimum.at(smallest, labels, np.arange(adj.n))
+        assert np.array_equal(rep, smallest[labels])
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+    def test_components_equal_scipy(self, n):
+        self.assert_components_match_scipy(mixed_graph(n))
+
+    def test_components_of_geometric_graphs_equal_scipy(self, geometric):
+        self.assert_components_match_scipy(geometric)
+        # an r = 0.05 graph on the same sample falls apart into many pieces
+        config = sample_uniform(rectangle(2.0, 1.0), 400, 5)
+        self.assert_components_match_scipy(shuffled(generate_graph(config, Indicator(0.05), 5), 7))
 
     def test_shortest_paths_on_shuffled_tied_lattice(self):
         # the 30x30 four-neighbour lattice under shuffled labels: the walk
@@ -239,6 +267,34 @@ class TestBandedOrder:
             for prev, node in zip(path, path[1:]):
                 closer = np.flatnonzero(dense[node] & (hops[source] == hops[source, node] - 1))
                 assert prev == closer[0]
+
+
+class TestScratchOfTheOrderAndComponents:
+    """tracemalloc caps on an r = 0.2 rectangle graph (n = 2000, 220k list
+    entries): the relabelling sorts one key per list entry beside one
+    temporary of the same size (2.04 times the lists), and the component
+    scan holds one block of rows of bools at a time (80 KB)."""
+
+    @pytest.fixture(scope="class")
+    def adj(self):
+        config = sample_uniform(rectangle(2.0, 1.0), 2000, 2)
+        return generate_graph(config, Indicator(0.2), 2)
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_band_within_three_copies_of_the_lists(self, adj):
+        assert self.peak(lambda: hopdist._band(adj)) <= 3 * adj.indices.nbytes
+
+    def test_components_within_256_kb(self, adj):
+        hops = all_pairs_hops(adj)
+        assert self.peak(hops.components) <= 256 * 1024
 
 
 def assert_freezes_a_view(held, given):

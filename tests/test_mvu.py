@@ -74,7 +74,7 @@ class TestSolveMvu:
             assert np.all(np.diff(rows[:, 4]) >= -1e-7 * np.abs(rows[:-1, 4]).max())
 
     def test_graph_unpacked_once(self, monkeypatch):
-        # the bit matrix is read once, as the edge list, and never as a dense matrix
+        # the neighbour lists are read once, as the edge list, and never as a dense matrix
         _, adj = small_rgg(n=40, r=0.5, seed=7)
         calls = []
         for name in ("dense", "edges"):

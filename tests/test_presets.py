@@ -122,7 +122,7 @@ class TestPresets:
 
         monkeypatch.setattr(EstimateMatrix, "rows", rows)
         monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", 2000)
-        monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", 2000)
+        monkeypatch.setattr(fileio, "_BLOCK_PAIRS", 2000)
         for name in ("rectangles", "knn-band", "hole-local"):
             run_small(name, tmp_path, scale_n=200, sub=name)
         for extra in ([], ["--csv"]):
@@ -146,7 +146,7 @@ class TestPresets:
         try:
             est = presets.scale_hops(hops, r)
             check_simple_bound(est, config.points, eps.upper, r)
-            emb = presets._embed_and_align(config, est, np.arange(n), tmp_path, "g", {})
+            emb = presets._embed_and_align(config, hops, r, np.arange(n), tmp_path, "g", {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
