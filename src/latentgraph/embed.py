@@ -16,8 +16,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .geometry import _pair_distances
-from .hopdist import _BLOCK_PAIRS, INF_HOPS, HopMatrix
+from .geometry import _pair_distances, _readonly
+from .hopdist import INF_HOPS, HopMatrix, _row_blocks
 
 __all__ = [
     "EmbeddingResult",
@@ -209,9 +209,7 @@ class PartialDissimilarity:
 
     def __post_init__(self):
         n = self.n
-        i = np.ascontiguousarray(self.i, dtype=np.intp)
-        j = np.ascontiguousarray(self.j, dtype=np.intp)
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        i, j, vals = _readonly(self.i, np.intp), _readonly(self.j, np.intp), _readonly(self.values)
         if not (i.ndim == 1 and i.shape == j.shape == vals.shape):
             raise ValueError("i, j and values must be vectors of equal length")
         if not ((0 <= i) & (i < j) & (j < n)).all():
@@ -223,8 +221,6 @@ class PartialDissimilarity:
         if (vals < 0).any():
             raise ValueError("dissimilarities must be non-negative")
         for name, a in (("i", i), ("j", j), ("values", vals)):
-            a = a.view()  # freeze a view, not the caller's array
-            a.setflags(write=False)
             object.__setattr__(self, name, a)
 
 
@@ -235,12 +231,11 @@ def localize(hops: HopMatrix, max_hops: int, r: float) -> PartialDissimilarity:
         raise ValueError("need max_hops >= 1")
     if r <= 0:
         raise ValueError("scale must be positive")
-    # blocks of rows from the diagonal on: no n-by-n mask; one empty block at n = 0
+    # blocks of rows from the diagonal on (no n-by-n mask); n = 0 has none, hence the empty starts
     n = hops.n
-    step = max(1, _BLOCK_PAIRS // max(1, n))
-    rows, cols = [], []
-    for lo in range(0, max(1, n), step):
-        ii, jj = np.nonzero(hops.hops[lo : lo + step, lo:] <= max_hops)
+    rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo, hi in _row_blocks(np.arange(n + 1) * n):
+        ii, jj = np.nonzero(hops.hops[lo:hi, lo:] <= max_hops)
         upper = jj > ii  # row and column offsets are both lo
         rows.append(ii[upper] + lo)
         cols.append(jj[upper] + lo)

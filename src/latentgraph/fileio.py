@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hopdist import _BLOCK_PAIRS, EstimateMatrix, HopMatrix
+from .hopdist import _BLOCK_PAIRS, EstimateMatrix, HopMatrix, _row_blocks
 from .linkgraph import Adjacency
 
 __all__ = [
@@ -79,18 +79,22 @@ def read_points_csv(path: str | Path) -> np.ndarray:
 
 
 def write_edge_list(path: str | Path, adj: Adjacency) -> None:
-    i, j = adj.edges().T
+    n, indptr = adj.n, adj.indptr
     # the ASCII digits of each node id, padded with NUL bytes to a common width
-    w = len(str(adj.n - 1))
-    digits = np.arange(adj.n).astype(f"S{w}").view(np.uint8).reshape(adj.n, w)
-    text = np.zeros((i.size, 2 * w + 2), dtype=np.uint8)
-    text[:, :w] = digits[i]
-    text[:, w] = ord(" ")
-    text[:, w + 1 : -1] = digits[j]
-    text[:, -1] = ord("\n")
+    w = len(str(n - 1))
+    digits = np.arange(n).astype(f"S{w}").view(np.uint8).reshape(n, w)
     with open(path, "wb") as fh:
-        fh.write(f"n={adj.n}\n".encode("ascii"))
-        fh.write(text[text != 0].tobytes())
+        fh.write(f"n={n}\n".encode("ascii"))
+        for lo, hi in _row_blocks(indptr):
+            i = np.repeat(np.arange(lo, hi), np.diff(indptr[lo : hi + 1]))
+            j = adj.indices[indptr[lo] : indptr[hi]]
+            upper = j > i
+            # the digit columns overwrite all but the separator and the newline
+            text = np.full((np.count_nonzero(upper), 2 * w + 2), ord(" "), dtype=np.uint8)
+            text[:, :w] = digits[i[upper]]
+            text[:, w + 1 : -1] = digits[j[upper]]
+            text[:, -1] = ord("\n")
+            fh.write(text[text != 0].tobytes())
 
 
 def read_edge_list(path: str | Path) -> Adjacency:
@@ -190,11 +194,10 @@ def read_hops_binary(path: str | Path) -> HopMatrix:
 
 
 def _file_rows(est: EstimateMatrix):
-    """Blocks of whole rows of ``est`` as little-endian float64 arrays in
-    which every non-finite entry is -1, about ``_BLOCK_PAIRS`` entries each."""
-    step = max(1, _BLOCK_PAIRS // max(1, est.n))
-    for lo in range(0, est.n, step):
-        block = np.asarray(est.rows(lo, lo + step), dtype="<f8")
+    """The blocks of whole rows of ``est`` (``_row_blocks``) as little-endian
+    float64 arrays in which every non-finite entry is -1."""
+    for lo, hi in _row_blocks(np.arange(est.n + 1) * est.n):
+        block = np.asarray(est.rows(lo, hi), dtype="<f8")
         block[~np.isfinite(block)] = -1.0
         yield block
 

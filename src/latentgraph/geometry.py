@@ -38,9 +38,9 @@ __all__ = [
 MEMBERSHIP_TOL = 1e-12
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    # a read-only view: the caller's own array stays writeable
-    a = np.ascontiguousarray(a, dtype=np.float64).view()
+def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """The one freezing helper: a read-only view, and the caller's array stays writeable."""
+    a = np.ascontiguousarray(a, dtype=dtype).view()
     a.setflags(write=False)
     return a
 

@@ -39,11 +39,12 @@ The simple, general and kNN checks share one report builder: the excess
 
 The checks and ``check_boundary_bias`` read the true distances from the
 points, in the tiles of pairs ``i < j`` of ``_pair_blocks``: each block of
-rows is one ``EstimateMatrix.rows`` read and one ``cdist`` (bitwise the
-entries of ``squareform(pdist(points))``), and no per-pair index array is
-made.  A tile whose estimates are all finite and whose distances are all
-positive is reduced whole; only a tile with a disconnected or a
-coincident pair is compressed by a mask.  The checks
+rows (cut by ``_row_blocks``, as are the scans in ``localize``, ``presets``
+and ``fileio``) is one ``EstimateMatrix.rows`` read and one ``cdist``
+(bitwise the entries of ``squareform(pdist(points))``), and no per-pair
+index array is made.  A tile whose estimates are all finite and whose
+distances are all positive is reduced whole; only a tile with a
+disconnected or a coincident pair is compressed by a mask.  The checks
 keep only counts, maxima and minima, so their scratch memory is at most
 six float64 blocks (3 MiB) at any n, beside the hops the estimate reads;
 every element is computed by the same formula and none of the reductions
@@ -61,7 +62,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee, shortest_path
 from scipy.spatial.distance import cdist
 
-from .geometry import PointConfig, boundary_distances
+from .geometry import PointConfig, _readonly, boundary_distances
 from .linkgraph import Adjacency, KnnAdjacency, symmetrize_union
 
 __all__ = [
@@ -82,8 +83,19 @@ __all__ = [
 INF_HOPS = np.uint16(0xFFFF)
 # slack of every bound comparison, recorded in ``BoundReport.tol``
 _TOL = 1e-9
-# pairs per block of rows of the tiled checks and of localize: bounds their scratch
+# entries per block of rows (``_row_blocks``): bounds the scratch of every scan
 _BLOCK_PAIRS = 1 << 16
+
+
+def _row_blocks(offsets: np.ndarray):
+    """Blocks ``(lo, hi)`` of whole rows, row k holding entries ``offsets[k]``
+    to ``offsets[k + 1]``: at most ``_BLOCK_PAIRS`` entries, or one longer row;
+    ``max(1, _BLOCK_PAIRS // n)`` rows of an n-by-n matrix (``arange(n + 1) * n``)."""
+    lo, n = 0, len(offsets) - 1
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(offsets, offsets[lo] + _BLOCK_PAIRS, "right")) - 1)
+        yield lo, hi
+        lo = hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,29 +106,22 @@ class HopMatrix:
     hops: np.ndarray  # (n, n) uint16
 
     def __post_init__(self):
-        # freeze a view: the caller's own array stays writeable
-        h = np.ascontiguousarray(self.hops, dtype=np.uint16).view()
+        h = _readonly(self.hops, np.uint16)
         if h.shape != (self.n, self.n):
             raise ValueError("hop matrix must be n-by-n")
-        h.setflags(write=False)
         object.__setattr__(self, "hops", h)
 
-    def _row_blocks(self):
-        # blocks of max(1, _BLOCK_PAIRS // n) whole rows: no n-by-n mask
-        step = max(1, _BLOCK_PAIRS // max(1, self.n))
-        return ((lo, self.hops[lo : lo + step]) for lo in range(0, self.n, step))
-
     def max_finite(self) -> int:
-        # 0 when no hop is finite
-        return max((int(b.max(initial=0, where=b != INF_HOPS)) for _, b in self._row_blocks()),
-                   default=0)
+        # 0 when no hop is finite; blocks of whole rows, so no n-by-n mask
+        blocks = (self.hops[lo:hi] for lo, hi in _row_blocks(np.arange(self.n + 1) * self.n))
+        return max((int(b.max(initial=0, where=b != INF_HOPS)) for b in blocks), default=0)
 
     def components(self) -> np.ndarray:
         """Each node's smallest reachable node, the first finite entry of its
         row: two nodes share a component exactly when they share it."""
         rep = np.empty(self.n, dtype=np.intp)
-        for lo, block in self._row_blocks():
-            rep[lo : lo + block.shape[0]] = np.argmax(block != INF_HOPS, axis=1)
+        for lo, hi in _row_blocks(np.arange(self.n + 1) * self.n):
+            rep[lo:hi] = np.argmax(self.hops[lo:hi] != INF_HOPS, axis=1)
         return rep
 
     def is_connected(self) -> bool:
@@ -273,12 +278,11 @@ class EstimateMatrix:
 
     def __post_init__(self):
         b = np.asarray(self.base)
-        b = np.ascontiguousarray(b, dtype=np.uint16 if b.dtype == np.uint16 else np.float64).view()
+        b = _readonly(b, np.uint16 if b.dtype == np.uint16 else np.float64)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"estimate must be a square matrix, got shape {b.shape}")
         if not 0 < self.scale < np.inf:
             raise ValueError("scale must be positive and finite")
-        b.setflags(write=False)
         object.__setattr__(self, "base", b)
         object.__setattr__(self, "scale", float(self.scale))
 
@@ -332,7 +336,7 @@ class BoundReport:
 
 def _pair_blocks(est: EstimateMatrix, points: np.ndarray):
     """The pairs ``i < j`` of ``est`` in tiles, two for each block of rows
-    ``lo, ..., hi - 1`` (``max(1, _BLOCK_PAIRS // n)`` rows): the rectangle
+    ``lo, ..., hi - 1`` of ``_row_blocks``: the rectangle
     ``[lo:hi, hi:n]``, whose pairs all have ``i < j``, and then the strict
     upper triangle of the square ``[lo:hi, lo:hi]``, flattened.  A tile is
     its indices ``i`` and ``j``, its estimates (read through ``rows``) and its
@@ -349,9 +353,7 @@ def _pair_blocks(est: EstimateMatrix, points: np.ndarray):
     points = np.asarray(points)
     if points.ndim != 2 or points.shape[0] != n:
         raise ValueError(f"need one point per estimate row: {n} rows, got shape {points.shape}")
-    step = max(1, _BLOCK_PAIRS // max(1, n))
-    for lo in range(0, n - 1, step):
-        hi = min(n, lo + step)
+    for lo, hi in _row_blocks(np.arange(n + 1) * n):
         dhat, d = est.rows(lo, hi, lo), cdist(points[lo:hi], points[lo:])
         iu = np.triu_indices(hi - lo, 1)
         tiles = [(iu[0] + lo, iu[1] + lo, dhat[iu], d[iu]),

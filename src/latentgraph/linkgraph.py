@@ -28,7 +28,7 @@ from scipy.spatial.distance import cdist
 from ._rng import pair_uniform_row
 # pairwise_distances is no longer used here; it stays importable because
 # perfbench/tracing.py wraps linkgraph.pairwise_distances by name
-from .geometry import Domain, PointConfig, _pair_distances, pairwise_distances  # noqa: F401
+from .geometry import Domain, PointConfig, _pair_distances, _readonly, pairwise_distances  # noqa: F401
 
 __all__ = [
     "Adjacency",
@@ -57,7 +57,7 @@ class Indicator:
     r: float
 
     def __post_init__(self):
-        if self.r <= 0:
+        if not self.r > 0:
             raise ValueError("radius must be positive")
 
     def __call__(self, d):
@@ -72,7 +72,7 @@ class ScaledIndicator:
     p: float
 
     def __post_init__(self):
-        if self.r <= 0:
+        if not self.r > 0:
             raise ValueError("radius must be positive")
         if not 0 < self.p <= 1:
             raise ValueError("need 0 < p <= 1")
@@ -90,11 +90,11 @@ class PolynomialEdge:
     alpha: float
 
     def __post_init__(self):
-        if self.r <= 0:
+        if not self.r > 0:
             raise ValueError("radius must be positive")
         if not 0 < self.c0 <= 1:
             raise ValueError("need 0 < c0 <= 1")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("need alpha >= 0")
 
     def __call__(self, d):
@@ -115,7 +115,7 @@ class TwoLevel:
     q: float
 
     def __post_init__(self):
-        if self.r <= 0:
+        if not self.r > 0:
             raise ValueError("radius must be positive")
         if not 0 < self.q < self.p <= 1:
             raise ValueError("need 0 < q < p <= 1")
@@ -144,8 +144,8 @@ class Adjacency:
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = int(n)
-        indptr = np.ascontiguousarray(indptr, dtype=np.intp)
-        indices = np.ascontiguousarray(indices, dtype=np.intp)
+        indptr = _readonly(indptr, np.intp)
+        indices = _readonly(indices, np.intp)
         if indptr.shape != (self.n + 1,):
             raise ValueError("indptr must have n + 1 entries")
         if indptr[0] != 0:
@@ -156,8 +156,6 @@ class Adjacency:
             raise ValueError("indptr must not decrease")
         if indices.size and (indices.min() < 0 or indices.max() >= self.n):
             raise ValueError("neighbour index out of range")
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
         self.indptr = indptr
         self.indices = indices
 
@@ -331,7 +329,7 @@ class KnnAdjacency:
     out_neighbors: np.ndarray  # (n, kappa) int32, each row sorted ascending
 
     def __post_init__(self):
-        nb = np.ascontiguousarray(self.out_neighbors, dtype=np.int32)
+        nb = _readonly(self.out_neighbors, np.int32)
         if nb.shape != (self.n, self.kappa):
             raise ValueError("out_neighbors must be n-by-kappa")
         if nb.min() < 0 or nb.max() >= self.n:
@@ -341,7 +339,6 @@ class KnnAdjacency:
             raise ValueError("a node cannot neighbor itself")
         if np.any(np.diff(np.sort(nb, axis=1), axis=1) == 0):
             raise ValueError("duplicate neighbors in a row")
-        nb.setflags(write=False)
         object.__setattr__(self, "out_neighbors", nb)
 
 

@@ -43,6 +43,7 @@ from .hopdist import (
     BoundReport,
     EstimateMatrix,
     HopMatrix,
+    _row_blocks,
     all_pairs_hops,
     check_boundary_bias,
     check_general_bound,
@@ -297,12 +298,13 @@ def _run_mds_discrete(seed: int, out: Path, n: int, man: dict, **_) -> None:
     config = sample_uniform(rectangle(2.0, 1.0), n, seed)
     _sample(config, out, man)
     hops = _indicator_variant(config, _eps(config), 0.5, seed, out, man).hops
-    h, top = hops.hops, hops.max_finite()
-    # histogram of the connected pairs i < j, counted row by row
+    top = hops.max_finite()
+    # histogram of the connected pairs i < j, counted a block of rows at a time
     counts = np.zeros(top + 1, dtype=np.int64)
-    for i in range(config.n - 1):
-        row = h[i, i + 1 :]
-        counts += np.bincount(row[row != INF_HOPS], minlength=counts.size)
+    for lo, hi in _row_blocks(np.arange(n + 1) * n):
+        block = hops.hops[lo:hi, lo:]
+        upper = np.arange(n - lo) > np.arange(hi - lo)[:, None]
+        counts += np.bincount(block[upper & (block != INF_HOPS)], minlength=counts.size)
     for v in np.flatnonzero(counts):
         man[f"hops.hist.{int(v)}"] = int(counts[v])
     man["hops.max"] = top

@@ -8,7 +8,7 @@ from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.sparse.linalg import eigsh
 from scipy.spatial.distance import pdist
 
-from latentgraph import embed
+from latentgraph import embed, hopdist
 from latentgraph import (
     INF_HOPS,
     Box,
@@ -370,7 +370,7 @@ class TestLocalize:
         hops = self.make_hops()
         h = hops.hops
         for block in (1, 1100, 1 << 16):
-            monkeypatch.setattr(embed, "_BLOCK_PAIRS", block)
+            monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
             for max_hops in (1, 2, hops.max_finite()):
                 part = localize(hops, max_hops, r=0.4)
                 mask = h <= max_hops

@@ -4,8 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latentgraph import INF_HOPS, EstimateMatrix, HopMatrix, all_pairs_hops, scale_hops
-from latentgraph import fileio, linkgraph
+from latentgraph import (
+    INF_HOPS,
+    Box,
+    EstimateMatrix,
+    HopMatrix,
+    Indicator,
+    RectangleWithHole,
+    all_pairs_hops,
+    generate_graph,
+    rectangle,
+    sample_uniform,
+    scale_hops,
+)
+from latentgraph import fileio, hopdist, linkgraph
 from latentgraph.cli import main as cli_main
 from tests.conftest import random_graph
 from tests.reference_graphs import fstring_write_edge_list
@@ -110,6 +122,39 @@ class TestEdgeList:
         assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
         assert fileio.read_edge_list(tmp_path / "got.txt") == adj
 
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_bytes_equal_fstring_reference_over_list_blocks(self, tmp_path, monkeypatch, block):
+        # the writer streams blocks of the neighbour lists: a block of one
+        # list, of a few lists, and of all of them
+        monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
+        graphs = [
+            linkgraph.Adjacency.from_edges(0, []),
+            linkgraph.Adjacency.from_edges(1, []),
+            linkgraph.Adjacency.from_edges(5, [[0, 1], [1, 4], [3, 4]]),  # node 2 isolated
+            # node 3's list (29 entries) is longer than a block of 7
+            linkgraph.Adjacency.from_edges(30, [[3, k] for k in range(30) if k != 3] + [[5, 9]]),
+            random_graph(60, 0.3, seed=block % 97),
+        ]
+        for adj in graphs:
+            fileio.write_edge_list(tmp_path / "got.txt", adj)
+            fstring_write_edge_list(tmp_path / "want.txt", adj)
+            assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+    def test_writer_streams_the_lists(self, tmp_path):
+        # hole, r = 0.2, n = 4000: 508 757 edges.  An edge array and one
+        # text buffer of the whole graph peaked at 24 MB; blocks of the
+        # lists stay near 2 MB
+        hole = RectangleWithHole(rectangle(2.0, 1.0), Box(np.array([0.5, 0.25]), np.array([1.5, 0.75])))
+        adj = generate_graph(sample_uniform(hole, 4000, seed=2), Indicator(0.2), 2)
+        assert adj.edge_count() == 508757
+        tracemalloc.start()
+        try:
+            fileio.write_edge_list(tmp_path / "edges.txt", adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20, peak
+
 
 class TestBinaryFormats:
     def test_adjacency_roundtrip(self, tmp_path):
@@ -194,7 +239,7 @@ class TestBinaryFormats:
         want = b"LGD1" + struct.pack("<Q", 6) + b"".join(
             struct.pack("<d", x if np.isfinite(x) else -1.0) for x in base.ravel())
         for block in (1 << 16, 5):  # one block, then one row per block
-            monkeypatch.setattr(fileio, "_BLOCK_PAIRS", block)
+            monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
             for values in (base, wide[:, ::2], np.asfortranarray(base), base.astype(">f8")):
                 path = tmp_path / "m.bin"
                 fileio.write_matrix_binary(path, EstimateMatrix(values))
@@ -236,7 +281,7 @@ class TestBinaryFormats:
 
     @pytest.mark.parametrize("block", [1 << 16, 5])
     def test_estimate_streams_like_its_dense_matrix(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(fileio, "_BLOCK_PAIRS", block)
+        monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
         hops = all_pairs_hops(random_graph(23, 0.1, seed=5))
         assert (hops.hops == INF_HOPS).any()
         est = scale_hops(hops, 0.3)
@@ -297,7 +342,7 @@ class TestMatrixCsv:
         want = np.where(np.isfinite(mat), mat, -1.0)
         text = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in want)
         for block in (1 << 16, 5):  # one block, then one row per block
-            monkeypatch.setattr(fileio, "_BLOCK_PAIRS", block)
+            monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
             path = tmp_path / "m.csv"
             fileio.write_matrix_csv(path, EstimateMatrix(mat))
             assert path.read_text() == text

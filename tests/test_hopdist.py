@@ -297,15 +297,45 @@ class TestScratchOfTheOrderAndComponents:
         assert self.peak(hops.components) <= 256 * 1024
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("block", [1, 7, 256, 1 << 16])
+    def test_row_blocks_of_a_square_matrix(self, monkeypatch, block):
+        # max(1, _BLOCK_PAIRS // n) rows a block, the last one shorter: the
+        # block size the tracemalloc caps of the scans are set for
+        monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
+        for n in (0, 1, 2, 3, 255, 256, 257, 1000):
+            step = max(1, block // max(1, n))
+            want = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+            assert list(hopdist._row_blocks(np.arange(n + 1) * n)) == want
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_row_blocks_of_neighbour_lists(self, monkeypatch, block):
+        # rows of every length, empty ones and ones longer than a block
+        # included: each block is as many whole rows as fit in _BLOCK_PAIRS
+        # entries, or one row when that row alone holds more
+        monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
+        rng = np.random.default_rng(block)
+        for _ in range(20):
+            lengths = rng.integers(0, 3 * block, size=rng.integers(1, 60)) * (rng.random(1) < 0.7)
+            offsets = np.concatenate([[0], np.cumsum(lengths * (rng.random(lengths.size) < 0.8))])
+            blocks = list(hopdist._row_blocks(offsets))
+            assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+            assert blocks[-1][1] == offsets.size - 1
+            for lo, hi in blocks:
+                assert hi == lo + 1 or offsets[hi] - offsets[lo] <= block
+                if hi < offsets.size - 1:  # the next row would not fit
+                    assert offsets[hi + 1] - offsets[lo] > block
+
+
 def assert_freezes_a_view(held, given):
     # the holder's array is read-only and shares the caller's memory; the
     # caller's own array stays writeable
     assert np.shares_memory(held, given)
     assert not held.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        held[0, 1] = 1
-    given[0, 1] = 1
-    assert held[0, 1] == 1
+        held.flat[1] = 1
+    given.flat[1] = 1
+    assert held.flat[1] == 1
 
 
 class TestFrozenViews:
@@ -317,6 +347,18 @@ class TestFrozenViews:
     def test_estimate_leaves_the_callers_array_writeable(self, dtype):
         a = np.zeros((3, 3), dtype=dtype)
         assert_freezes_a_view(EstimateMatrix(a).base, a)
+
+    def test_adjacency_leaves_the_callers_lists_writeable(self):
+        # the triangle 0-1-2
+        indptr = np.array([0, 2, 4, 6], dtype=np.intp)
+        indices = np.array([1, 2, 0, 2, 0, 1], dtype=np.intp)
+        adj = Adjacency(3, indptr, indices)
+        assert_freezes_a_view(adj.indptr, indptr)
+        assert_freezes_a_view(adj.indices, indices)
+
+    def test_knn_adjacency_leaves_the_callers_array_writeable(self):
+        nb = np.array([[1, 2], [0, 2], [0, 1]], dtype=np.int32)
+        assert_freezes_a_view(KnnAdjacency(3, 2, nb).out_neighbors, nb)
 
 
 class TestScaleHops:

@@ -100,6 +100,23 @@ class TestLinkFunctions:
         with pytest.raises(ValueError):
             TwoLevel(1.0, 0.5, 0.5)
 
+    @pytest.mark.parametrize("link, args", [
+        (Indicator, (np.nan,)),
+        (ScaledIndicator, (np.nan, 0.5)),
+        (PolynomialEdge, (np.nan, 0.5, 1.0)),
+        (PolynomialEdge, (1.0, 0.5, np.nan)),
+        (TwoLevel, (np.nan, 0.5, 0.1)),
+    ])
+    def test_nan_parameters_rejected(self, link, args):
+        # NaN fails every comparison: a check written as r <= 0 or alpha < 0 lets it through
+        with pytest.raises(ValueError):
+            link(*args)
+
+    def test_infinite_radius_accepted(self):
+        for link in (Indicator(np.inf), ScaledIndicator(np.inf, 0.5),
+                     PolynomialEdge(np.inf, 0.5, 1.0), TwoLevel(np.inf, 0.5, 0.1)):
+            assert link.r == np.inf
+
 
 class TestGenerateGraph:
     def test_indicator_equals_threshold_bitwise(self):

@@ -122,7 +122,6 @@ class TestPresets:
 
         monkeypatch.setattr(EstimateMatrix, "rows", rows)
         monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", 2000)
-        monkeypatch.setattr(fileio, "_BLOCK_PAIRS", 2000)
         for name in ("rectangles", "knn-band", "hole-local"):
             run_small(name, tmp_path, scale_n=200, sub=name)
         for extra in ([], ["--csv"]):
@@ -490,3 +489,11 @@ class TestCli:
         assert cli_main(["--out", str(tmp_path), "generate",
                          "--domain", "triangle:1", "--n", "10",
                          "--link", "indicator:0.4"]) == 2
+
+    @pytest.mark.parametrize("link", ["indicator:nan", "scaled_indicator:nan,0.5",
+                                      "poly:nan,0.5,1", "poly:0.3,0.5,nan", "two_level:nan,0.5,0.1"])
+    def test_nan_link_parameter_is_exit_2(self, tmp_path, link):
+        # a NaN radius or exponent is a validation error, not an empty graph
+        assert cli_main(["--out", str(tmp_path), "generate", "--domain", "rectangle:2,1",
+                         "--n", "50", "--link", link]) == 2
+        assert not any(tmp_path.iterdir())
