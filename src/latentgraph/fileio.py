@@ -7,9 +7,9 @@ shortest round-trip decimal.  Points travel as CSV with header
 then ``i j`` lines, 0-based, i < j, each pair once) and a binary form: magic
 ``LGA1``, u64 little-endian node count, then the strict upper triangle
 row-major as packed bits (little bit order) with zero bits padding the last
-byte.  Packed bits exist only in the file: the writer sets them from the
-edge list, and the reader builds the neighbour lists from the set bits,
-unpacked one block at a time.  Hop matrices: magic ``LGH1``, u64 n,
+byte.  Packed bits exist only in the file: the writer sets them a block of
+neighbour lists at a time, and the reader builds the lists from the set
+bits, unpacked one block at a time.  Hop matrices: magic ``LGH1``, u64 n,
 row-major u16 little-endian with 0xFFFF for infinity.  Dense float
 matrices: CSV or magic ``LGD1``, u64 n, row-major f64 little-endian, -1 for
 every non-finite entry; the writers take an ``EstimateMatrix`` and write
@@ -78,21 +78,29 @@ def read_points_csv(path: str | Path) -> np.ndarray:
     return np.array([[float(v) for v in line.split(",")] for line in text[1:]])
 
 
+def _upper_pairs(adj: Adjacency):
+    """The edges ``i < j``, row-major, as arrays ``i`` and ``j`` per ``_row_blocks`` block."""
+    indptr = adj.indptr
+    for lo, hi in _row_blocks(indptr):
+        i = np.repeat(np.arange(lo, hi), np.diff(indptr[lo : hi + 1]))
+        j = adj.indices[indptr[lo] : indptr[hi]]
+        upper = j > i
+        i, j = i[upper], j[upper]  # frees the block's row ids before the caller's work
+        yield i, j
+
+
 def write_edge_list(path: str | Path, adj: Adjacency) -> None:
-    n, indptr = adj.n, adj.indptr
+    n = adj.n
     # the ASCII digits of each node id, padded with NUL bytes to a common width
     w = len(str(n - 1))
     digits = np.arange(n).astype(f"S{w}").view(np.uint8).reshape(n, w)
     with open(path, "wb") as fh:
         fh.write(f"n={n}\n".encode("ascii"))
-        for lo, hi in _row_blocks(indptr):
-            i = np.repeat(np.arange(lo, hi), np.diff(indptr[lo : hi + 1]))
-            j = adj.indices[indptr[lo] : indptr[hi]]
-            upper = j > i
+        for i, j in _upper_pairs(adj):
             # the digit columns overwrite all but the separator and the newline
-            text = np.full((np.count_nonzero(upper), 2 * w + 2), ord(" "), dtype=np.uint8)
-            text[:, :w] = digits[i[upper]]
-            text[:, w + 1 : -1] = digits[j[upper]]
+            text = np.full((i.size, 2 * w + 2), ord(" "), dtype=np.uint8)
+            text[:, :w] = digits[i]
+            text[:, w + 1 : -1] = digits[j]
             text[:, -1] = ord("\n")
             fh.write(text[text != 0].tobytes())
 
@@ -160,10 +168,11 @@ def _upper_offsets(n: int) -> np.ndarray:
 def write_adjacency_binary(path: str | Path, adj: Adjacency) -> None:
     n = adj.n
     payload = np.zeros((n * (n - 1) // 2 + 7) // 8, dtype=np.uint8)
-    i, j = adj.edges().T
-    # bit pos % 8 (little bit order) of byte pos // 8, at each edge's stream position
-    pos = _upper_offsets(n)[i] + (j - i - 1)
-    np.bitwise_or.at(payload, pos >> 3, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
+    offsets = _upper_offsets(n)
+    for i, j in _upper_pairs(adj):
+        # bit pos % 8 (little bit order) of byte pos // 8, at each edge's stream position
+        pos = offsets[i] + (j - i - 1)
+        np.bitwise_or.at(payload, pos >> 3, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
     _write_binary(path, _MAGIC_ADJ, n, [payload])
 
 

@@ -200,25 +200,29 @@ def pairwise_distances(config: PointConfig | np.ndarray) -> np.ndarray:
     return squareform(pdist(pts))
 
 
-def _pair_distances(xt: np.ndarray, pi: np.ndarray, pj: np.ndarray):
-    """Pair differences and their Euclidean lengths, coordinate-major.
+def _pair_distances(x: np.ndarray, pi: np.ndarray, pj: np.ndarray):
+    """Pair differences and their Euclidean lengths.
 
-    ``xt`` is the transposed configuration, ``dim`` by ``n`` (any layout;
-    contiguous for a Fortran-order ``x``, as ``cho_solve`` returns it).
-    ``pi`` and ``pj`` broadcast against each other, and ``pi`` must have the
-    broadcast shape.  Returns ``diff``, ``diff[k] = xt[k, pi] - xt[k, pj]``,
-    and the lengths, whose squares are summed in coordinate order before the
-    square root: ``cdist``'s formula, so each length is bitwise its
-    ``pairwise_distances`` entry.  For ``dim`` < 8 it is also bitwise the
-    row sum of the row-major ``x[pi] - x[pj]``, which numpy adds left to
-    right below eight entries; from eight on numpy keeps eight partial sums,
-    and the two differ by rounding.
+    ``x`` is the configuration, ``n`` by ``dim``; ``pi`` and ``pj``
+    broadcast against each other, and ``pi`` must have the broadcast shape.
+    Returns ``diff[..., k] = x[pi, k] - x[pj, k]`` and the lengths, whose
+    squares are summed in coordinate order before the square root:
+    ``cdist``'s formula, so each length is bitwise its ``pairwise_distances``
+    entry at any ``dim``.  The gathers run along the contiguous axis of
+    ``x``: a C-ordered ``x`` (MVU's iterate, the sample points) a row at a
+    time, into pair-major ``diff``; any other (SMACOF's Fortran-ordered
+    iterate) a coordinate at a time, into coordinate-major ``diff``.
     """
-    diff = xt.take(pi, axis=1)
-    diff -= xt.take(pj, axis=1)
-    lengths = diff[0] * diff[0]
-    for d in diff[1:]:
-        lengths += d * d
+    if x.flags.c_contiguous:
+        diff = x.take(pi, axis=0)
+        diff -= x.take(pj, axis=0)
+    else:
+        diff = x.T.take(pi, axis=1)
+        diff -= x.T.take(pj, axis=1)
+        diff = np.moveaxis(diff, 0, -1)
+    lengths = diff[..., 0] * diff[..., 0]
+    for k in range(1, diff.shape[-1]):
+        lengths += diff[..., k] * diff[..., k]
     return diff, np.sqrt(lengths, out=lengths)
 
 
@@ -239,8 +243,11 @@ def _hull_membership(points: np.ndarray, grid: np.ndarray) -> np.ndarray:
         hull = ConvexHull(points)
     except QhullError as exc:
         raise ValueError("convex hull of the configuration is degenerate") from exc
-    eqs = hull.equations
-    return (grid @ eqs[:, :-1].T + eqs[:, -1]).max(axis=1) <= 1e-12
+    # each grid point's largest facet offset, a facet at a time: no grid-by-facet arrays
+    worst = np.full(grid.shape[0], -np.inf)
+    for eq in hull.equations:
+        np.maximum(worst, grid @ eq[:-1] + eq[-1], out=worst)
+    return worst <= 1e-12
 
 
 def coverage_radius(

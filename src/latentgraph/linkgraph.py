@@ -300,7 +300,7 @@ def generate_graph(config: PointConfig, link: LinkFunction, seed: int) -> Adjace
         return _from_pairs(n, np.concatenate(i), np.concatenate(j))
     # the exact support test is link(d) on the recomputed distances
     i, j = _pairs_within(pts, link.r)
-    keep = _pair_outcomes(seed, i, j, link(_pair_distances(pts.T, i, j)[1]))
+    keep = _pair_outcomes(seed, i, j, link(_pair_distances(pts, i, j)[1]))
     i = i[keep]  # one array at a time: the candidates can be many
     j = j[keep]
     return _from_pairs(n, i, j)
@@ -368,7 +368,7 @@ def _nearest(config: PointConfig, kappa: int) -> tuple[np.ndarray, np.ndarray]:
         del farthest  # freed before the distances: it is as large as they are
         rows = todo[:, None]
         # idx before rows: the first index array sets the shape of the differences
-        d = _pair_distances(pts.T, idx, rows)[1]
+        d = _pair_distances(pts, idx, rows)[1]
         d[idx == rows] = np.inf  # a point is not its own neighbour
         order = np.lexsort((idx, d))[:, :kappa]
         idx = np.take_along_axis(idx, order, axis=1)

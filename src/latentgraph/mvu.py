@@ -2,11 +2,13 @@
 
 Maximizes the total squared pairwise spread of an embedding subject to every
 edge having length at most one, via an increasing-penalty first-order
-method.  The penalty stages are scaled by the critical coefficient
-``2 n / lambda_2`` (algebraic connectivity of the graph): below
-``n / lambda_2`` the penalized objective is unbounded along a scaling ray,
-so fixed schedules cannot work across graphs.  A final rescale snaps the
-iterate to exact feasibility, which is what the hop-bound comparison needs.
+method; its gradient scatters the pulls of the stretched edges only (the
+others pull by exact zeros), from edge-major pair differences.  The
+penalty stages are scaled by the critical coefficient ``2 n / lambda_2``
+(algebraic connectivity of the graph): below ``n / lambda_2`` the
+penalized objective is unbounded along a scaling ray, so fixed schedules
+cannot work across graphs.  A final rescale snaps the iterate to exact
+feasibility, which is what the hop-bound comparison needs.
 """
 
 from __future__ import annotations
@@ -50,18 +52,17 @@ class MvuSolution:
 
 
 def _spread(x: np.ndarray) -> float:
-    # sum_{i<j} ||x_i - x_j||^2, exact for uncentered inputs too
+    # sum_{i<j} ||x_i - x_j||^2, exact for uncentered inputs too (ndarray.sum's reductions)
     n = x.shape[0]
-    return float(n * (x ** 2).sum() - (x.sum(axis=0) ** 2).sum())
+    return float(n * np.add.reduce(x ** 2, axis=None) - np.add.reduce(np.add.reduce(x) ** 2))
 
 
 def _evaluate(x: np.ndarray, a: np.ndarray, b: np.ndarray, mu: float):
-    # penalized objective with the spread and edge terms it was computed from;
-    # the differences come back edge-major, as a view of the coordinate-major ones
-    diff, lengths = _pair_distances(x.T, a, b)
+    # penalized objective, its spread and edge terms; the C-ordered iterate gives edge-major diffs
+    diff, lengths = _pair_distances(x, a, b)
     excess = np.maximum(lengths - 1.0, 0.0)
     spread = _spread(x)
-    return spread - mu * float((excess ** 2).sum()), spread, diff.T, lengths, excess
+    return spread - mu * float(np.add.reduce(excess ** 2)), spread, diff, lengths, excess
 
 
 def _algebraic_connectivity(n: int, a: np.ndarray, b: np.ndarray) -> float:
@@ -93,21 +94,20 @@ def solve_mvu(
     hops = all_pairs_hops(adj)
     if not hops.is_connected():
         raise ValueError("graph is disconnected: unfolding objective is unbounded")
-    edges = adj.edges()
-    a, b = edges[:, 0], edges[:, 1]
+    a, b = np.ascontiguousarray(adj.edges().T)  # take copies strided indices on every call
 
     x = classical_mds(hops.hops, rank).coords
     rng = np.random.default_rng(seed)
     x = x + 1e-3 * np.sqrt((x ** 2).mean()) * rng.standard_normal(x.shape)
     x -= x.mean(axis=0)
-    ml = _pair_distances(x.T, a, b)[1].max()
+    ml = _pair_distances(x, a, b)[1].max()
     if ml > 1.0:
         x /= ml
 
     mu_base = 2.0 * n / _algebraic_connectivity(n, a, b)
-    # the gradient scatters into the flat bins a*dim + k and b*dim + k
+    # the gradient scatters into the flat bins a*dim + k and b*dim + k, a row per edge
     dim = x.shape[1]
-    bins_a, bins_b = ((e[:, None] * dim + np.arange(dim)).ravel() for e in (a, b))
+    bins_a, bins_b = (e[:, None] * dim + np.arange(dim) for e in (a, b))
 
     trace = []
     step = 1e-2
@@ -115,16 +115,22 @@ def solve_mvu(
         mu = mu_base * s
         fcur, _, diff, lengths, excess = _evaluate(x, a, b, mu)
         for it in range(steps_per_stage):
-            coef = 2.0 * excess / np.where(lengths > 0, lengths, 1.0)
-            pull = (coef[:, None] * diff).ravel()
-            gpen = np.bincount(bins_a, pull, n * dim) - np.bincount(bins_b, pull, n * dim)
-            grad = 2.0 * n * x - mu * gpen.reshape(n, dim)
-            gnorm2 = float((grad ** 2).sum())
+            grad = 2.0 * n * x
+            # only stretched edges pull: the others' exact zeros leave every bin as it is (a
+            # bin starts at +0.0 and never becomes -0.0); bincount of no edge gives integers
+            act = (excess != 0).nonzero()[0]
+            if act.size:
+                coef = 2.0 * excess.take(act) / lengths.take(act)
+                pull = (coef[:, None] * diff.take(act, axis=0)).ravel()
+                gpen = (np.bincount(bins_a.take(act, axis=0).ravel(), pull, n * dim)
+                        - np.bincount(bins_b.take(act, axis=0).ravel(), pull, n * dim))
+                grad -= mu * gpen.reshape(n, dim)
+            gnorm2 = float(np.add.reduce(grad ** 2, axis=None))
             if gnorm2 < 1e-18:
                 break
             for _ in range(60):
                 xn = x + step * grad
-                xn -= xn.mean(axis=0)
+                xn -= np.add.reduce(xn) / n  # xn.mean(axis=0) without its wrapper
                 fn, spread, *edge_terms = _evaluate(xn, a, b, mu)
                 if fn >= fcur + 1e-4 * step * gnorm2:
                     break
@@ -135,7 +141,7 @@ def solve_mvu(
             x, fcur = xn, fn
             diff, lengths, excess = edge_terms
             step *= 1.3
-            trace.append((stage, it, spread, float(excess.max(initial=0.0)), fcur))
+            trace.append((stage, it, spread, float(np.maximum.reduce(excess, initial=0.0)), fcur))
             if rel < 1e-12:
                 break
 
@@ -144,7 +150,7 @@ def solve_mvu(
     if ml > 1.0:
         x = x / ml
         x -= x.mean(axis=0)
-    violation = float(np.maximum(_pair_distances(x.T, a, b)[1] - 1.0, 0.0).max(initial=0.0))
+    violation = float(np.maximum(_pair_distances(x, a, b)[1] - 1.0, 0.0).max(initial=0.0))
     return MvuSolution(
         coords=x,
         objective=_spread(x),

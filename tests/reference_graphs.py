@@ -69,3 +69,13 @@ def fstring_write_edge_list(path, adj: Adjacency) -> None:
     lines = [f"n={adj.n}"]
     lines.extend(f"{i} {j}" for i, j in adj.edges().tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def edges_write_adjacency_binary(path, adj: Adjacency) -> None:
+    """``LGA1`` with one bit set per row of the whole edge list."""
+    n = adj.n
+    payload = np.zeros((n * (n - 1) // 2 + 7) // 8, dtype=np.uint8)
+    i, j = adj.edges().T
+    pos = i * (2 * n - i - 1) // 2 + (j - i - 1)
+    np.bitwise_or.at(payload, pos >> 3, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
+    Path(path).write_bytes(b"LGA1" + n.to_bytes(8, "little") + payload.tobytes())

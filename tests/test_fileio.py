@@ -20,7 +20,7 @@ from latentgraph import (
 from latentgraph import fileio, hopdist, linkgraph
 from latentgraph.cli import main as cli_main
 from tests.conftest import random_graph
-from tests.reference_graphs import fstring_write_edge_list
+from tests.reference_graphs import edges_write_adjacency_binary, fstring_write_edge_list
 
 
 class TestPointsCsv:
@@ -179,6 +179,38 @@ class TestBinaryFormats:
                 fileio.write_adjacency_binary(path, adj)
                 assert path.read_bytes() == want
                 assert fileio.read_adjacency_binary(path) == adj
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_adjacency_bytes_equal_edge_list_reference_over_list_blocks(self, tmp_path,
+                                                                        monkeypatch, block):
+        # the writer sets the bits a block of the neighbour lists at a time
+        monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
+        graphs = [
+            linkgraph.Adjacency.from_edges(0, []),
+            linkgraph.Adjacency.from_edges(1, []),
+            linkgraph.Adjacency.from_edges(5, [[0, 1], [1, 4], [3, 4]]),  # node 2 isolated
+            linkgraph.Adjacency.from_edges(30, [[3, k] for k in range(30) if k != 3] + [[5, 9]]),
+            random_graph(60, 0.3, seed=block % 97),
+        ]
+        for adj in graphs:
+            fileio.write_adjacency_binary(tmp_path / "got.bin", adj)
+            edges_write_adjacency_binary(tmp_path / "want.bin", adj)
+            assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
+
+    def test_adjacency_writer_streams_the_lists(self, tmp_path):
+        # hole, r = 0.2, n = 4000: 508 757 edges in a 1.0 MB file.  The
+        # whole edge list and its bit positions peaked at 26.4 MB
+        hole = RectangleWithHole(rectangle(2.0, 1.0), Box(np.array([0.5, 0.25]), np.array([1.5, 0.75])))
+        adj = generate_graph(sample_uniform(hole, 4000, seed=2), Indicator(0.2), 2)
+        assert adj.edge_count() == 508757
+        tracemalloc.start()
+        try:
+            fileio.write_adjacency_binary(tmp_path / "adj.bin", adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20, peak
+        assert fileio.read_adjacency_binary(tmp_path / "adj.bin") == adj
 
     def test_adjacency_files_stream_in_blocks(self, tmp_path):
         # a dense n×n bool matrix is 6.25 MB here and the file 0.78 MB

@@ -128,6 +128,31 @@ class TestCoverage:
         assert lo <= lo2 <= up
         assert lo <= up2
 
+    @pytest.mark.parametrize("preset", ["rectangles", "hole", "mds-discrete"])
+    def test_hull_membership_is_the_matrix_product_formula(self, preset, monkeypatch, tmp_path):
+        # the presets' hull coverage grids (about 80 000 points at the grid
+        # step of span / 400), tested one facet at a time
+        from scipy.spatial import ConvexHull
+
+        from latentgraph import geometry, presets
+
+        calls = []
+        real = geometry._hull_membership
+
+        def recording(points, grid):
+            calls.append((points, grid, real(points, grid)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(geometry, "_hull_membership", recording)
+        for seed in (0, 1):
+            presets.run_preset(preset, seed, tmp_path / str(seed), scale_n=300)
+        assert len(calls) == 2
+        for points, grid, member in calls:
+            eqs = ConvexHull(points).equations
+            want = (grid @ eqs[:, :-1].T + eqs[:, -1]).max(axis=1) <= 1e-12
+            assert grid.shape[0] > 70000
+            assert np.array_equal(member, want)
+
     def test_degenerate_hull_is_an_error(self):
         pts = np.array([[0.1, 0.5], [0.5, 0.5], [0.9, 0.5]])
         cfg = PointConfig(pts, rectangle(1, 1))

@@ -510,11 +510,11 @@ class TestKnnAgainstDenseReference:
         i = rng.integers(0, 200, 5000)
         j = rng.integers(0, 200, 5000)
         want = cdist(pts, pts)[i, j]
-        assert geometry._pair_distances(pts.T, i, j)[1].tobytes() == want.tobytes()
+        assert geometry._pair_distances(pts, i, j)[1].tobytes() == want.tobytes()
         rows = np.arange(200)[:, None]
         cols = rng.integers(0, 200, (200, 12))
         # the broadcast shape comes first, as _nearest passes it
-        got = geometry._pair_distances(pts.T, cols, rows)[1]
+        got = geometry._pair_distances(pts, cols, rows)[1]
         assert got.tobytes() == np.take_along_axis(cdist(pts, pts), cols, axis=1).tobytes()
 
     def test_symmetrize_union_equals_dense_reference(self):
@@ -543,7 +543,7 @@ class TestGraphConstructionAgainstRowLoop:
         adj = generate_graph(cfg, Indicator(r), 0)
         assert adj == row_loop_generate_graph(cfg, Indicator(r), 0)
         i, j = adj.edges().T
-        assert np.any(geometry._pair_distances(cfg.points.T, i, j)[1] == r)
+        assert np.any(geometry._pair_distances(cfg.points, i, j)[1] == r)
         for link in (ScaledIndicator(r, 0.5), PolynomialEdge(r, 0.8, 0.0), PolynomialEdge(r, 1.0, 2.0)):
             assert generate_graph(cfg, link, 3) == row_loop_generate_graph(cfg, link, 3)
 

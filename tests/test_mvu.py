@@ -13,10 +13,13 @@ from latentgraph import (
     classical_mds,
     discrepancy_ratio,
     generate_graph,
+    interval,
+    knn_graph,
     pairwise_distances,
     rectangle,
     sample_uniform,
     solve_mvu,
+    symmetrize_union,
 )
 from latentgraph import hopdist, mvu
 from latentgraph.mvu import MvuBoundReport
@@ -27,6 +30,75 @@ def small_rgg(n=120, r=0.35, seed=3):
     cfg = sample_uniform(rectangle(2, 1), n, seed=seed)
     adj = generate_graph(cfg, Indicator(r), seed=0)
     return cfg, adj
+
+
+def full_scatter_solve_mvu(adj, rank, seed, steps_per_stage):
+    """The ascent with a pull scattered for every edge and coordinate, the
+    stretched and the slack ones, from coordinate-major differences (the
+    reference).  Returns the coordinates, the objective, the trace and the
+    number of gradients for which no edge was stretched."""
+    n = adj.n
+    e = adj.edges()
+    a, b = e[:, 0], e[:, 1]
+
+    def spread(x):
+        return float(n * (x ** 2).sum() - (x.sum(axis=0) ** 2).sum())
+
+    def evaluate(x, mu):
+        diff = x.T[:, a] - x.T[:, b]
+        squares = diff * diff
+        lengths = squares[0].copy()
+        for sq in squares[1:]:  # cdist's order
+            lengths += sq
+        lengths = np.sqrt(lengths)
+        excess = np.maximum(lengths - 1.0, 0.0)
+        sp = spread(x)
+        return sp - mu * float((excess ** 2).sum()), sp, diff.T, lengths, excess
+
+    x = classical_mds(all_pairs_hops(adj).hops, rank).coords
+    rng = np.random.default_rng(seed)
+    x = x + 1e-3 * np.sqrt((x ** 2).mean()) * rng.standard_normal(x.shape)
+    x -= x.mean(axis=0)
+    ml = evaluate(x, 0.0)[3].max()
+    if ml > 1.0:
+        x /= ml
+    mu_base = 2.0 * n / mvu._algebraic_connectivity(n, a, b)
+    dim = x.shape[1]
+    bins_a, bins_b = ((v[:, None] * dim + np.arange(dim)).ravel() for v in (a, b))
+    trace, step, slack = [], 1e-2, 0
+    for stage, s in enumerate(mvu._PENALTY_SCHEDULE):
+        mu = mu_base * s
+        fcur, _, diff, lengths, excess = evaluate(x, mu)
+        for it in range(steps_per_stage):
+            slack += not excess.any()
+            coef = 2.0 * excess / np.where(lengths > 0, lengths, 1.0)
+            pull = (coef[:, None] * diff).ravel()
+            gpen = np.bincount(bins_a, pull, n * dim) - np.bincount(bins_b, pull, n * dim)
+            grad = 2.0 * n * x - mu * gpen.reshape(n, dim)
+            gnorm2 = float((grad ** 2).sum())
+            if gnorm2 < 1e-18:
+                break
+            for _ in range(60):
+                xn = x + step * grad
+                xn -= xn.mean(axis=0)
+                fn, sp, *edge_terms = evaluate(xn, mu)
+                if fn >= fcur + 1e-4 * step * gnorm2:
+                    break
+                step *= 0.5
+            else:
+                break
+            rel = (fn - fcur) / max(abs(fcur), 1e-300)
+            x, fcur = xn, fn
+            diff, lengths, excess = edge_terms
+            step *= 1.3
+            trace.append((stage, it, sp, float(excess.max(initial=0.0)), fcur))
+            if rel < 1e-12:
+                break
+    ml = lengths.max()
+    if ml > 1.0:
+        x = x / ml
+        x -= x.mean(axis=0)
+    return x, spread(x), tuple(trace), slack
 
 
 class TestSolveMvu:
@@ -105,6 +177,29 @@ class TestSolveMvu:
         assert excess.tobytes() == want_excess.tobytes()
         assert spread == mvu._spread(x)
         assert f == spread - 3.0 * float((want_excess ** 2).sum())
+
+    @pytest.mark.parametrize("graph, rank, steps", [
+        ("rgg", 5, 150),
+        ("knn-1d", 3, 150),
+        ("ring", 2, 2000),
+    ])
+    def test_bitwise_the_full_scatter_ascent(self, graph, rank, steps):
+        # the gradient scatters the stretched edges only; the slack edges'
+        # pulls are exact zeros, so the coordinates, objective and trace
+        # equal the ascent that scatters every edge, bit for bit
+        adj = {
+            "rgg": lambda: small_rgg(n=60, r=0.45, seed=5)[1],
+            "knn-1d": lambda: symmetrize_union(knn_graph(sample_uniform(interval(1.0), 50, 3), 6)),
+            "ring": lambda: Adjacency.from_edges(8, [[k, (k + 1) % 8] for k in range(8)]),
+        }[graph]()
+        x, objective, trace, slack = full_scatter_solve_mvu(adj, rank, 1, steps)
+        sol = solve_mvu(adj, rank=rank, seed=1, steps_per_stage=steps)
+        assert sol.coords.tobytes() == x.tobytes()
+        assert sol.objective == objective
+        assert repr(sol.trace) == repr(trace)
+        # the start is shrunk to feasibility, so the first gradient has no
+        # stretched edge: both branches of the scatter ran
+        assert 0 < slack < len(trace)
 
     def test_coordinates_centered(self):
         _, adj = small_rgg(n=50, r=0.5, seed=6)
