@@ -243,15 +243,6 @@ def localize(hops: HopMatrix, max_hops: int, r: float) -> PartialDissimilarity:
     return PartialDissimilarity(n, i, j, r * hops.hops[i, j].astype(np.float64))
 
 
-def _pair_ends(n: int, pi: np.ndarray, pj: np.ndarray) -> list[csr_matrix]:
-    """Row v of the first n-by-P matrix holds v's row-major pairs (v, w), of the second its pairs
-    (u, v), in pair order, all ones in one shared array: ``@`` sums like ``bincount``, bitwise."""
-    ones = np.ones(pi.size)
-    return [csr_matrix((ones, cols, np.concatenate([[0], np.cumsum(np.bincount(p, minlength=n))])),
-                       shape=(n, pi.size))
-            for p, cols in ((pi, np.arange(pi.size)), (pj, np.argsort(pj, kind="stable")))]
-
-
 def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     """Metric stress majorization with binary weights on the present pairs.
 
@@ -268,12 +259,12 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     the ratios times ``x_i`` minus the ratios times ``x_j``) cancels
     catastrophically when two points nearly coincide.
 
-    The iterate is read coordinate-major: ``cho_solve`` returns ``x`` in
-    Fortran order, so ``_pair_distances`` gathers a coordinate at a time.
-    The right-hand side is two products per coordinate with the incidence
-    matrices of the pair ends (``_pair_ends``, CSR, built once), which sum
-    each node's terms in pair order like ``bincount``.  Stops as
-    ``_SMACOF_MAX_ITER`` and ``_SMACOF_REL_TOL`` say.
+    The pair differences are pair-major ``(P, dim)`` rows
+    (``_pair_distances``), and the right-hand side is one pair of
+    ``bincount`` calls per coordinate, which sum each node's terms in pair
+    order.  The lengths sum their squares in coordinate order, bitwise the
+    ``cdist`` entries.  Stops after ``_SMACOF_MAX_ITER`` steps or when the
+    relative stress decrease falls below ``_SMACOF_REL_TOL``.
     """
     n = partial.n
     x = np.array(init, dtype=np.float64)
@@ -283,9 +274,8 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
         raise ValueError("init must be finite")
     dim = x.shape[1]
     pi, pj, delta = partial.i, partial.j, partial.values
-    ends_i, ends_j = _pair_ends(n, pi, pj)
-    # unnamed, so the pair graph is freed before the iterations
-    parts = connected_components(csr_matrix((ends_i.data, pj, ends_i.indptr), shape=(n, n)),
+    # unnamed, so the pair graph (12 bytes a pair) is freed before the iterations
+    parts = connected_components(csr_matrix((np.ones(pi.size), (pi, pj)), shape=(n, n)),
                                  connection="weak", return_labels=False)
     if parts != 1:
         raise ValueError("localization threshold too small: present pairs are disconnected")
@@ -311,7 +301,7 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
             ratio = np.where(dis > 0, delta / dis, 0.0)
         for k in range(dim):
             term = ratio * diff[:, k]
-            np.subtract(ends_i @ term, ends_j @ term, out=bx[k])
+            np.subtract(np.bincount(pi, term, n), np.bincount(pj, term, n), out=bx[k])
         if not np.isfinite(bx).all():
             raise ValueError(_NOT_FINITE)
         x = cho_solve(factor, bx.T, check_finite=False)

@@ -87,6 +87,7 @@ def _upper_pairs(adj: Adjacency):
         upper = j > i
         i, j = i[upper], j[upper]  # frees the block's row ids before the caller's work
         yield i, j
+        del i, j, upper  # as the callers do theirs: no block lives on while the next is built
 
 
 def write_edge_list(path: str | Path, adj: Adjacency) -> None:
@@ -103,6 +104,7 @@ def write_edge_list(path: str | Path, adj: Adjacency) -> None:
             text[:, w + 1 : -1] = digits[j]
             text[:, -1] = ord("\n")
             fh.write(text[text != 0].tobytes())
+            del i, j, text
 
 
 def read_edge_list(path: str | Path) -> Adjacency:
@@ -170,9 +172,13 @@ def write_adjacency_binary(path: str | Path, adj: Adjacency) -> None:
     payload = np.zeros((n * (n - 1) // 2 + 7) // 8, dtype=np.uint8)
     offsets = _upper_offsets(n)
     for i, j in _upper_pairs(adj):
-        # bit pos % 8 (little bit order) of byte pos // 8, at each edge's stream position
+        # each edge's stream position: bit pos % 8 (little bit order) of byte pos // 8
         pos = offsets[i] + (j - i - 1)
-        np.bitwise_or.at(payload, pos >> 3, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
+        del i, j
+        bit = np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8))
+        pos >>= 3
+        np.bitwise_or.at(payload, pos, bit)
+        del pos, bit
     _write_binary(path, _MAGIC_ADJ, n, [payload])
 
 

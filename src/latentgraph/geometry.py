@@ -208,18 +208,11 @@ def _pair_distances(x: np.ndarray, pi: np.ndarray, pj: np.ndarray):
     Returns ``diff[..., k] = x[pi, k] - x[pj, k]`` and the lengths, whose
     squares are summed in coordinate order before the square root:
     ``cdist``'s formula, so each length is bitwise its ``pairwise_distances``
-    entry at any ``dim``.  The gathers run along the contiguous axis of
-    ``x``: a C-ordered ``x`` (MVU's iterate, the sample points) a row at a
-    time, into pair-major ``diff``; any other (SMACOF's Fortran-ordered
-    iterate) a coordinate at a time, into coordinate-major ``diff``.
+    entry at any ``dim``.  The gathers take whole rows of ``x``, in any
+    layout, into pair-major ``diff``.
     """
-    if x.flags.c_contiguous:
-        diff = x.take(pi, axis=0)
-        diff -= x.take(pj, axis=0)
-    else:
-        diff = x.T.take(pi, axis=1)
-        diff -= x.T.take(pj, axis=1)
-        diff = np.moveaxis(diff, 0, -1)
+    diff = x.take(pi, axis=0)
+    diff -= x.take(pj, axis=0)
     lengths = diff[..., 0] * diff[..., 0]
     for k in range(1, diff.shape[-1]):
         lengths += diff[..., k] * diff[..., k]

@@ -408,15 +408,14 @@ class TestPairDistances:
         diff, lengths = embed._pair_distances(x, pi, pj)
         want = x[pi] - x[pj]
         assert diff.shape == want.shape
-        assert np.ascontiguousarray(diff).tobytes() == want.tobytes()
+        assert diff.tobytes() == want.tobytes()
         assert lengths.tobytes() == np.sqrt((want * want).sum(axis=1)).tobytes()
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("dim", [2, 5, 9])
     def test_lengths_bitwise_cdist_in_both_layouts(self, dim, order):
-        # a C-ordered x is gathered a row at a time into pair-major
-        # differences, any other a coordinate at a time into coordinate-major
-        # ones; both sum the squares in cdist's order, nine coordinates too
+        # rows are gathered from either layout, and the squares are summed in
+        # cdist's order, nine coordinates too
         rng = np.random.default_rng(dim)
         x = np.asarray(rng.standard_normal((70, dim)) * 10.0 ** rng.integers(-3, 4, (70, dim)),
                        order=order)
@@ -424,7 +423,6 @@ class TestPairDistances:
         diff, lengths = embed._pair_distances(x, pi, pj)
         assert lengths.tobytes() == cdist(x, x)[pi, pj].tobytes()
         assert np.array_equal(diff, x[pi] - x[pj])
-        assert (diff if order == "C" else diff.T).flags.c_contiguous
 
 
 class TestSmacof:
@@ -524,25 +522,6 @@ class TestSmacof:
         ref = np.linalg.solve(vmat, np.array(bx, dtype=np.float64))
         ref -= ref.mean(axis=0)
         np.testing.assert_allclose(res.coords, ref, rtol=0, atol=1e-12)
-
-    def test_pair_sums_bitwise_two_bincounts(self):
-        # node 3 has no pair; the terms mix signs, signed zeros and eleven
-        # orders of magnitude, so any other summation order would show
-        rng = np.random.default_rng(5)
-        n = 9
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if 3 not in (i, j) and rng.random() < 0.6]
-        pi, pj = np.array(pairs).T
-        ends_i, ends_j = embed._pair_ends(n, pi, pj)
-        assert ends_i.shape == ends_j.shape == (n, pi.size)
-        assert np.shares_memory(ends_i.data, ends_j.data)
-        for _ in range(20):
-            t = rng.standard_normal(pi.size) * 10.0 ** rng.integers(-5, 6, pi.size)
-            zero = rng.random(pi.size) < 0.2
-            t[zero] = rng.choice([0.0, -0.0], zero.sum())
-            assert (ends_i @ t).tobytes() == np.bincount(pi, t, n).tobytes()
-            assert (ends_j @ t).tobytes() == np.bincount(pj, t, n).tobytes()
-        assert ends_i[3].nnz == ends_j[3].nnz == 0
 
     def test_disconnected_mask_rejected(self):
         part = PartialDissimilarity(4, [0, 2], [1, 3], [0.0, 0.0])
