@@ -41,6 +41,8 @@ _SYM_ROWS = 64
 # or after this many iterations
 _SMACOF_REL_TOL = 1e-6
 _SMACOF_MAX_ITER = 500
+# SMACOF steps x + _SMACOF_RELAX (G(x) - x); below 2, see smacof
+_SMACOF_RELAX = 1.9
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,28 +245,55 @@ def localize(hops: HopMatrix, max_hops: int, r: float) -> PartialDissimilarity:
     return PartialDissimilarity(n, i, j, r * hops.hops[i, j].astype(np.float64))
 
 
+def _pair_ends(n: int, pi: np.ndarray, pj: np.ndarray) -> tuple[csr_matrix, csr_matrix]:
+    """The n-by-P incidence matrices of the pairs' first and second ends.
+
+    Row v of the first lists v's pairs (v, w), row v of the second its pairs
+    (u, v), each in pair order (``pi`` is sorted), with int32 indices and
+    one shared array of ones: ``@`` sums each node's terms in pair order,
+    bitwise ``bincount``."""
+    ones = np.ones(pi.size)
+    ends = []
+    for p, cols in ((pi, np.arange(pi.size, dtype=np.int32)),
+                    (pj, np.argsort(pj, kind="stable").astype(np.int32))):
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(p, minlength=n), out=indptr[1:])
+        ends.append(csr_matrix((ones, cols, indptr), shape=(n, pi.size)))
+    return tuple(ends)
+
+
 def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     """Metric stress majorization with binary weights on the present pairs.
 
-    Iterates the Guttman transform; with the exact solve used here the
-    stress sequence is non-increasing.  Works on the present pairs
-    ``partial.i < partial.j`` only: each iterate's pair differences and
-    distances are evaluated once and give both its stress and the next
-    Guttman step, so an iteration costs O(present pairs); the one n-by-n
-    array is ``V + 1/n``, built from the pairs, factored once and scanned
-    for finiteness once (each right-hand side is scanned on every step and
-    raises the error ``cho_solve`` would).  The step's right-hand side
-    ``B(x) x`` is summed from the pair terms ``(delta_ij / dis_ij)(x_i -
-    x_j)``, each at most ``delta_ij`` in size; the dense form (row sums of
-    the ratios times ``x_i`` minus the ratios times ``x_j``) cancels
-    catastrophically when two points nearly coincide.
+    Iterates the over-relaxed Guttman transform ``x + alpha (G(x) - x)``
+    with ``alpha = _SMACOF_RELAX`` (1.9).  The stress majorizer at ``x`` is
+    a quadratic whose minimum is the Guttman transform ``G(x)``, so every
+    point of the segment from ``x`` to ``2 G(x) - x`` has a majorizer value,
+    and hence a stress, no higher than ``x``'s (de Leeuw & Heiser, 1980):
+    with the exact solve used here the stress sequence is non-increasing
+    for any ``alpha`` in [0, 2].  Overshooting the minimum cuts the
+    iterations by about two fifths; at ``alpha = 2`` the iterate reflects
+    across the minimum and the stress barely falls, hence 1.9.
+
+    Works on the present pairs ``partial.i < partial.j`` only: each
+    iterate's pair differences and distances are evaluated once and give
+    both its stress and the next step, so an iteration costs O(present
+    pairs); the one n-by-n array is ``V + 1/n``, built from the pairs,
+    factored once and scanned for finiteness once (each right-hand side is
+    scanned on every step and raises the error ``cho_solve`` would).  The
+    step's right-hand side ``B(x) x`` is summed from the pair terms
+    ``(delta_ij / dis_ij)(x_i - x_j)``, each at most ``delta_ij`` in size;
+    the dense form (row sums of the ratios times ``x_i`` minus the ratios
+    times ``x_j``) cancels catastrophically when two points nearly coincide.
 
     The pair differences are pair-major ``(P, dim)`` rows
-    (``_pair_distances``), and the right-hand side is one pair of
-    ``bincount`` calls per coordinate, which sum each node's terms in pair
-    order.  The lengths sum their squares in coordinate order, bitwise the
-    ``cdist`` entries.  Stops after ``_SMACOF_MAX_ITER`` steps or when the
-    relative stress decrease falls below ``_SMACOF_REL_TOL``.
+    (``_pair_distances``); the lengths sum their squares in coordinate
+    order, bitwise the ``cdist`` entries.  The right-hand side is two
+    products per coordinate with the n-by-P incidence matrices of the pair
+    ends (CSR, built once per solve), which sum each node's terms in pair
+    order, bitwise like ``bincount``.  Stops after ``_SMACOF_MAX_ITER``
+    steps or when the relative stress decrease falls below
+    ``_SMACOF_REL_TOL``.
     """
     n = partial.n
     x = np.array(init, dtype=np.float64)
@@ -295,16 +324,19 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     diff, dis = _pair_distances(x, pi, pj)
     trace = [float(((dis - delta) ** 2).sum())]
     iterations = 0
+    ends_i, ends_j = _pair_ends(n, pi, pj)
     bx = np.empty((dim, n))
     for it in range(1, _SMACOF_MAX_ITER + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(dis > 0, delta / dis, 0.0)
         for k in range(dim):
             term = ratio * diff[:, k]
-            np.subtract(np.bincount(pi, term, n), np.bincount(pj, term, n), out=bx[k])
+            np.subtract(ends_i @ term, ends_j @ term, out=bx[k])
+        # freed before the next iterate's pair arrays are built
+        del diff, dis, ratio, term
         if not np.isfinite(bx).all():
             raise ValueError(_NOT_FINITE)
-        x = cho_solve(factor, bx.T, check_finite=False)
+        x = x + _SMACOF_RELAX * (cho_solve(factor, bx.T, check_finite=False) - x)
         x = x - x.mean(axis=0)
         diff, dis = _pair_distances(x, pi, pj)
         s = float(((dis - delta) ** 2).sum())

@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .hopdist import _BLOCK_PAIRS, EstimateMatrix, HopMatrix, _row_blocks
+from . import hopdist
+from .hopdist import EstimateMatrix, HopMatrix, _row_blocks
 from .linkgraph import Adjacency
 
 __all__ = [
@@ -187,8 +188,8 @@ def read_adjacency_binary(path: str | Path) -> Adjacency:
     m = n * (n - 1) // 2
     if m % 8 and data[-1] >> (m % 8):
         raise ValueError(f"{path}: padding bits after the {m} data bits are not zero")
-    # the stream positions of the set bits, unpacked _BLOCK_PAIRS bits at a time
-    pos, step = [np.empty(0, dtype=np.intp)], _BLOCK_PAIRS // 8
+    # the stream positions of the set bits, unpacked hopdist._BLOCK_PAIRS bits at a time
+    pos, step = [np.empty(0, dtype=np.intp)], hopdist._BLOCK_PAIRS // 8
     for lo in range(0, data.size, step):
         pos.append(np.flatnonzero(np.unpackbits(data[lo : lo + step], bitorder="little")))
         pos[-1] += 8 * lo

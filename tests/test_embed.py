@@ -88,9 +88,10 @@ def hole_fixture(n=150, r=0.35, seed=9):
     return localize(hops, 2, r=r), scale_hops(hops, r).rows(0, hops.n)
 
 
-def flat_bin_smacof(partial, init):
+def flat_bin_smacof(partial, init, relax=embed._SMACOF_RELAX):
     """SMACOF with row-major pair differences and the Guttman right-hand side
-    scattered over the flat bins ``i*dim + k`` (the row-major reference)."""
+    scattered over the flat bins ``i*dim + k`` (the row-major reference),
+    relaxed by ``embed._SMACOF_RELAX`` (1 gives the plain Guttman step)."""
     n, pi, pj, delta = partial.n, partial.i, partial.j, partial.values
     x = np.array(init, dtype=np.float64)
     dim = x.shape[1]
@@ -113,7 +114,7 @@ def flat_bin_smacof(partial, init):
             ratio = np.where(dis > 0, delta / dis, 0.0)
         term = (ratio[:, None] * diff).ravel()
         bx = np.bincount(bins_i, term, n * dim) - np.bincount(bins_j, term, n * dim)
-        x = cho_solve(factor, bx.reshape(n, dim))
+        x = x + relax * (cho_solve(factor, bx.reshape(n, dim)) - x)
         x = x - x.mean(axis=0)
         diff, dis = evaluate(x)
         trace.append(float(((dis - delta) ** 2).sum()))
@@ -519,7 +520,8 @@ class TestSmacof:
         w = np.zeros((n, n), dtype=bool)
         w[pi, pj] = w[pj, pi] = True
         vmat = np.diag(w.sum(axis=1).astype(np.float64)) - w + 1.0 / n
-        ref = np.linalg.solve(vmat, np.array(bx, dtype=np.float64))
+        guttman = np.linalg.solve(vmat, np.array(bx, dtype=np.float64))
+        ref = x + embed._SMACOF_RELAX * (guttman - x)
         ref -= ref.mean(axis=0)
         np.testing.assert_allclose(res.coords, ref, rtol=0, atol=1e-12)
 
@@ -586,6 +588,17 @@ class TestSmacof:
         assert res.iterations > 1
         assert res.stress_trace == trace
         assert res.coords.tobytes() == coords.tobytes()
+
+    def test_relaxed_step_beats_the_plain_guttman_step(self):
+        # the over-relaxed step stops sooner, no higher than the plain
+        # step's stress (within the stop rule's tolerance), and stays monotone
+        part, est = hole_fixture()
+        init = classical_mds(est, v=2).coords
+        res = smacof(part, init)
+        _, plain = flat_bin_smacof(part, init, relax=1.0)
+        assert res.iterations < len(plain) - 1
+        assert res.stress <= plain[-1] * (1 + embed._SMACOF_REL_TOL)
+        assert np.all(np.diff(res.stress_trace) <= 1e-9)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_init_rejected(self, bad):

@@ -175,7 +175,7 @@ class TestBinaryFormats:
             want = b"LGA1" + struct.pack("<Q", n) + np.packbits(bits, bitorder="little").tobytes()
             # one read block, then one byte per read block
             for entries in (1 << 16, 8):
-                monkeypatch.setattr(fileio, "_BLOCK_PAIRS", entries)
+                monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", entries)
                 fileio.write_adjacency_binary(path, adj)
                 assert path.read_bytes() == want
                 assert fileio.read_adjacency_binary(path) == adj
