@@ -8,6 +8,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
+
+import numpy as np
+
+from . import fileio
+from .cities import ingest_cities
+from .embed import classical_mds, procrustes_align
+from .geometry import Box, RectangleWithHole, interval, rectangle, sample_uniform
+from .hopdist import EstimateMatrix, all_pairs_hops, check_general_bound, check_simple_bound, scale_hops
+from .linkgraph import Indicator, PolynomialEdge, ScaledIndicator, TwoLevel, generate_graph
+from .mvu import solve_mvu
+from .plotdata import emit_plotdata
+from .presets import PRESETS, run_preset
 
 _ADJACENCY_HELP = "edge list, or LGA1 binary when the name ends in .bin"
 
@@ -72,56 +85,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse_domain(spec: str):
-    from .geometry import Box, RectangleWithHole, interval, rectangle
-    import numpy as np
+# spec kind -> (constructor over the spec's floats, number of floats)
+_DOMAINS = {
+    "rectangle": (rectangle, 2),
+    "interval": (interval, 1),
+    "hole": (lambda a, b, x0, y0, x1, y1: RectangleWithHole(
+        rectangle(a, b), Box(np.array([x0, y0]), np.array([x1, y1]))), 6),
+}
+_LINKS = {
+    "indicator": (Indicator, 1),
+    "scaled_indicator": (ScaledIndicator, 2),
+    "poly": (PolynomialEdge, 3),
+    "two_level": (TwoLevel, 3),
+}
 
+
+def _parse_spec(spec: str, table: dict, what: str):
+    """``kind:v1,v2,...`` as ``table[kind]``'s constructor of the floats."""
     kind, _, rest = spec.partition(":")
-    vals = [float(t) for t in rest.split(",")] if rest else []
-    if kind == "rectangle" and len(vals) == 2:
-        return rectangle(*vals)
-    if kind == "interval" and len(vals) == 1:
-        return interval(vals[0])
-    if kind == "hole" and len(vals) == 6:
-        return RectangleWithHole(
-            rectangle(vals[0], vals[1]),
-            Box(np.array(vals[2:4]), np.array(vals[4:6])),
-        )
-    raise ValueError(f"cannot parse domain spec {spec!r}")
-
-
-def _parse_link(spec: str):
-    from .linkgraph import Indicator, PolynomialEdge, ScaledIndicator, TwoLevel
-
-    kind, _, rest = spec.partition(":")
-    vals = [float(t) for t in rest.split(",")] if rest else []
-    table = {
-        "indicator": (Indicator, 1),
-        "scaled_indicator": (ScaledIndicator, 2),
-        "poly": (PolynomialEdge, 3),
-        "two_level": (TwoLevel, 3),
-    }
-    if kind in table and len(vals) == table[kind][1]:
-        return table[kind][0](*vals)
-    raise ValueError(f"cannot parse link spec {spec!r}")
+    make, arity = table.get(kind, (None, None))
+    try:
+        vals = [float(t) for t in rest.split(",")] if rest else []
+    except ValueError:
+        vals = None
+    if vals is None or len(vals) != arity:
+        raise ValueError(f"cannot parse {what} spec {spec!r}")
+    return make(*vals)
 
 
 def _run(args) -> int:
-    from pathlib import Path
-
-    import numpy as np
-
-    from . import fileio
-    from .cities import ingest_cities
-    from .embed import classical_mds, procrustes_align
-    from .geometry import sample_uniform
-    from .hopdist import (EstimateMatrix, all_pairs_hops, check_general_bound, check_simple_bound,
-                          scale_hops)
-    from .linkgraph import generate_graph
-    from .mvu import solve_mvu
-    from .plotdata import emit_plotdata
-    from .presets import run_preset
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -134,8 +126,8 @@ def _run(args) -> int:
         return fileio.read_matrix_csv(name) if csv else fileio.read_matrix_binary(name)
 
     if args.command == "generate":
-        config = sample_uniform(_parse_domain(args.domain), args.n, args.seed)
-        adj = generate_graph(config, _parse_link(args.link), args.seed)
+        config = sample_uniform(_parse_spec(args.domain, _DOMAINS, "domain"), args.n, args.seed)
+        adj = generate_graph(config, _parse_spec(args.link, _LINKS, "link"), args.seed)
         fileio.write_points_csv(out / "points.csv", config.points)
         fileio.write_edge_list(out / "edges.txt", adj)
         print(f"wrote points.csv and edges.txt (n={config.n}, edges={adj.edge_count()})")
@@ -206,7 +198,6 @@ def _run(args) -> int:
 
     if args.command == "preset":
         if args.preset_command == "list":
-            from .presets import PRESETS
             for name, preset in PRESETS.items():
                 print(f"{name:14s} n={preset.default_n:<6d} {preset.description}")
             return 0

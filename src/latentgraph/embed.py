@@ -35,8 +35,6 @@ _NOT_FINITE = "array must not contain infs or NaNs"
 # rows per block of classical scaling's operator: the block's float64
 # squares stay in cache (128 rows and more fall out of it)
 _MATVEC_ROWS = 16
-# rows per strip of classical scaling's symmetry check
-_SYM_ROWS = 64
 # SMACOF stops once an iteration lowers the stress by less than this fraction,
 # or after this many iterations
 _SMACOF_REL_TOL = 1e-6
@@ -63,14 +61,11 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 
 
 def _is_symmetric(d: np.ndarray) -> bool:
-    # a strip of rows against the matching strip of columns, with no n-by-n
+    # a block of rows against the matching block of columns, with no n-by-n
     # temporary
     n = d.shape[0]
-    for lo in range(0, n, _SYM_ROWS):
-        hi = lo + _SYM_ROWS
-        if not np.array_equal(d[lo:hi, lo:], d[lo:, lo:hi].T):
-            return False
-    return True
+    return all(np.array_equal(d[lo:hi, lo:], d[lo:, lo:hi].T)
+               for lo, hi in _row_blocks(np.arange(n + 1) * n))
 
 
 def _centered_squares(d: np.ndarray, scale: float) -> LinearOperator:
@@ -245,20 +240,22 @@ def localize(hops: HopMatrix, max_hops: int, r: float) -> PartialDissimilarity:
     return PartialDissimilarity(n, i, j, r * hops.hops[i, j].astype(np.float64))
 
 
-def _pair_ends(n: int, pi: np.ndarray, pj: np.ndarray) -> tuple[csr_matrix, csr_matrix]:
-    """The n-by-P incidence matrices of the pairs' first and second ends.
+def _pair_ends(pj: np.ndarray, deg_i: np.ndarray, deg_j: np.ndarray) -> tuple[csr_matrix, csr_matrix]:
+    """The n-by-P incidence matrices of the pairs' first and second ends,
+    from each node's count of pairs as first (``deg_i``) and second end.
 
     Row v of the first lists v's pairs (v, w), row v of the second its pairs
-    (u, v), each in pair order (``pi`` is sorted), with int32 indices and
-    one shared array of ones: ``@`` sums each node's terms in pair order,
-    bitwise ``bincount``."""
-    ones = np.ones(pi.size)
+    (u, v), each in pair order (the first ends are sorted), with int32
+    indices and one shared array of ones: ``@`` sums each node's terms in
+    pair order, bitwise ``bincount``."""
+    n, p = deg_i.size, pj.size
+    ones = np.ones(p)
     ends = []
-    for p, cols in ((pi, np.arange(pi.size, dtype=np.int32)),
-                    (pj, np.argsort(pj, kind="stable").astype(np.int32))):
+    for deg, cols in ((deg_i, np.arange(p, dtype=np.int32)),
+                      (deg_j, np.argsort(pj, kind="stable").astype(np.int32))):
         indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(p, minlength=n), out=indptr[1:])
-        ends.append(csr_matrix((ones, cols, indptr), shape=(n, pi.size)))
+        np.cumsum(deg, out=indptr[1:])
+        ends.append(csr_matrix((ones, cols, indptr), shape=(n, p)))
     return tuple(ends)
 
 
@@ -290,8 +287,9 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     (``_pair_distances``); the lengths sum their squares in coordinate
     order, bitwise the ``cdist`` entries.  The right-hand side is two
     products per coordinate with the n-by-P incidence matrices of the pair
-    ends (CSR, built once per solve), which sum each node's terms in pair
-    order, bitwise like ``bincount``.  Stops after ``_SMACOF_MAX_ITER``
+    ends (CSR, built once per solve from the node counts that also give
+    V's diagonal and the connectivity check's pair graph), which sum each
+    node's terms in pair order, bitwise like ``bincount``.  Stops after ``_SMACOF_MAX_ITER``
     steps or when the relative stress decrease falls below
     ``_SMACOF_REL_TOL``.
     """
@@ -303,8 +301,13 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
         raise ValueError("init must be finite")
     dim = x.shape[1]
     pi, pj, delta = partial.i, partial.j, partial.values
-    # unnamed, so the pair graph (12 bytes a pair) is freed before the iterations
-    parts = connected_components(csr_matrix((np.ones(pi.size), (pi, pj)), shape=(n, n)),
+    # each node's pairs as first and as second end: V's diagonal and the CSR
+    # row offsets of the pair graph and of the pair ends
+    deg_i, deg_j = np.bincount(pi, minlength=n), np.bincount(pj, minlength=n)
+    # the first ends are sorted, so the pairs are the pair graph's CSR rows as
+    # they stand; unnamed, so the graph is freed before the factor
+    indptr = np.concatenate(([0], np.cumsum(deg_i)))
+    parts = connected_components(csr_matrix((np.ones(pi.size), pj, indptr), shape=(n, n)),
                                  connection="weak", return_labels=False)
     if parts != 1:
         raise ValueError("localization threshold too small: present pairs are disconnected")
@@ -315,7 +318,7 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     # matrix in the Fortran order that LAPACK factors in place.
     vmat = np.full((n, n), 1.0 / n)
     vmat[pi, pj] = vmat[pj, pi] = 1.0 / n - 1.0
-    vmat.flat[:: n + 1] = np.bincount(pi, minlength=n) + np.bincount(pj, minlength=n) + 1.0 / n
+    vmat.flat[:: n + 1] = deg_i + deg_j + 1.0 / n
     factor = cho_factor(vmat.T, lower=True, overwrite_a=True)
     if not np.isfinite(factor[0]).all():
         raise ValueError(_NOT_FINITE)
@@ -324,7 +327,7 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     diff, dis = _pair_distances(x, pi, pj)
     trace = [float(((dis - delta) ** 2).sum())]
     iterations = 0
-    ends_i, ends_j = _pair_ends(n, pi, pj)
+    ends_i, ends_j = _pair_ends(pj, deg_i, deg_j)
     bx = np.empty((dim, n))
     for it in range(1, _SMACOF_MAX_ITER + 1):
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -251,6 +251,8 @@ def write_manifest(path: str | Path, manifest: dict) -> None:
     for key, value in manifest.items():
         if not isinstance(value, (str, int, float, bool)):
             raise ValueError(f"manifest values must be scalars; key {key!r} is {type(value)}")
+        if isinstance(value, float) and not np.isfinite(value):  # JSON has no nan or inf
+            raise ValueError(f"manifest values must be finite; key {key!r} is {value}")
     Path(path).write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )

@@ -37,6 +37,32 @@ def _points(pts) -> np.ndarray:
     return pts[:, :2]
 
 
+def _radius(clouds) -> float:
+    """Marker radius shared by the panels of ``clouds``."""
+    unit = max(max(s[0], s[1]) for s in (p.max(axis=0) - p.min(axis=0) for p in clouds))
+    return _MARKER_RADIUS * unit / 100.0
+
+
+def _panel(pts: np.ndarray, rad: float, x0: float) -> tuple[str, np.ndarray, np.ndarray]:
+    """Circles of radius ``rad`` at ``pts``, in a panel padded by two radii that
+    starts at ``x0``; returns the circles and the panel's lower and upper
+    corners in data coordinates."""
+    lo = pts.min(axis=0) - 2 * rad
+    hi = pts.max(axis=0) + 2 * rad
+    dots = "".join(
+        f'<circle cx="{x - lo[0] + x0:.6g}" cy="{hi[1] - y:.6g}" r="{rad:.6g}"/>' for x, y in pts
+    )
+    return dots, lo, hi
+
+
+def _write_svg(path: str | Path, height: float, w: float, h: float, body: str) -> None:
+    """An SVG ``_WIDTH`` pixels wide and ``height`` high, of viewBox ``w`` by ``h``."""
+    Path(path).write_text(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.6g}" '
+        f'height="{height:.6g}" viewBox="0 0 {w:.6g} {h:.6g}" '
+        f'preserveAspectRatio="xMidYMid meet">{body}</svg>\n', encoding="utf-8")
+
+
 def svg_scatter(path: str | Path, series: dict[str, np.ndarray]) -> None:
     """Render point clouds side by side, one panel per series.
 
@@ -46,21 +72,14 @@ def svg_scatter(path: str | Path, series: dict[str, np.ndarray]) -> None:
     if not series:
         raise ValueError("no series to render")
     clouds = {name: _points(pts) for name, pts in series.items()}
-    spans = {k: p.max(axis=0) - p.min(axis=0) for k, p in clouds.items()}
-    unit = max(max(s[0], s[1]) for s in spans.values())
-    rad = _MARKER_RADIUS * unit / 100.0
+    rad = _radius(clouds.values())
     panels = []
     x_cursor = 0.0
     height = 0.0
     for idx, (name, pts) in enumerate(clouds.items()):
-        lo = pts.min(axis=0) - 2 * rad
-        hi = pts.max(axis=0) + 2 * rad
+        dots, lo, hi = _panel(pts, rad, x_cursor)
         w, h = hi - lo
         color = _COLORS[idx % len(_COLORS)]
-        dots = "".join(
-            f'<circle cx="{x - lo[0] + x_cursor:.6g}" cy="{hi[1] - y:.6g}" r="{rad:.6g}"/>'
-            for x, y in pts
-        )
         panels.append(
             f'<g fill="{color}" fill-opacity="0.55">'
             f"<title>{name}</title>{dots}</g>"
@@ -68,26 +87,15 @@ def svg_scatter(path: str | Path, series: dict[str, np.ndarray]) -> None:
         x_cursor += w + 4 * rad
         height = max(height, float(h))
     total_w = x_cursor - 4 * rad
-    scale = _WIDTH / total_w
-    svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.6g}" '
-        f'height="{height * scale:.6g}" viewBox="0 0 {total_w:.6g} {height:.6g}" '
-        f'preserveAspectRatio="xMidYMid meet">{"".join(panels)}</svg>\n'
-    )
-    Path(path).write_text(svg, encoding="utf-8")
+    _write_svg(path, height * (_WIDTH / total_w), total_w, height, "".join(panels))
 
 
 def svg_paths(path: str | Path, cloud: np.ndarray, polylines: dict[str, np.ndarray]) -> None:
     """One panel: a point cloud with highlighted polylines over it."""
     cloud = _points(cloud)
-    span = cloud.max(axis=0) - cloud.min(axis=0)
-    rad = max(span[0], span[1]) / 400.0
-    lo = cloud.min(axis=0) - 2 * rad
-    hi = cloud.max(axis=0) + 2 * rad
+    rad = _radius([cloud])
+    dots, lo, hi = _panel(cloud, rad, 0.0)
     w, h = hi - lo
-    dots = "".join(
-        f'<circle cx="{x - lo[0]:.6g}" cy="{hi[1] - y:.6g}" r="{rad:.6g}"/>' for x, y in cloud
-    )
     lines = []
     for idx, (name, poly) in enumerate(polylines.items()):
         poly = np.atleast_2d(np.asarray(poly, dtype=np.float64))[:, :2]
@@ -97,13 +105,8 @@ def svg_paths(path: str | Path, cloud: np.ndarray, polylines: dict[str, np.ndarr
             f'<polyline points="{pts_attr}" fill="none" stroke="{color}" '
             f'stroke-width="{2 * rad:.6g}"><title>{name}</title></polyline>'
         )
-    svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.6g}" '
-        f'height="{_WIDTH * h / w:.6g}" viewBox="0 0 {w:.6g} {h:.6g}" '
-        f'preserveAspectRatio="xMidYMid meet">'
-        f'<g fill="#888888" fill-opacity="0.45">{dots}</g>{"".join(lines)}</svg>\n'
-    )
-    Path(path).write_text(svg, encoding="utf-8")
+    _write_svg(path, _WIDTH * h / w, w, h,
+               f'<g fill="#888888" fill-opacity="0.45">{dots}</g>{"".join(lines)}')
 
 
 def emit_plotdata(result_dir: str | Path) -> list[Path]:

@@ -122,14 +122,13 @@ def _kept(hops: HopMatrix, keep: np.ndarray) -> HopMatrix:
 def _embed_and_align(config: PointConfig, hops: HopMatrix, r: float, keep: np.ndarray,
                      out: Path, tag: str, man: dict) -> EmbeddingResult | None:
     man[f"{tag}.n_embedded"] = int(keep.size)
-    if keep.size < max(3, config.dim + 1):
+    if keep.size < 3:
         return None  # nothing meaningful to embed at this sparsity
-    # classical scaling reads r * hops a row block at a time
-    emb = classical_mds(_kept(hops, keep).hops, v=max(config.dim, 2), scale=r)
-    truth_pts = config.points[keep]
-    if config.dim == 1:
-        truth_pts = np.column_stack([truth_pts[:, 0], np.zeros(keep.size)])
-    man[f"{tag}.procrustes_scale"] = _write_aligned(emb.coords, truth_pts, out, tag, man).scale
+    # every runner samples a planar domain; classical scaling reads r * hops
+    # a row block at a time
+    emb = classical_mds(_kept(hops, keep).hops, v=2, scale=r)
+    fit = _write_aligned(emb.coords, config.points[keep], out, tag, man)
+    man[f"{tag}.procrustes_scale"] = fit.scale
     return emb
 
 
@@ -263,7 +262,8 @@ def _run_knn_band(seed: int, out: Path, n: int, man: dict, **_) -> None:
     threshold = min(2.0, 0.5 * float(diameter))
     ratio, pairs = check_boundary_bias(g.est, config.points, threshold)
     man["knn.bias.threshold"] = threshold
-    man["knn.bias.max_ratio"] = ratio
+    if np.isfinite(ratio):  # infinite when a far pair is disconnected; knn.components tells
+        man["knn.bias.max_ratio"] = ratio
     man["knn.bias.pairs"] = pairs
 
 

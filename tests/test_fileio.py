@@ -407,3 +407,10 @@ class TestTracesAndManifest:
     def test_manifest_rejects_nested(self, tmp_path):
         with pytest.raises(ValueError):
             fileio.write_manifest(tmp_path / "m.json", {"a": {"b": 1}})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, float("nan"), np.float64(np.inf)])
+    def test_manifest_rejects_non_finite_floats(self, tmp_path, bad):
+        # json.dumps would write NaN or Infinity, which no strict JSON reader accepts
+        with pytest.raises(ValueError, match="key 'ratio'"):
+            fileio.write_manifest(tmp_path / "m.json", {"n": 3, "ratio": bad})
+        assert not (tmp_path / "m.json").exists()

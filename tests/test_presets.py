@@ -20,6 +20,7 @@ from latentgraph import (
     HopMatrix,
     PRESETS,
     check_simple_bound,
+    cli,
     fileio,
     hopdist,
     pairwise_distances,
@@ -227,6 +228,16 @@ class TestPresets:
         half = 0.5 * pairwise_distances(points).max()
         assert half < 2.0
         assert man["knn.bias.threshold"] == min(2.0, half)
+
+    def test_knn_manifest_is_strict_json_when_a_far_pair_is_disconnected(self, tmp_path):
+        def reject(name):
+            raise ValueError(f"manifest holds {name}")
+
+        out, man = run_small("knn-band", tmp_path, seed=0, scale_n=60)
+        assert man["knn.components"] > 1  # split, with far pairs across the split
+        assert "knn.bias.max_ratio" not in man
+        text = (out / "manifest.json").read_text()
+        assert json.loads(text, parse_constant=reject) == man
 
     def test_hole_local_improves_and_stress_monotone(self, tmp_path):
         _, man = run_small("hole-local", tmp_path, seed=5, scale_n=700)
@@ -496,4 +507,37 @@ class TestCli:
         # a NaN radius or exponent is a validation error, not an empty graph
         assert cli_main(["--out", str(tmp_path), "generate", "--domain", "rectangle:2,1",
                          "--n", "50", "--link", link]) == 2
+        assert not any(tmp_path.iterdir())
+
+    # one well-formed spec per entry of the CLI's domain and link tables
+    DOMAIN_SPECS = {"rectangle": "rectangle:2,1", "interval": "interval:3",
+                    "hole": "hole:2,1,0.5,0.25,1.5,0.75"}
+    LINK_SPECS = {"indicator": "indicator:0.4", "scaled_indicator": "scaled_indicator:0.4,0.5",
+                  "poly": "poly:0.4,0.8,2", "two_level": "two_level:0.4,0.8,0.2"}
+
+    def test_every_table_entry_has_a_spec(self):
+        assert set(self.DOMAIN_SPECS) == set(cli._DOMAINS)
+        assert set(self.LINK_SPECS) == set(cli._LINKS)
+
+    @pytest.mark.parametrize("domain", sorted(DOMAIN_SPECS))
+    def test_generate_on_every_domain(self, tmp_path, domain):
+        assert cli_main(["--out", str(tmp_path), "generate", "--domain", self.DOMAIN_SPECS[domain],
+                         "--n", "40", "--link", "indicator:0.4"]) == 0
+        assert len(fileio.read_points_csv(tmp_path / "points.csv")) == 40
+
+    @pytest.mark.parametrize("link", sorted(LINK_SPECS))
+    def test_generate_on_every_link(self, tmp_path, link):
+        assert cli_main(["--out", str(tmp_path), "generate", "--domain", "rectangle:2,1",
+                         "--n", "40", "--link", self.LINK_SPECS[link]]) == 0
+        assert (tmp_path / "edges.txt").exists()
+
+    @pytest.mark.parametrize("flag, spec", [("--domain", "rectangle:1"), ("--domain", "hole:2,1"),
+                                            ("--domain", "bogus:1"), ("--link", "indicator:x"),
+                                            ("--link", "indicator"), ("--link", "bogus:1")])
+    def test_malformed_spec_is_exit_2(self, tmp_path, capsys, flag, spec):
+        specs = {"--domain": "rectangle:2,1", "--link": "indicator:0.4", flag: spec}
+        assert cli_main(["--out", str(tmp_path), "generate", "--n", "10",
+                         "--domain", specs["--domain"], "--link", specs["--link"]]) == 2
+        what = flag.lstrip("-")
+        assert f"cannot parse {what} spec {spec!r}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
