@@ -155,11 +155,12 @@ def _run(args) -> int:
         mat = read_matrix(args.matrix)
         if (mat < 0).any():
             raise ValueError("matrix contains disconnected (-1) entries; embed a component")
+        # a malformed target fails before anything is written
+        target = fileio.read_points_csv(args.align_to) if args.align_to else None
         emb = classical_mds(mat, args.dim)
         fileio.write_points_csv(out / "embedded.csv", emb.coords)
         print(f"wrote embedded.csv (top eigenvalues: {emb.eigenvalues})")
-        if args.align_to:
-            target = fileio.read_points_csv(args.align_to)
+        if target is not None:
             fit = procrustes_align(emb.coords, target)
             fileio.write_points_csv(out / "aligned.csv", fit.aligned)
             print(f"wrote aligned.csv (rmse={fit.rmse:.6g}, scale={fit.scale:.6g})")

@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .geometry import _pair_distances, _readonly
-from .hopdist import INF_HOPS, HopMatrix, _row_blocks
+from .hopdist import INF_HOPS, HopMatrix, _row_blocks, _upper_rows
 
 __all__ = [
     "EmbeddingResult",
@@ -224,18 +224,17 @@ class PartialDissimilarity:
 def localize(hops: HopMatrix, max_hops: int, r: float) -> PartialDissimilarity:
     """Keep the scaled hop distances of the pairs at most ``max_hops`` apart;
     every other pair is missing."""
-    if max_hops < 1:
-        raise ValueError("need max_hops >= 1")
-    if r <= 0:
-        raise ValueError("scale must be positive")
+    if not 1 <= max_hops < np.inf:
+        raise ValueError("need 1 <= max_hops < inf")
+    if not 0 < r < np.inf:
+        raise ValueError("scale must be positive and finite")
     # blocks of rows from the diagonal on (no n-by-n mask); n = 0 has none, hence the empty starts
     n = hops.n
     rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for lo, hi in _row_blocks(np.arange(n + 1) * n):
-        ii, jj = np.nonzero(hops.hops[lo:hi, lo:] <= max_hops)
-        upper = jj > ii  # row and column offsets are both lo
-        rows.append(ii[upper] + lo)
-        cols.append(jj[upper] + lo)
+    for lo, hi, upper in _upper_rows(n):
+        ii, jj = np.nonzero(upper & (hops.hops[lo:hi, lo:] <= max_hops))
+        rows.append(ii + lo)
+        cols.append(jj + lo)
     i, j = np.concatenate(rows), np.concatenate(cols)
     return PartialDissimilarity(n, i, j, r * hops.hops[i, j].astype(np.float64))
 

@@ -73,10 +73,22 @@ def write_points_csv(path: str | Path, points: np.ndarray) -> None:
 
 
 def read_points_csv(path: str | Path) -> np.ndarray:
+    """Points of a CSV written by ``write_points_csv``: every row holds one
+    finite value per header column, or the file is rejected with its line."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not text or not text[0].startswith("x0"):
         raise ValueError(f"{path}: expected a point CSV with an x0,... header")
-    return np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    dim = len(text[0].split(","))
+    rows = []
+    for line_no, line in enumerate(text[1:], start=2):
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != dim or not np.isfinite(row).all():
+            raise ValueError(f"{path}:{line_no}: expected {dim} finite coordinates, got {line!r}")
+        rows.append(row)
+    return np.array(rows)
 
 
 def _upper_pairs(adj: Adjacency):

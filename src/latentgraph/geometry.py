@@ -255,8 +255,8 @@ def coverage_radius(
     restricted to the region; the upper end adds the worst distance from any
     region point to the grid, ``grid_step * sqrt(v) / 2``.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+    if not 0 < grid_step < np.inf:
+        raise ValueError("grid_step must be positive and finite")
     pts = config.points
     v = config.dim
     if region == "domain":

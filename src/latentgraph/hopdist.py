@@ -37,19 +37,19 @@ The simple, general and kNN checks share one report builder: the excess
 ``est - d`` against ``a (eps/r)^gamma d + b r``, plus the lower bound
 ``est >= d`` over all connected or over qualifying pairs.
 
-The checks and ``check_boundary_bias`` read the true distances from the
-points, in the tiles of pairs ``i < j`` of ``_pair_blocks``: each block of
-rows (cut by ``_row_blocks``, as are the scans in ``localize``, ``presets``
-and ``fileio``) is one ``EstimateMatrix.rows`` read and one ``cdist``
-(bitwise the entries of ``squareform(pdist(points))``), and no per-pair
-index array is made.  A tile whose estimates are all finite and whose
-distances are all positive is reduced whole; only a tile with a
-disconnected or a coincident pair is compressed by a mask.  The checks
-keep only counts, maxima and minima, so their scratch memory is at most
-six float64 blocks (3 MiB) at any n, beside the hops the estimate reads;
-every element is computed by the same formula and none of the reductions
-depends on order, so the reports equal the ones over all pairs of a dense
-estimate at once, bit for bit.
+One generator, ``_upper_rows``, decides which entries of a block of rows
+are the pairs ``i < j``, for the checks here, the MVU hop-bound check,
+``localize`` and the ``mds-discrete`` histogram: whole rows of
+``_row_blocks``, read from the diagonal's column on, and their mask
+``j > i``.  The checks read the true distances from the points
+(``_pair_blocks``): a block is one ``EstimateMatrix.rows`` read and one
+``cdist`` (bitwise the entries of ``squareform(pdist(points))``), reduced
+whole under the mask of its connected pairs, with no copy and no per-pair
+index array.  The checks keep only counts, maxima and minima, so their
+scratch stays within six float64 blocks (3 MiB; 2.2-2.4 MiB measured at
+n = 2000) beside the hops the estimate reads; every element is computed by
+the same formula and no reduction depends on order, so the reports equal
+the ones over all pairs of a dense estimate at once, bit for bit.
 """
 
 from __future__ import annotations
@@ -96,6 +96,15 @@ def _row_blocks(offsets: np.ndarray):
         hi = max(lo + 1, int(np.searchsorted(offsets, offsets[lo] + _BLOCK_PAIRS, "right")) - 1)
         yield lo, hi
         lo = hi
+
+
+def _upper_rows(n: int):
+    """Blocks ``(lo, hi, upper)`` of the pairs ``i < j`` of an n-by-n matrix:
+    rows ``lo, ..., hi - 1`` of ``_row_blocks``, read from column ``lo`` on,
+    and the (hi - lo, n - lo) mask ``j > i`` of that block.  Every scan of
+    the pairs reduces whole blocks under this mask."""
+    for lo, hi in _row_blocks(np.arange(n + 1) * n):
+        yield lo, hi, np.arange(lo, n) > np.arange(lo, hi)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,39 +344,19 @@ class BoundReport:
 
 
 def _pair_blocks(est: EstimateMatrix, points: np.ndarray):
-    """The pairs ``i < j`` of ``est`` in tiles, two for each block of rows
-    ``lo, ..., hi - 1`` of ``_row_blocks``: the rectangle
-    ``[lo:hi, hi:n]``, whose pairs all have ``i < j``, and then the strict
-    upper triangle of the square ``[lo:hi, lo:hi]``, flattened.  A tile is
-    its indices ``i`` and ``j``, its estimates (read through ``rows``) and its
-    point distances; the rectangle's ``i`` is a column and its ``j`` a row,
-    which broadcast against its 2-D values.  Empty tiles are skipped.
-
-    A block is one ``rows`` read and one ``cdist``; the rectangle is a view
-    of them and the triangle a copy.  The generator keeps no tile it has
-    handed out, so the block is freed as soon as the caller drops the
-    rectangle's arrays, and at the latest when it takes the triangle: before
-    the next block is read.
-    """
+    """The pairs ``i < j`` of ``est``, one ``_upper_rows`` block at a time:
+    ``(i, j, dhat, d, upper)``, with ``i`` a column and ``j`` a row of
+    indices that broadcast against the block, its estimates (one ``rows``
+    read) and its point distances (one ``cdist``), and the mask ``upper`` of
+    its pairs ``i < j``.  The generator keeps none of the estimates and
+    distances it has handed out, so the caller may overwrite them."""
     n = est.n
     points = np.asarray(points)
     if points.ndim != 2 or points.shape[0] != n:
         raise ValueError(f"need one point per estimate row: {n} rows, got shape {points.shape}")
-    for lo, hi in _row_blocks(np.arange(n + 1) * n):
-        dhat, d = est.rows(lo, hi, lo), cdist(points[lo:hi], points[lo:])
-        iu = np.triu_indices(hi - lo, 1)
-        tiles = [(iu[0] + lo, iu[1] + lo, dhat[iu], d[iu]),
-                 (np.arange(lo, hi)[:, None], np.arange(hi, n)[None, :],
-                  dhat[:, hi - lo :], d[:, hi - lo :])]
-        del dhat, d
-        tiles = [tile for tile in tiles if tile[3].size]
-        while tiles:
-            yield tiles.pop()
-
-
-def _fold(reduce, values: list) -> float:
-    """``reduce`` of the per-block extremes; 0.0 when no block had an entry."""
-    return float(reduce(values)) if values else 0.0
+    for lo, hi, upper in _upper_rows(n):
+        yield (np.arange(lo, hi)[:, None], np.arange(lo, n)[None, :],
+               est.rows(lo, hi, lo), cdist(points[lo:hi], points[lo:]), upper)
 
 
 def _report(est, points, eps, r, gamma, a, b, asserted, qualifying=None) -> BoundReport:
@@ -376,7 +365,7 @@ def _report(est, points, eps, r, gamma, a, b, asserted, qualifying=None) -> Boun
     With ``a`` given, the excess is held against ``a (eps/r)^gamma d + b r``.
     The lower bound ``est >= d`` is counted over all connected pairs, or only
     over the pairs for which ``qualifying(i, j, d)`` is true when it is given
-    (it gets a tile of ``_pair_blocks``: ``i`` and ``j`` broadcast against
+    (it gets a block of ``_pair_blocks``: ``i`` and ``j`` broadcast against
     ``d``).  Needs ``0 < r < inf`` and ``0 <= eps < inf``.
     """
     if not 0 < r < np.inf:
@@ -384,34 +373,28 @@ def _report(est, points, eps, r, gamma, a, b, asserted, qualifying=None) -> Boun
     if not 0 <= eps < np.inf:
         raise ValueError(f"need 0 <= eps < inf, got eps={eps}")
     scale = (eps / r) ** gamma
-    total = connected = lower_viol = upper_viol = checked = 0
-    maxima, minima, relative, fitted = [], [], [], []
-    for i, j, dhat, d in _pair_blocks(est, points):
-        total += d.size
+    total = est.n * (est.n - 1) // 2
+    connected = lower_viol = upper_viol = checked = 0
+    high, low, fitted, relative = -np.inf, np.inf, -np.inf, 0.0
+    for i, j, dhat, d, upper in _pair_blocks(est, points):
         if qualifying is not None:
             # disconnected qualifying pairs have est = inf >= d: no violation
-            q = qualifying(i, j, d)
+            q = qualifying(i, j, d) & upper
             lower_viol += int(np.count_nonzero(q & (dhat < d - _TOL)))
             checked += int(np.count_nonzero(q))
-        finite = np.isfinite(dhat)
-        if not finite.all():  # a disconnected pair: keep the connected ones
-            dhat, d = dhat[finite], d[finite]
-        connected += d.size
-        if not d.size:
-            continue
-        resid = dhat - d
+        ok = upper & np.isfinite(dhat)
+        connected += int(np.count_nonzero(ok))
+        resid = np.subtract(dhat, d, out=dhat)  # in place: one float64 block less of scratch
         if qualifying is None:
-            lower_viol += int(np.count_nonzero(resid < -_TOL))
+            lower_viol += int(np.count_nonzero((resid < -_TOL) & ok))
         if a is not None:
-            upper_viol += int(np.count_nonzero(resid > a * scale * d + b * r + _TOL))
-        maxima.append(resid.max())
-        minima.append(resid.min())
-        fitted.append((resid / (scale * d + r)).max())
-        pos = d > 0
-        if not pos.all():  # a coincident pair: no relative error
-            resid, d = resid[pos], d[pos]
-        if d.size:
-            relative.append((np.abs(resid) / d).max())
+            upper_viol += int(np.count_nonzero((resid > a * scale * d + b * r + _TOL) & ok))
+        high = max(high, resid.max(initial=-np.inf, where=ok))
+        low = min(low, resid.min(initial=np.inf, where=ok))
+        fitted = max(fitted, (resid / (scale * d + r)).max(initial=-np.inf, where=ok))
+        # a coincident pair has no relative error; the masked entries may divide by 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            relative = max(relative, (np.abs(resid) / d).max(initial=0.0, where=ok & (d > 0)))
     return BoundReport(
         n=est.n,
         pairs_total=total,
@@ -419,10 +402,10 @@ def _report(est, points, eps, r, gamma, a, b, asserted, qualifying=None) -> Boun
         pairs_disconnected=total - connected,
         lower_violations=lower_viol,
         upper_violations=None if a is None else upper_viol,
-        max_residual=_fold(np.max, maxima),
-        min_residual=_fold(np.min, minima),
-        max_relative_error=_fold(np.max, relative),
-        fitted_constant=_fold(np.max, fitted),
+        max_residual=float(high) if connected else 0.0,
+        min_residual=float(low) if connected else 0.0,
+        max_relative_error=float(relative),
+        fitted_constant=float(fitted) if connected else 0.0,
         eps=float(eps),
         r=float(r),
         gamma=gamma,
@@ -477,18 +460,16 @@ def check_boundary_bias(est: EstimateMatrix, points: np.ndarray,
     of such pairs.  A maximum below 1 confirms the boundary compression of
     long k-nearest-neighbor paths; disconnected pairs contribute infinity.
     """
-    if threshold_d <= 0:
-        raise ValueError("threshold must be positive")
-    ratios, pairs = [], 0
-    for _, _, dhat, d in _pair_blocks(est, points):
-        sel = d >= threshold_d
-        count = int(np.count_nonzero(sel))
-        if count:
-            ratios.append(np.divide(dhat, d, out=np.full(d.shape, -np.inf), where=sel).max())
-            pairs += count
+    if not 0 < threshold_d < np.inf:
+        raise ValueError("threshold must be positive and finite")
+    ratio, pairs = -np.inf, 0
+    for _, _, dhat, d, upper in _pair_blocks(est, points):
+        sel = upper & (d >= threshold_d)
+        pairs += int(np.count_nonzero(sel))
+        ratio = max(ratio, np.divide(dhat, d, out=np.full(d.shape, -np.inf), where=sel).max())
     if not pairs:
         raise ValueError("no pairs at or beyond the distance threshold")
-    return _fold(np.max, ratios), pairs
+    return float(ratio), pairs
 
 
 def monotone_path_check(config_1d: PointConfig, knn: KnnAdjacency) -> bool:
@@ -506,7 +487,8 @@ def monotone_path_check(config_1d: PointConfig, knn: KnnAdjacency) -> bool:
     rank = np.argsort(order)  # each node's sorted position
     lo, hi = np.sort(rank[adj.edges()], axis=1).T
     dag = csr_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n))
-    up = np.triu_indices(n, 1)
-    dag_hops = shortest_path(dag, directed=True, unweighted=True)[up]
-    hops = all_pairs_hops(adj).hops[np.ix_(order, order)][up]
-    return bool(np.array_equal(np.where(hops == INF_HOPS, np.inf, hops), dag_hops))
+    # the DAG joins no pair downwards: mirrored, its distances equal the
+    # hops exactly when they agree on the pairs i < j
+    dag_hops = shortest_path(dag, directed=True, unweighted=True)
+    hops = all_pairs_hops(adj).hops[np.ix_(order, order)]
+    return bool(np.array_equal(np.where(hops == INF_HOPS, np.inf, hops), np.minimum(dag_hops, dag_hops.T)))

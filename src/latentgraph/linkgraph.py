@@ -423,6 +423,8 @@ def knn_scale(domain: Domain, n: int, kappa: int, c1: float = 1.0) -> KnnScale:
     """
     if kappa < 1 or n <= kappa:
         raise ValueError("need 1 <= kappa < n")
+    if not 0 <= c1 < np.inf:
+        raise ValueError(f"need 0 <= c1 < inf, got c1={c1}")
     v = domain.dim
     omega = domain.volume / unit_ball_volume(v)
     r_circ = (omega * kappa / n) ** (1.0 / v)

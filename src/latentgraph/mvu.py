@@ -173,21 +173,21 @@ def check_mvu_bound(sol: MvuSolution, hops: HopMatrix) -> MvuBoundReport:
     A feasible point can never exceed it (chain the edges of a shortest
     path); residual edge violations propagate multiplicatively, so the
     tolerance per pair is ``max_edge_violation * hops + _TOL``.  The pairs
-    are streamed in upper-triangle tiles of the hops read as an estimate at
-    scale 1: exact, with the sentinel read as infinity.
+    are streamed in the upper-triangle blocks of ``_pair_blocks``, the hops
+    read as an estimate at scale 1: exact, with the sentinel read as infinity.
     """
     if sol.coords.shape[0] != hops.n:
         raise ValueError("solution and hop matrix sizes differ")
     pairs = violations = 0
     max_excess = -np.inf
-    for _, _, h, g in _pair_blocks(EstimateMatrix(hops.hops), sol.coords):
-        finite = np.isfinite(h)
-        if not finite.all():  # a disconnected pair: keep the connected ones
-            h, g = h[finite], g[finite]
+    for _, _, h, g, upper in _pair_blocks(EstimateMatrix(hops.hops), sol.coords):
+        ok = upper & np.isfinite(h)
+        pairs += int(np.count_nonzero(ok))
         excess = g - h
-        pairs += h.size
-        violations += int(np.count_nonzero(excess > sol.max_edge_violation * h + _TOL))
-        max_excess = max(max_excess, excess.max(initial=-np.inf))
+        # a disconnected pair reads 0 * inf = nan at a zero violation; it is masked
+        with np.errstate(invalid="ignore"):
+            violations += int(np.count_nonzero((excess > sol.max_edge_violation * h + _TOL) & ok))
+        max_excess = max(max_excess, excess.max(initial=-np.inf, where=ok))
     return MvuBoundReport(
         pairs=pairs,
         violations=violations,
@@ -207,6 +207,8 @@ def discrepancy_ratio(sol: MvuSolution, points: np.ndarray, r: float, eta: float
     """
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1)")
+    if not 0 < r < np.inf:
+        raise ValueError(f"need 0 < r < inf, got r={r}")
     points = np.asarray(points)
     if points.ndim != 2 or points.shape[0] != sol.coords.shape[0]:
         raise ValueError("solution and points sizes differ")

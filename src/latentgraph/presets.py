@@ -43,7 +43,7 @@ from .hopdist import (
     BoundReport,
     EstimateMatrix,
     HopMatrix,
-    _row_blocks,
+    _upper_rows,
     all_pairs_hops,
     check_boundary_bias,
     check_general_bound,
@@ -301,9 +301,8 @@ def _run_mds_discrete(seed: int, out: Path, n: int, man: dict, **_) -> None:
     top = hops.max_finite()
     # histogram of the connected pairs i < j, counted a block of rows at a time
     counts = np.zeros(top + 1, dtype=np.int64)
-    for lo, hi in _row_blocks(np.arange(n + 1) * n):
+    for lo, hi, upper in _upper_rows(n):
         block = hops.hops[lo:hi, lo:]
-        upper = np.arange(n - lo) > np.arange(hi - lo)[:, None]
         counts += np.bincount(block[upper & (block != INF_HOPS)], minlength=counts.size)
     for v in np.flatnonzero(counts):
         man[f"hops.hist.{int(v)}"] = int(counts[v])

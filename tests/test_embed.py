@@ -365,6 +365,17 @@ class TestLocalize:
         with pytest.raises(ValueError):
             localize(hops, 2, r=0.0)
 
+    @pytest.mark.parametrize("max_hops, r, message", [
+        (np.nan, 0.4, "need 1 <= max_hops < inf"),
+        (2, np.nan, "scale must be positive and finite"),
+        (2, np.inf, "scale must be positive and finite"),
+    ])
+    def test_non_finite_arguments_rejected(self, max_hops, r, message):
+        # a NaN hop limit kept no pair; a NaN or infinite scale failed only
+        # later, on the dissimilarities it made
+        with pytest.raises(ValueError, match=message):
+            localize(self.make_hops(), max_hops, r=r)
+
     def test_pairs_match_dense_triu_reference(self, monkeypatch):
         # localize scans blocks of rows: one row, 9 rows (the last one 3)
         # and all 120 rows at once

@@ -166,6 +166,13 @@ class TestCoverage:
         with pytest.raises(ValueError):
             coverage_radius(cfg, "nowhere", grid_step=0.1)
 
+    @pytest.mark.parametrize("step", [np.inf, np.nan])
+    def test_non_finite_grid_step_rejected(self, step):
+        # an infinite pitch would certify upper = inf, a NaN one fail in numpy
+        cfg = sample_uniform(rectangle(1, 1), 10, seed=0)
+        with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+            coverage_radius(cfg, "domain", grid_step=step)
+
 
 class TestErosion:
     """Points deeper than u inside the domain: ``boundary_distances > u``."""

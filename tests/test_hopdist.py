@@ -579,6 +579,14 @@ class TestBoundaryBias:
         with pytest.raises(ValueError):
             check_boundary_bias(est, cfg.points, threshold_d=10.0)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0])
+    def test_threshold_must_be_positive_and_finite(self, threshold):
+        # a NaN threshold selects no pair, which read as "no pairs"
+        cfg = sample_uniform(rectangle(2, 1), 30, seed=4)
+        est = EstimateMatrix(pairwise_distances(cfg))
+        with pytest.raises(ValueError, match="threshold must be positive and finite"):
+            check_boundary_bias(est, cfg.points, threshold_d=threshold)
+
     def test_equality_gives_ratio_one(self):
         cfg = sample_uniform(rectangle(2, 1), 30, seed=5)
         truth = pairwise_distances(cfg)
@@ -635,10 +643,10 @@ def report_fields(rep):
 
 def streamed_inputs(kind):
     """(config, estimate, truth) with disconnected pairs and both signs of
-    the residual, or with the pairs that take the masked paths of a tile:
-    coincident points (d = 0) and disconnected pairs.  At n = 45 and
-    ``_BLOCK_PAIRS`` = 200 the blocks are four rows high, so both kinds sit
-    in the triangle of rows 0-3 or 4-7 and in a rectangle."""
+    the residual, or with the pairs that the masks leave out of a block's
+    extremes: coincident points (d = 0) and disconnected pairs.  At n = 45
+    and ``_BLOCK_PAIRS`` = 200 the blocks are four rows high, so both kinds
+    sit in the diagonal square of rows 0-3 or 4-7 and right of it."""
     if kind == "coincident":
         cfg = sample_uniform(rectangle(2, 1), 45, seed=17)
         pts = cfg.points.copy()
@@ -651,7 +659,7 @@ def streamed_inputs(kind):
         cfg = sample_uniform(rectangle(2, 1), 45, seed=17)
         truth = pairwise_distances(cfg)
         values = truth * 1.05
-        values[[1, 2, 0, 30], [2, 1, 30, 0]] = np.inf  # (1, 2) in a triangle, (0, 30) in a rectangle
+        values[[1, 2, 0, 30], [2, 1, 30, 0]] = np.inf  # (1, 2) in a diagonal square, (0, 30) right of it
         return cfg, EstimateMatrix(values), truth
     if kind.startswith("two"):
         # a point configuration needs three points; the checks read only these fields
@@ -674,28 +682,28 @@ def streamed_inputs(kind):
 
 
 class TestStreamedChecks:
-    """The tiled checks against the all-pairs reference, with blocks of a few
-    pairs, so that the tiles end mid-matrix and vary in shape."""
+    """The streamed checks against the all-pairs reference, with blocks of a
+    few pairs, so that the blocks end mid-matrix and vary in shape."""
 
     KINDS = ["indicator", "knn", "two", "two-disconnected", "coincident", "disconnected-tiles"]
 
     @pytest.mark.parametrize("block", [1, 7, 100, 1 << 16])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_block_distances_equal_pairwise_distances(self, monkeypatch, dim, block):
-        # the checks' distances come from one cdist per block of rows, cut
-        # into a rectangle and a triangle; at n = 45 blocks of 100 pairs are
-        # two rows high, and at n = 1000 blocks of 65536 pairs are 65 rows
-        # high, the last one shorter.  Every pair i < j must come once, with
-        # the bits of the dense matrix
+        # the checks' distances come from one cdist per block of rows, read
+        # from the diagonal on; at n = 45 blocks of 100 pairs are two rows
+        # high, and at n = 1000 blocks of 65536 pairs are 65 rows high, the
+        # last one shorter.  Selected through each block's mask, every pair
+        # i < j must come once, in row-major order, with the bits of the
+        # dense matrix
         monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
         for n in (45, 1000):
             pts = np.random.default_rng(dim).uniform(-3.0, 5.0, (n, dim))
             values = np.arange(n * n).reshape(n, n)  # exact as float64
             est = EstimateMatrix(values)
-            tiles = [np.broadcast_arrays(*tile) for tile in hopdist._pair_blocks(est, pts)]
-            i, j, v, d = (np.concatenate([t[k].ravel() for t in tiles]) for k in range(4))
-            order = np.argsort(i * n + j)
-            i, j, v, d = i[order], j[order], v[order], d[order]
+            blocks = [[np.broadcast_to(a, upper.shape)[upper] for a in (bi, bj, bv, bd)]
+                      for bi, bj, bv, bd, upper in hopdist._pair_blocks(est, pts)]
+            i, j, v, d = (np.concatenate([b[k] for b in blocks]) for k in range(4))
             assert np.array_equal(i * n + j, np.flatnonzero(np.triu(np.ones((n, n), bool), 1)))
             assert np.array_equal(v, i * n + j)
             assert d.tobytes() == pairwise_distances(pts)[i, j].tobytes()
@@ -764,9 +772,9 @@ class TestStreamedChecks:
 
     def test_scratch_memory_within_six_blocks(self):
         # a block of rows is one estimate read and one cdist, 16 bytes a
-        # pair; the tiles' temporaries take each check to at most six
-        # float64 blocks, whatever n.  The r = 0.07 graph leaves a node
-        # isolated, so every rectangle takes the masked path
+        # pair; the temporaries take each check to at most six float64
+        # blocks, whatever n.  The r = 0.07 graph leaves a node isolated,
+        # so every block up to its row holds a disconnected pair
         n, r = 2000, 0.07
         cfg = sample_uniform(rectangle(4, 1), n, seed=5)
         est = scale_hops(all_pairs_hops(generate_graph(cfg, Indicator(r), seed=5)), r)

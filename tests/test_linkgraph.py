@@ -328,6 +328,12 @@ class TestKnnScale:
         assert s.eps == 0.0
         assert s.r == s.r_circ
 
+    @pytest.mark.parametrize("c1", [np.nan, np.inf, -1.0])
+    def test_constant_must_be_finite_and_non_negative(self, c1):
+        # a NaN constant would hand a NaN hop scale to every check
+        with pytest.raises(ValueError, match="need 0 <= c1 < inf"):
+            knn_scale(rectangle(4, 1), 5000, 25, c1=c1)
+
     def test_unit_ball_volume(self):
         assert unit_ball_volume(1) == pytest.approx(2.0)
         assert unit_ball_volume(2) == pytest.approx(np.pi)

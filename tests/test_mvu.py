@@ -271,7 +271,7 @@ class TestCheckMvuBound:
 
     def test_streams_pairs_and_matches_dense_reference(self):
         # at n = 2000 one n-by-n float64 is 32 MB; the check streams the
-        # pairs in tiles, within six float64 blocks of scratch
+        # pairs in blocks of rows, within six float64 blocks of scratch
         n, r = 2000, 0.2
         cfg = sample_uniform(rectangle(2, 1), n, seed=1)
         hops = all_pairs_hops(generate_graph(cfg, Indicator(r), seed=1))
@@ -290,8 +290,8 @@ class TestCheckMvuBound:
 
     @pytest.mark.parametrize("block", [1, 7, 200, 1 << 16])
     def test_tiles_match_dense_reference(self, monkeypatch, block):
-        # at n = 45, blocks of 200 pairs are four rows high: triangles and
-        # rectangles, some with disconnected pairs; 1 << 16 is one triangle
+        # at n = 45, blocks of 200 pairs are four rows high, some with
+        # disconnected pairs; 1 << 16 is one block of the whole matrix
         monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
         cfg = sample_uniform(rectangle(2, 1), 45, seed=17)
         hops = all_pairs_hops(generate_graph(cfg, Indicator(0.3), seed=0))
@@ -323,6 +323,12 @@ class TestDiscrepancyRatio:
         for eta in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 discrepancy_ratio(sol, pts, r=1.0, eta=eta)
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf, 0.0])
+    def test_scale_validated(self, r):
+        pts = sample_uniform(rectangle(2, 1), 20, seed=3).points
+        with pytest.raises(ValueError, match="need 0 < r < inf"):
+            discrepancy_ratio(self.make_sol(pts), pts, r=r, eta=0.5)
 
     def test_size_mismatch(self):
         pts = sample_uniform(rectangle(2, 1), 20, seed=4).points

@@ -266,6 +266,18 @@ class TestPresets:
         assert sum(hist.values()) == man["r0.5.bound.pairs_connected"]
         assert max(int(k.rsplit(".", 1)[1]) for k in hist) == man["hops.max"]
 
+    @pytest.mark.parametrize("block", [1, 7, 70, 1 << 16])
+    def test_mds_discrete_histogram_equals_dense_bincount(self, tmp_path, monkeypatch, block):
+        # blocks of one row, of three rows with a shorter last one, and of
+        # the whole matrix, on a graph of two components
+        monkeypatch.setattr(hopdist, "_BLOCK_PAIRS", block)
+        out, man = run_small("mds-discrete", tmp_path, seed=0, scale_n=20)
+        assert man["r0.5.components"] > 1
+        h = fileio.read_hops_binary(out / man["r0.5.hops_file"]).hops
+        want = np.bincount(h[np.triu(h != INF_HOPS, 1)])
+        hist = {int(k.rsplit(".", 1)[1]): v for k, v in man.items() if k.startswith("hops.hist.")}
+        assert hist == {v: int(c) for v, c in enumerate(want) if c}
+
     def test_scale_n_zero_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="scale_n"):
             run_preset("hole", seed=0, out_dir=tmp_path, scale_n=0)
@@ -460,6 +472,27 @@ class TestCli:
                          f"{tmp_path}/points.csv", "--kind", kind, *flags]) == 2
         captured = capsys.readouterr()
         assert "need 0" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("row", ["nan,nan", "0.5,0.5,0.5"], ids=["nan-row", "wide-row"])
+    @pytest.mark.parametrize("command", ["check", "embed"])
+    def test_malformed_points_file_is_exit_2(self, tmp_path, capsys, command, row):
+        # a NaN coordinate, or a third value under an x0,x1 header, in the
+        # first row of a 60-point file: rejected with its line, nothing written
+        pts = sample_uniform(rectangle(2, 1), 60, seed=0).points
+        fileio.write_matrix_csv(tmp_path / "est.csv", EstimateMatrix(pairwise_distances(pts)))
+        fileio.write_points_csv(tmp_path / "points.csv", pts)
+        lines = (tmp_path / "points.csv").read_text().splitlines()
+        lines[1] = row
+        (tmp_path / "points.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        args = {"check": ["check", "--estimate", f"{tmp_path}/est.csv", "--truth",
+                          f"{tmp_path}/points.csv", "--eps", "0.05", "--r", "0.4"],
+                "embed": ["embed", "--matrix", f"{tmp_path}/est.csv", "--dim", "2",
+                          "--align-to", f"{tmp_path}/points.csv"]}[command]
+        assert cli_main(["--out", str(out), *args]) == 2
+        captured = capsys.readouterr()
+        assert "points.csv:2: expected 2 finite coordinates" in captured.err
+        assert captured.out == "" and not any(out.iterdir())
 
     def test_estimate_with_an_infinite_scale_is_exit_2(self, tmp_path, capsys):
         hops = HopMatrix(3, np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.uint16))
