@@ -33,7 +33,8 @@ def ingest_cities(
     Malformed rows (unparsable numbers, latitude outside [-90, 90] or
     longitude outside [-180, 180]) are rejected with a logged diagnostic
     carrying their line number.  Raises when the file lacks the coordinate
-    columns or has fewer valid rows than ``n_sub``.
+    columns, when ``n_sub < 3`` (checked before any row is read), or when
+    the file has fewer valid rows than ``n_sub``.
     """
     path = Path(path)
     coords: list[tuple[float, float]] = []
@@ -41,6 +42,8 @@ def ingest_cities(
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {lat_col, lng_col} <= set(reader.fieldnames):
             raise ValueError(f"{path}: need columns {lat_col!r} and {lng_col!r}")
+        if n_sub < 3:  # a point configuration has at least 3 points
+            raise ValueError(f"need n_sub >= 3 rows, got n_sub={n_sub}")
         for row in reader:
             line = reader.line_num
             try:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fileio
 from .cities import ingest_cities
-from .embed import classical_mds, procrustes_align
+from .embed import _is_symmetric, classical_mds, procrustes_align
 from .geometry import Box, RectangleWithHole, interval, rectangle, sample_uniform
 from .hopdist import EstimateMatrix, all_pairs_hops, check_general_bound, check_simple_bound, scale_hops
 from .linkgraph import Indicator, PolynomialEdge, ScaledIndicator, TwoLevel, generate_graph
@@ -121,9 +121,19 @@ def _run(args) -> int:
         binary = Path(name).suffix == ".bin"
         return fileio.read_adjacency_binary(name) if binary else fileio.read_edge_list(name)
 
-    def read_matrix(name):
+    def read_estimate(name):
+        # finite and symmetric, each entry >= 0 or -1, the writers' code of a
+        # disconnected pair, which reads as infinity
         csv = Path(name).suffix == ".csv"
-        return fileio.read_matrix_csv(name) if csv else fileio.read_matrix_binary(name)
+        values = fileio.read_matrix_csv(name) if csv else fileio.read_matrix_binary(name)
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ValueError(f"{name}: estimate must be a square matrix, got shape {values.shape}")
+        if not (np.isfinite(values) & ((values >= 0) | (values == -1))).all():
+            raise ValueError(f"{name}: every entry must be finite and >= 0, or -1 (disconnected)")
+        if not _is_symmetric(values):
+            raise ValueError(f"{name}: dissimilarities must be symmetric")
+        values[values == -1] = np.inf
+        return values
 
     if args.command == "generate":
         config = sample_uniform(_parse_spec(args.domain, _DOMAINS, "domain"), args.n, args.seed)
@@ -152,8 +162,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "embed":
-        mat = read_matrix(args.matrix)
-        if (mat < 0).any():
+        mat = read_estimate(args.matrix)
+        if np.isinf(mat).any():
             raise ValueError("matrix contains disconnected (-1) entries; embed a component")
         # a malformed target fails before anything is written
         target = fileio.read_points_csv(args.align_to) if args.align_to else None
@@ -176,9 +186,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "check":
-        values = read_matrix(args.estimate)
-        values[values < 0] = np.inf
-        est = EstimateMatrix(values)
+        est = EstimateMatrix(read_estimate(args.estimate))
         points = fileio.read_points_csv(args.truth)
         if args.kind == "simple":
             rep = check_simple_bound(est, points, args.eps, args.r)

@@ -53,11 +53,9 @@ class EmbeddingResult:
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    # deterministic sign convention: largest-magnitude entry positive
+    # deterministic sign convention: largest-magnitude entry (nonzero in a unit column) positive
     idx = np.abs(vecs).argmax(axis=0)
-    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    return vecs * signs
+    return vecs * np.sign(vecs[idx, np.arange(vecs.shape[1])])
 
 
 def _is_symmetric(d: np.ndarray) -> bool:
@@ -274,9 +272,9 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     Works on the present pairs ``partial.i < partial.j`` only: each
     iterate's pair differences and distances are evaluated once and give
     both its stress and the next step, so an iteration costs O(present
-    pairs); the one n-by-n array is ``V + 1/n``, built from the pairs,
-    factored once and scanned for finiteness once (each right-hand side is
-    scanned on every step and raises the error ``cho_solve`` would).  The
+    pairs); the one n-by-n array is ``V + 1/n``, built from the pairs and
+    factored once (each right-hand side is scanned for finiteness on every
+    step and raises the error ``cho_solve`` would).  The
     step's right-hand side ``B(x) x`` is summed from the pair terms
     ``(delta_ij / dis_ij)(x_i - x_j)``, each at most ``delta_ij`` in size;
     the dense form (row sums of the ratios times ``x_i`` minus the ratios
@@ -318,9 +316,8 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     vmat = np.full((n, n), 1.0 / n)
     vmat[pi, pj] = vmat[pj, pi] = 1.0 / n - 1.0
     vmat.flat[:: n + 1] = deg_i + deg_j + 1.0 / n
+    # finite when returned: a non-positive or NaN pivot raises LinAlgError, a ValueError
     factor = cho_factor(vmat.T, lower=True, overwrite_a=True)
-    if not np.isfinite(factor[0]).all():
-        raise ValueError(_NOT_FINITE)
 
     x = x - x.mean(axis=0)
     diff, dis = _pair_distances(x, pi, pj)

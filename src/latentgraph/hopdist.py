@@ -202,11 +202,10 @@ def _hops_from(band: _Band, lo: int, hi: int) -> np.ndarray:
     hits = np.empty(n, dtype=bool)
     planes = []
     level = 0
-    # the last frontier lies in [lo, hi); the nodes it can reach, in [a, b)
+    # the last frontier lies in [lo, hi), never empty (the batch, then the nodes
+    # that gained lanes); the nodes it can reach, in [a, b), a < b: no list is empty
     while True:
         a, b = int(first[lo:hi].min()), int(last[lo:hi].max())
-        if a >= b:
-            break
         level += 1
         start, stop = bounds[a], bounds[b]
         np.take(visited, idx[start:stop], out=pulled[start:stop], mode="clip")

@@ -160,18 +160,6 @@ class Adjacency:
         self.indices = indices
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "Adjacency":
-        dense = np.asarray(dense, dtype=bool)
-        n = dense.shape[0]
-        if dense.shape != (n, n):
-            raise ValueError("adjacency must be square")
-        if dense.diagonal().any():
-            raise ValueError("diagonal must be zero")
-        if not np.array_equal(dense, dense.T):
-            raise ValueError("adjacency must be symmetric")
-        return _from_pairs(n, *np.nonzero(dense))
-
-    @classmethod
     def from_edges(cls, n: int, edges: np.ndarray) -> "Adjacency":
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size:
@@ -443,7 +431,8 @@ def common_neighbor_denoise(adj: Adjacency, tau: float) -> Adjacency:
     if not 0 < tau <= 1:
         raise ValueError("need 0 < tau <= 1")
     # a pair with no common neighbour has ratio 0 < tau: only the product's entries count
-    common = (adj._csr() @ adj._csr()).tocoo()
+    a = adj._csr()
+    common = (a @ a).tocoo()
     upper = common.row < common.col
     i, j, nij = common.row[upper], common.col[upper], common.data[upper]
     deg = adj.degrees()

@@ -21,7 +21,7 @@ from scipy.spatial.distance import pdist
 
 from .embed import classical_mds
 from .geometry import _pair_distances
-from .hopdist import EstimateMatrix, HopMatrix, _pair_blocks, all_pairs_hops
+from .hopdist import _TOL, EstimateMatrix, HopMatrix, _pair_blocks, all_pairs_hops
 from .linkgraph import Adjacency
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
 
 # penalty levels in units of the critical coefficient 2 n / lambda_2
 _PENALTY_SCHEDULE = (1.0, 10.0, 100.0, 1000.0)
-# absolute slack of the hop-bound check, on top of the propagated edge violation
-_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)

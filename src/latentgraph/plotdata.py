@@ -127,8 +127,6 @@ def emit_plotdata(result_dir: str | Path) -> list[Path]:
         if not key.endswith("points_file"):
             continue
         pts = read_points_csv(result_dir / str(value))
-        if pts.shape[1] < 2:
-            pts = np.column_stack([pts[:, 0], np.zeros(len(pts))])
         if key == "truth.points_file":
             truth = pts
             continue

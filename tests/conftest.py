@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from latentgraph import INF_HOPS, Adjacency, HopMatrix
+from tests.reference_graphs import dense_adjacency
 
 
 def floyd_warshall_hops(adj: Adjacency) -> np.ndarray:
@@ -54,9 +55,7 @@ def rotation_sweep_rmse(source: np.ndarray, target: np.ndarray, steps: int = 200
 
 def random_graph(n: int, p: float, seed: int) -> Adjacency:
     rng = np.random.default_rng(seed)
-    upper = rng.random((n, n)) < p
-    dense = np.triu(upper, 1)
-    return Adjacency.from_dense(dense | dense.T)
+    return dense_adjacency(rng.random((n, n)) < p)
 
 
 @pytest.fixture

@@ -17,6 +17,11 @@ from latentgraph import Adjacency, KnnAdjacency
 from latentgraph._rng import pair_uniform_row
 
 
+def dense_adjacency(dense: np.ndarray) -> Adjacency:
+    """The graph whose edges are the set entries (i, j), i < j, of an n×n bool."""
+    return Adjacency.from_edges(len(dense), np.argwhere(np.triu(dense, 1)))
+
+
 def dense_distances(points: np.ndarray) -> np.ndarray:
     """``squareform(pdist(points))`` with an infinite diagonal."""
     d = squareform(pdist(points))
@@ -37,7 +42,7 @@ def dense_knn_radii(config, kappa: int) -> np.ndarray:
 def dense_symmetrize_union(knn: KnnAdjacency) -> Adjacency:
     a = np.zeros((knn.n, knn.n), dtype=bool)
     a[np.repeat(np.arange(knn.n), knn.kappa), knn.out_neighbors.ravel()] = True
-    return Adjacency.from_dense(a | a.T)
+    return dense_adjacency(a | a.T)
 
 
 def row_loop_generate_graph(config, link, seed: int) -> Adjacency:
@@ -49,8 +54,7 @@ def row_loop_generate_graph(config, link, seed: int) -> Adjacency:
         d = cdist(pts[i : i + 1], pts[i + 1 :])[0]
         u = pair_uniform_row(seed, i, n)
         dense[i, i + 1 :] = u < link(d)
-    dense |= dense.T
-    return Adjacency.from_dense(dense)
+    return dense_adjacency(dense)
 
 
 def dense_couple_thin(adj: Adjacency, keep_prob: float, seed: int) -> Adjacency:
@@ -60,8 +64,7 @@ def dense_couple_thin(adj: Adjacency, keep_prob: float, seed: int) -> Adjacency:
     for i in range(n - 1):
         u = pair_uniform_row(seed, i, n)
         out[i, i + 1 :] = dense[i, i + 1 :] & (u < keep_prob)
-    out |= out.T
-    return Adjacency.from_dense(out)
+    return dense_adjacency(out)
 
 
 def fstring_write_edge_list(path, adj: Adjacency) -> None:

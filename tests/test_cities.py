@@ -45,6 +45,20 @@ class TestIngestCities:
         with pytest.raises(ValueError, match="only 3"):
             ingest_cities(path, 4, seed=0)
 
+    def test_out_of_range_longitude_rejected_with_line_number(self, tmp_path, caplog):
+        rows = ["a,30,200", "b,30,-100", "c,31,-101", "d,32,-102"]
+        path = write_csv(tmp_path, rows)
+        with caplog.at_level(logging.WARNING):
+            cfg = ingest_cities(path, 3, seed=0)
+        assert cfg.n == 3
+        assert any("line 2: longitude 200.0" in rec.getMessage() for rec in caplog.records)
+
+    @pytest.mark.parametrize("n_sub", [-1, 0, 1, 2])
+    def test_subsample_below_three_rejected(self, tmp_path, n_sub):
+        path = write_csv(tmp_path, [f"c{i},{30 + i},{-100 + i}" for i in range(5)])
+        with pytest.raises(ValueError, match=f"need n_sub >= 3 rows, got n_sub={n_sub}"):
+            ingest_cities(path, n_sub, seed=0)
+
     def test_missing_columns(self, tmp_path):
         path = write_csv(tmp_path, ["a,1,2"], header="name,latitude,longitude")
         with pytest.raises(ValueError, match="need columns"):

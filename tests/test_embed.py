@@ -186,6 +186,16 @@ class TestClassicalMds:
             classical_mds(np.full((3, 3), np.inf), v=1)
         with pytest.raises(ValueError):
             classical_mds(np.zeros((3, 4)), v=1)
+        with pytest.raises(ValueError, match="need v >= 1"):
+            classical_mds(pairwise_distances(np.eye(3)), v=0)
+
+    def test_arpack_failure_falls_back_to_eigh(self):
+        # the squares of 1e-200 underflow to 0: the operator is zero although
+        # its input is not, ARPACK fails, and eigh finds no positive spectrum
+        d = np.full((6, 6), 1e-200)
+        np.fill_diagonal(d, 0.0)
+        with pytest.raises(ValueError, match="no positive spectrum"):
+            classical_mds(d, v=2)
 
     @pytest.mark.parametrize("n, v", [(50, 2), (130, 3), (3, 2), (6, 5)])
     def test_in_place_centering_is_bitwise_out_of_place(self, n, v):
@@ -336,6 +346,10 @@ class TestProcrustes:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             procrustes_align(np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_unequal_shapes(self):
+        with pytest.raises(ValueError, match="equal shapes"):
+            procrustes_align(np.zeros((5, 2)), np.zeros((5, 3)))
 
 
 class TestLocalize:
@@ -610,6 +624,12 @@ class TestSmacof:
         assert res.iterations < len(plain) - 1
         assert res.stress <= plain[-1] * (1 + embed._SMACOF_REL_TOL)
         assert np.all(np.diff(res.stress_trace) <= 1e-9)
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 2), (6, 2)])
+    def test_init_of_the_wrong_shape_rejected(self, shape):
+        part = PartialDissimilarity(5, [0, 1, 2, 3], [1, 2, 3, 4], [1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="init must be n-by-v"):
+            smacof(part, np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_init_rejected(self, bad):

@@ -32,6 +32,14 @@ class TestDomains:
         with pytest.raises(ValueError):
             RectangleWithHole(rectangle(1, 1), Box(np.array([0.5, 0.5]), np.array([1.5, 0.8])))
 
+    def test_box_corners_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Box(np.array([0.0, 0.0]), np.array([1.0, 1.0, 1.0]))
+
+    def test_hole_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="share dimension"):
+            RectangleWithHole(rectangle(2, 1), Box(np.array([0.5]), np.array([1.5])))
+
 
 class TestPointConfig:
     def test_leaves_the_callers_array_writeable(self):
@@ -43,6 +51,15 @@ class TestPointConfig:
             cfg.points[0, 0] = 0.7
         pts[0, 0] = 0.7
         assert cfg.points[0, 0] == 0.7
+
+    @pytest.mark.parametrize("pts, match", [
+        (np.full((3, 2, 1), 0.5), "n-by-v matrix"),
+        (np.full((3, 3), 0.5), "dimension does not match"),
+        (np.array([[0.1, 0.2], [np.nan, 0.4], [0.5, 0.6]]), "must be finite"),
+    ], ids=["3-d-array", "dimension-mismatch", "nan-point"])
+    def test_malformed_points_rejected(self, pts, match):
+        with pytest.raises(ValueError, match=match):
+            PointConfig(pts, rectangle(1, 1))
 
 
 class TestSampling:
@@ -78,6 +95,13 @@ class TestSampling:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             PointConfig(np.array([[0.1, 0.1], [0.2, 0.2]]), rectangle(1, 1))
+        with pytest.raises(ValueError, match="need n >= 3"):
+            sample_uniform(rectangle(1, 1), 2, seed=0)
+
+    def test_zero_volume_domain_rejected(self):
+        # sides of 1e-200 are positive, but their product underflows to 0
+        with pytest.raises(ValueError, match="zero volume"):
+            sample_uniform(rectangle(1e-200, 1e-200), 10, seed=0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sampled_points_pass_membership(self, seed):
@@ -152,6 +176,18 @@ class TestCoverage:
             want = (grid @ eqs[:, :-1].T + eqs[:, -1]).max(axis=1) <= 1e-12
             assert grid.shape[0] > 70000
             assert np.array_equal(member, want)
+
+    def test_domain_of_a_hole_is_its_outer_box(self):
+        # grid nodes in the hole are not in the domain; the bracket still holds
+        cfg = sample_uniform(hole_domain(), 400, seed=0)
+        bracket = coverage_radius(cfg, "domain", grid_step=0.05)
+        assert 0 < bracket.lower < bracket.upper
+
+    def test_grid_missing_the_hull_is_an_error(self):
+        # the unit grid's four corners all lie outside the diamond's hull
+        pts = np.array([[0.0, 0.5], [0.5, 0.0], [1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(ValueError, match="region is empty"):
+            coverage_radius(PointConfig(pts, rectangle(1, 1)), "convex_hull", grid_step=1.0)
 
     def test_degenerate_hull_is_an_error(self):
         pts = np.array([[0.1, 0.5], [0.5, 0.5], [0.9, 0.5]])

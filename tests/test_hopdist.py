@@ -40,6 +40,7 @@ from latentgraph import (
 )
 from latentgraph import hopdist
 from tests.conftest import floyd_warshall_hops, float_hops, random_graph
+from tests.reference_graphs import dense_adjacency
 
 
 def as_uint16(float_hops: np.ndarray) -> np.ndarray:
@@ -112,6 +113,9 @@ class TestAllPairsHops:
         assert len(path) - 1 == all_pairs_hops(adj).hops[0, 3]
         with pytest.raises(ValueError):
             shortest_path_nodes(Adjacency.from_edges(4, [[0, 1], [2, 3]]), 0, 3)
+        for source, target in ((-1, 3), (0, 5)):
+            with pytest.raises(ValueError, match="out of range"):
+                shortest_path_nodes(adj, source, target)
 
     def test_shortest_paths_on_tied_lattice(self):
         # 30x30 unit grid with radius just above the spacing: a 4-neighbour
@@ -158,7 +162,7 @@ class TestAllPairsHops:
 def shuffled(adj: Adjacency, seed: int) -> Adjacency:
     """``adj`` with its node labels randomly permuted."""
     order = np.random.default_rng(seed).permutation(adj.n)
-    return Adjacency.from_dense(adj.dense()[np.ix_(order, order)])
+    return dense_adjacency(adj.dense()[np.ix_(order, order)])
 
 
 def scipy_hops(adj: Adjacency) -> np.ndarray:
@@ -342,6 +346,10 @@ class TestFrozenViews:
     def test_hop_matrix_leaves_the_callers_array_writeable(self):
         h = np.zeros((3, 3), dtype=np.uint16)
         assert_freezes_a_view(HopMatrix(3, h).hops, h)
+
+    def test_hop_matrix_must_be_n_by_n(self):
+        with pytest.raises(ValueError, match="n-by-n"):
+            HopMatrix(3, np.zeros((3, 4), dtype=np.uint16))
 
     @pytest.mark.parametrize("dtype", [np.uint16, np.float64])
     def test_estimate_leaves_the_callers_array_writeable(self, dtype):

@@ -32,6 +32,7 @@ from latentgraph import geometry, linkgraph
 from latentgraph._rng import pair_uniform_row
 from tests.conftest import random_graph
 from tests.reference_graphs import (
+    dense_adjacency,
     dense_couple_thin,
     dense_knn_graph,
     dense_knn_radii,
@@ -285,7 +286,7 @@ class TestSymmetrize:
         adj = symmetrize_union(knn_graph(cfg, 4))
         dense = adj.dense()
         assert np.array_equal(dense, dense.T)
-        assert Adjacency.from_dense(dense | dense.T) == adj
+        assert dense_adjacency(dense) == adj
 
     def test_keys_past_int32_at_large_n(self):
         # out_neighbors are int32; the pair keys v * n + w of the last rows pass 2**31
@@ -327,6 +328,11 @@ class TestKnnScale:
         s = knn_scale(rectangle(4, 1), 5000, 25, c1=0.0)
         assert s.eps == 0.0
         assert s.r == s.r_circ
+
+    @pytest.mark.parametrize("kappa, n", [(0, 5000), (25, 25)])
+    def test_kappa_range_validated(self, kappa, n):
+        with pytest.raises(ValueError, match="need 1 <= kappa < n"):
+            knn_scale(rectangle(4, 1), n, kappa)
 
     @pytest.mark.parametrize("c1", [np.nan, np.inf, -1.0])
     def test_constant_must_be_finite_and_non_negative(self, c1):
@@ -396,14 +402,6 @@ class TestCommonNeighborDenoise:
 
 
 class TestAdjacency:
-    def test_from_dense_validation(self):
-        with pytest.raises(ValueError):
-            Adjacency.from_dense(np.ones((3, 3), dtype=bool))
-        bad = np.zeros((3, 3), dtype=bool)
-        bad[0, 1] = True
-        with pytest.raises(ValueError):
-            Adjacency.from_dense(bad)
-
     def test_edges_roundtrip(self):
         adj = random_graph(30, 0.2, seed=7)
         again = Adjacency.from_edges(30, adj.edges())
@@ -454,6 +452,25 @@ class TestAdjacency:
     def test_constructor_rejects_malformed_lists(self, n, indptr, indices, match):
         with pytest.raises(ValueError, match=match):
             Adjacency(n, np.array(indptr), np.array(indices))
+
+    @pytest.mark.parametrize("edges, match", [
+        ([[0, 1], [1, 3]], "endpoint out of range"),
+        ([[0, 1], [-1, 2]], "endpoint out of range"),
+        ([[0, 1], [2, 2]], "self-loops"),
+    ], ids=["too-large", "negative", "self-loop"])
+    def test_from_edges_rejects_malformed_edges(self, edges, match):
+        with pytest.raises(ValueError, match=match):
+            Adjacency.from_edges(3, edges)
+
+    @pytest.mark.parametrize("nb, match", [
+        ([[1], [0], [1]], "n-by-kappa"),
+        ([[1, 3], [0, 2], [0, 1]], "out of range"),
+        ([[0, 2], [0, 2], [0, 1]], "neighbor itself"),
+        ([[1, 1], [0, 2], [0, 1]], "duplicate"),
+    ], ids=["shape", "index-range", "self", "duplicate"])
+    def test_knn_adjacency_rejects_malformed_rows(self, nb, match):
+        with pytest.raises(ValueError, match=match):
+            KnnAdjacency(3, 2, np.array(nb, dtype=np.int32))
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 70])
     def test_degrees_and_edge_count_match_dense(self, n):
@@ -574,7 +591,7 @@ class TestGraphConstructionAgainstRowLoop:
         edges = edges[edges[:, 0] != edges[:, 1]]  # repeats and both orientations stay
         dense = np.zeros((70, 70), dtype=bool)
         dense[edges[:, 0], edges[:, 1]] = True
-        assert Adjacency.from_edges(70, edges) == Adjacency.from_dense(dense | dense.T)
+        assert Adjacency.from_edges(70, edges) == dense_adjacency(dense | dense.T)
 
     @pytest.mark.parametrize("key", [0, 1, (5 << 64) + 17, (2**63 << 64) + 2**40])
     def test_philox_draws_are_prefixes(self, key):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -28,6 +29,7 @@ from latentgraph import (
     rectangle,
     run_preset,
     sample_uniform,
+    scale_hops,
 )
 from latentgraph.cli import main as cli_main
 from latentgraph.plotdata import emit_plotdata, svg_scatter, write_scatter_csv
@@ -244,6 +246,17 @@ class TestPresets:
         assert man["local.stress_monotone"]
         assert man["local.rmse_aligned"] < man["r0.2.rmse_aligned"]
 
+    def test_hole_local_needs_a_component_of_three(self, tmp_path):
+        with pytest.raises(ValueError, match="component of at least 3 nodes; n=3"):
+            run_preset("hole-local", seed=0, out_dir=tmp_path, scale_n=3)
+
+    def test_component_below_three_nodes_is_not_embedded(self, tmp_path):
+        # nine points: at r = 0.05 the largest component is one node
+        out, man = run_small("rectangles", tmp_path, seed=0, scale_n=1)
+        assert man["r0.05.n_embedded"] == 1
+        assert not any(key.startswith("r0.05.") and key.endswith("points_file") for key in man)
+        assert not (out / "r0.05_recovered.csv").exists()
+
     def test_paths_preset_writes_polylines(self, tmp_path):
         out, man = run_small("knn-paths", tmp_path, scale_n=900)
         text = (out / "paths.csv").read_text()
@@ -395,6 +408,11 @@ class TestPlotData:
         with pytest.raises(FileNotFoundError):
             emit_plotdata(tmp_path)
 
+    def test_emit_plotdata_without_point_files(self, tmp_path):
+        fileio.write_manifest(tmp_path / "manifest.json", {"n": 3})
+        with pytest.raises(ValueError, match="no point files referenced"):
+            emit_plotdata(tmp_path)
+
 
 class TestCli:
     def test_pipeline_end_to_end(self, tmp_path, capsys):
@@ -473,7 +491,8 @@ class TestCli:
         captured = capsys.readouterr()
         assert "need 0" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("row", ["nan,nan", "0.5,0.5,0.5"], ids=["nan-row", "wide-row"])
+    @pytest.mark.parametrize("row", ["nan,nan", "0.5,0.5,0.5", "a,b"],
+                             ids=["nan-row", "wide-row", "text-row"])
     @pytest.mark.parametrize("command", ["check", "embed"])
     def test_malformed_points_file_is_exit_2(self, tmp_path, capsys, command, row):
         # a NaN coordinate, or a third value under an x0,x1 header, in the
@@ -517,10 +536,61 @@ class TestCli:
         assert "dissimilarities must be symmetric" in capsys.readouterr().err
         assert not (tmp_path / "embedded.csv").exists()
 
+    def test_embed_of_disconnected_pairs_is_exit_2(self, tmp_path, capsys):
+        hops = HopMatrix(4, np.array([[0, 1, 0xFFFF, 0xFFFF], [1, 0, 0xFFFF, 0xFFFF],
+                                      [0xFFFF, 0xFFFF, 0, 1], [0xFFFF, 0xFFFF, 1, 0]],
+                                     dtype=np.uint16))
+        fileio.write_matrix_binary(tmp_path / "est.bin", scale_hops(hops, 0.5))
+        assert cli_main(["--out", str(tmp_path), "embed",
+                         "--matrix", f"{tmp_path}/est.bin", "--dim", "2"]) == 2
+        assert "disconnected (-1) entries" in capsys.readouterr().err
+        assert not (tmp_path / "embedded.csv").exists()
+
+    # the unit square's distances with one entry made malformed; the writers
+    # write finite values, >= 0 or -1 for a disconnected pair, symmetric
+    SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("value, mirror, match", [
+        (np.nan, True, "must be finite and >= 0, or -1"),
+        (-5.0, True, "must be finite and >= 0, or -1"),
+        (2.0, False, "must be symmetric"),
+    ], ids=["nan", "negative", "asymmetric"])
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_malformed_estimate_is_exit_2(self, tmp_path, capsys, value, mirror, match, suffix):
+        fileio.write_points_csv(tmp_path / "points.csv", self.SQUARE)
+        mat = pairwise_distances(self.SQUARE)
+        mat[0, 1] = value
+        if mirror:
+            mat[1, 0] = value
+        path = tmp_path / f"est{suffix}"
+        if suffix == ".csv":  # write_matrix_csv would write the NaN as -1
+            fileio.write_csv(path, None, mat.tolist())
+        else:
+            path.write_bytes(b"LGD1" + (4).to_bytes(8, "little") + mat.astype("<f8").tobytes())
+        out = tmp_path / "out"
+        assert cli_main(["--out", str(out), "check", "--estimate", str(path), "--truth",
+                         f"{tmp_path}/points.csv", "--eps", "0.5", "--r", "1", "--strict"]) == 2
+        assert cli_main(["--out", str(out), "embed", "--matrix", str(path), "--dim", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count(f"{path}: ") == 2 and captured.err.count(match) == 2
+        assert "(-1) entries" not in captured.err
+        assert captured.out == "" and not any(out.iterdir())
+
+    def test_unknown_command_is_an_error(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown command 'nope'"):
+            cli._run(argparse.Namespace(command="nope", out=str(tmp_path)))
+
     def test_ingest_cities_command(self, tmp_path, cities_csv):
         assert cli_main(["--out", str(tmp_path), "ingest-cities",
                          "--file", str(cities_csv), "--n", "50"]) == 0
         assert (tmp_path / "cities_points.csv").exists()
+
+    @pytest.mark.parametrize("n", ["0", "1", "2"])
+    def test_ingest_cities_below_three_is_exit_2(self, tmp_path, cities_csv, capsys, n):
+        assert cli_main(["--out", str(tmp_path), "ingest-cities",
+                         "--file", str(cities_csv), "--n", n]) == 2
+        assert f"need n_sub >= 3 rows, got n_sub={n}" in capsys.readouterr().err
+        assert not (tmp_path / "cities_points.csv").exists()
 
     def test_check_kind_knn_is_not_a_choice(self):
         # the kNN check needs the point configuration, so the CLI does not offer it
