@@ -122,9 +122,10 @@ def write_edge_list(path: str | Path, adj: Adjacency) -> None:
 
 def read_edge_list(path: str | Path) -> Adjacency:
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError(f"{path}: expected an 'n=<count>' header line")
-    n = int(lines[0][2:])
+    count = lines[0][2:] if lines and lines[0].startswith("n=") else ""
+    if not (count.isascii() and count.isdigit()):
+        raise ValueError(f"{path}:1: expected an 'n=<count>' header line, count a non-negative integer")
+    n = int(count)
     edges = np.empty((0, 2), dtype=np.int64)
     if len(lines) > 1:
         try:
@@ -246,8 +247,21 @@ def write_matrix_csv(path: str | Path, est: EstimateMatrix) -> None:
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
+    """Rows of a CSV written by ``write_matrix_csv``: every row holds as many
+    numbers as the first, or the file is rejected with its line.  The values
+    are not checked; a NaN or an infinity is read as written."""
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    return np.array([[float(v) for v in line.split(",")] for line in lines])
+    width = len(lines[0].split(",")) if lines else 0
+    rows = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != width:
+            raise ValueError(f"{path}:{line_no}: expected {width} numbers, got {line!r}")
+        rows.append(row)
+    return np.array(rows)
 
 
 def write_stress_trace(path: str | Path, trace) -> None:

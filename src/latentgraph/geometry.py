@@ -39,8 +39,14 @@ MEMBERSHIP_TOL = 1e-12
 
 
 def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """The one freezing helper: a read-only view, and the caller's array stays writeable."""
-    a = np.ascontiguousarray(a, dtype=dtype).view()
+    """The one freezing helper: a read-only view in ``dtype``, and the caller's
+    array stays writeable.  A conversion that changes a value (-1 or 2.7 or
+    NaN to an integer type) raises ``ValueError``."""
+    given = np.asarray(a)
+    with np.errstate(invalid="ignore"):  # NaN or inf to an integer type; rejected below
+        a = np.ascontiguousarray(given, dtype=dtype).view()
+    if a.dtype != given.dtype and not np.array_equal(a, given, equal_nan=True):
+        raise ValueError(f"converting {given.dtype} to {a.dtype} would change values")
     a.setflags(write=False)
     return a
 

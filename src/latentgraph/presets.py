@@ -4,8 +4,10 @@ construction, hop estimation, bound checks and embeddings.
 Each runner composes the same stages, and each artifact is built once:
 ``_sample`` writes the points, ``_eps`` computes the coverage radius of a
 sample, ``_estimate`` turns one graph into hops, components (read off the
-hops), estimate, bound report, edge list and aligned embedding, and
-``_indicator_variant`` adds an indicator graph's hop and estimate files.
+hops), estimate, edge list and aligned embedding, and each runner checks
+its estimates against their bound.  ``_indicator_variants`` is the indicator
+experiment of five presets: per radius, a graph, its simple-bound report,
+and its hop and estimate files.
 The points are the only truth, and the estimate is a view of the uint16
 hops (``scale_hops``); the checks, the ``LGD1`` writer and classical
 scaling read both a block of rows at a time.  So the hops are the only
@@ -133,9 +135,8 @@ def _embed_and_align(config: PointConfig, hops: HopMatrix, r: float, keep: np.nd
 
 
 def _estimate(config: PointConfig, adj: Adjacency, r: float, eps: CoverageBracket,
-              check: Callable[[EstimateMatrix], BoundReport],
               out: Path, tag: str, man: dict) -> _GraphEstimate:
-    """One graph's estimate at scale ``r``; ``check`` gives its bound report."""
+    """One graph's estimate at scale ``r``; the caller checks it against its bound."""
     hops = all_pairs_hops(adj)
     est = scale_hops(hops, r)
     # each component is named by its smallest node, which argmax prefers in a tie
@@ -146,7 +147,6 @@ def _estimate(config: PointConfig, adj: Adjacency, r: float, eps: CoverageBracke
     man[f"{tag}.eps_lower"] = eps.lower
     man[f"{tag}.eps_upper"] = eps.upper
     man[f"{tag}.eps_over_r"] = eps.upper / r
-    _put_report(man, tag, check(est))
     adj_name = f"{tag}_edges.txt"
     fileio.write_edge_list(out / adj_name, adj)
     man[f"{tag}.adjacency_file"] = adj_name
@@ -154,19 +154,22 @@ def _estimate(config: PointConfig, adj: Adjacency, r: float, eps: CoverageBracke
     return _GraphEstimate(hops, est, keep, _embed_and_align(config, hops, r, keep, out, tag, man))
 
 
-def _indicator_variant(config: PointConfig, eps: CoverageBracket, r: float, seed: int,
-                       out: Path, man: dict) -> _GraphEstimate:
-    """``_estimate`` of the indicator graph at radius ``r`` under the simple
-    bound, plus its hop and estimate files."""
-    tag = _tag("r", r)
-    adj = generate_graph(config, Indicator(r), seed)
-    g = _estimate(config, adj, r, eps,
-                  lambda est: check_simple_bound(est, config.points, eps.upper, r), out, tag, man)
-    hop_name, est_name = f"{tag}_hops.bin", f"{tag}_est.bin"
-    fileio.write_hops_binary(out / hop_name, g.hops)
-    fileio.write_matrix_binary(out / est_name, g.est)
-    man[f"{tag}.hops_file"] = hop_name
-    man[f"{tag}.estimate_file"] = est_name
+def _indicator_variants(config: PointConfig, radii, seed: int, out: Path, man: dict) -> _GraphEstimate:
+    """Write the sample; then, for each radius ``r``, ``_estimate`` the
+    indicator graph at ``r``, check it against the simple bound, and write its
+    hop and estimate files.  Returns the last radius's estimate."""
+    _sample(config, out, man)
+    eps = _eps(config)
+    for r in radii:
+        g = None  # the previous radius's hops go before this radius's are built
+        tag = _tag("r", r)
+        g = _estimate(config, generate_graph(config, Indicator(r), seed), r, eps, out, tag, man)
+        _put_report(man, tag, check_simple_bound(g.est, config.points, eps.upper, r))
+        hop_name, est_name = f"{tag}_hops.bin", f"{tag}_est.bin"
+        fileio.write_hops_binary(out / hop_name, g.hops)
+        fileio.write_matrix_binary(out / est_name, g.est)
+        man[f"{tag}.hops_file"] = hop_name
+        man[f"{tag}.estimate_file"] = est_name
     return g
 
 
@@ -207,27 +210,17 @@ def _run_rectangles(seed: int, out: Path, n: int, man: dict, **_) -> None:
     patch1 = Box(np.array([0.25, 0.25]), np.array([0.75, 0.75]))
     patch2 = Box(np.array([1.25, 0.0]), np.array([1.5, 1.0]))
     pts = np.vstack([base.sample(rng, n0), patch1.sample(rng, n1), patch2.sample(rng, n2)])
-    config = PointConfig(pts, base)
-    _sample(config, out, man)
-    eps = _eps(config)
-    for r in (0.05, 0.1, 0.2):
-        _indicator_variant(config, eps, r, seed, out, man)
+    _indicator_variants(PointConfig(pts, base), (0.05, 0.1, 0.2), seed, out, man)
 
 
 def _run_hole(seed: int, out: Path, n: int, man: dict, **_) -> None:
     """Rectangle with a rectangular hole: the convexity requirement bites."""
-    config = sample_uniform(_hole_domain(), n, seed)
-    _sample(config, out, man)
-    _indicator_variant(config, _eps(config), 0.2, seed, out, man)
+    _indicator_variants(sample_uniform(_hole_domain(), n, seed), (0.2,), seed, out, man)
 
 
 def _run_cities(seed: int, out: Path, n: int, man: dict, cities_file=None, **_) -> None:
     """City coordinates in planar degrees; indicator links at three radii."""
-    config = _cities(cities_file, n, seed)
-    _sample(config, out, man)
-    eps = _eps(config)
-    for r in (3.0, 5.0, 7.0):
-        _indicator_variant(config, eps, r, seed, out, man)
+    _indicator_variants(_cities(cities_file, n, seed), (3.0, 5.0, 7.0), seed, out, man)
 
 
 def _run_cities_thinned(seed: int, out: Path, n: int, man: dict, cities_file=None, **_) -> None:
@@ -242,9 +235,9 @@ def _run_cities_thinned(seed: int, out: Path, n: int, man: dict, cities_file=Non
     half = couple_thin(full, 0.5 / 1.0, seed + 1)
     fifth = couple_thin(half, 0.2 / 0.5, seed + 2)  # keep ratio of levels: emulates p=0.2
     for p, adj in ((1.0, full), (0.5, half), (0.2, fifth)):
-        _estimate(config, adj, r, eps,
-                  lambda est: check_general_bound(est, config.points, eps.upper, r, alpha=0.0),
-                  out, _tag("p", p), man)
+        tag = _tag("p", p)  # the estimate is left unbound: its hops go before the next level's
+        _put_report(man, tag, check_general_bound(_estimate(config, adj, r, eps, out, tag, man).est,
+                                                  config.points, eps.upper, r, alpha=0.0))
 
 
 def _run_knn_band(seed: int, out: Path, n: int, man: dict, **_) -> None:
@@ -254,9 +247,8 @@ def _run_knn_band(seed: int, out: Path, n: int, man: dict, **_) -> None:
     man["knn.r_circ"] = scale.r_circ
     man["knn.eps"] = scale.eps
     man["knn.omega"] = scale.omega
-    g = _estimate(config, adj, scale.r, CoverageBracket(scale.eps, scale.eps),
-                  lambda est: check_knn_bounds(est, config, scale.eps, scale.r),
-                  out, "knn", man)
+    g = _estimate(config, adj, scale.r, CoverageBracket(scale.eps, scale.eps), out, "knn", man)
+    _put_report(man, "knn", check_knn_bounds(g.est, config, scale.eps, scale.r))
     # the farthest pair of points is a pair of hull vertices
     diameter = pairwise_distances(config.points[ConvexHull(config.points).vertices]).max()
     threshold = min(2.0, 0.5 * float(diameter))
@@ -296,8 +288,7 @@ def _run_mds_discrete(seed: int, out: Path, n: int, man: dict, **_) -> None:
     """Hop distances take a handful of values, yet classical scaling of them
     recovers the layout."""
     config = sample_uniform(rectangle(2.0, 1.0), n, seed)
-    _sample(config, out, man)
-    hops = _indicator_variant(config, _eps(config), 0.5, seed, out, man).hops
+    hops = _indicator_variants(config, (0.5,), seed, out, man).hops
     top = hops.max_finite()
     # histogram of the connected pairs i < j, counted a block of rows at a time
     counts = np.zeros(top + 1, dtype=np.int64)
@@ -313,9 +304,8 @@ def _run_hole_local(seed: int, out: Path, n: int, man: dict, **_) -> None:
     """Localization on the hole domain: keep hop estimates up to two hops,
     reconcile with stress majorization from the classical-scaling start."""
     config = sample_uniform(_hole_domain(), n, seed)
-    _sample(config, out, man)
     r, max_hops = 0.2, 2
-    g = _indicator_variant(config, _eps(config), r, seed, out, man)
+    g = _indicator_variants(config, (r,), seed, out, man)
     if g.embedding is None:
         raise ValueError(f"hole-local needs a component of at least 3 nodes; n={n} is too small")
     keep = g.keep

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from latentgraph import (
+    Adjacency,
     Box,
+    HopMatrix,
+    KnnAdjacency,
+    PartialDissimilarity,
     PointConfig,
     RectangleWithHole,
     boundary_distances,
@@ -60,6 +64,24 @@ class TestPointConfig:
     def test_malformed_points_rejected(self, pts, match):
         with pytest.raises(ValueError, match=match):
             PointConfig(pts, rectangle(1, 1))
+
+
+class TestReadonly:
+    # each value held to its dtype by ``_readonly``, given in a dtype whose
+    # conversion would change it: -1 would read as the infinity sentinel
+    @pytest.mark.parametrize("make", [
+        lambda: HopMatrix(2, np.array([[0, -1], [-1, 0]])),
+        lambda: HopMatrix(2, np.array([[0, 2.7], [2.7, 0]])),
+        lambda: HopMatrix(2, np.array([[0, np.inf], [np.inf, 0]])),
+        lambda: HopMatrix(2, np.array([[0, np.nan], [np.nan, 0]])),
+        lambda: Adjacency(2, np.array([0, 1, 2]), np.array([1.9, 0.2])),
+        lambda: PartialDissimilarity(3, np.array([0]), np.array([1.5]), np.array([1.0])),
+        lambda: KnnAdjacency(3, 1, np.array([[1.5], [0], [0]])),
+    ], ids=["hops-minus-one", "hops-fraction", "hops-inf", "hops-nan", "adjacency-float-indices",
+            "partial-float-j", "knn-float-neighbour"])
+    def test_conversion_that_changes_a_value_rejected(self, make):
+        with pytest.raises(ValueError, match="would change values"):
+            make()
 
 
 class TestSampling:

@@ -193,9 +193,7 @@ class TestPresets:
         adj = Adjacency.from_edges(8, edges)
         eps = CoverageBracket(0.1, 0.2)
         man = {}
-        got = presets._estimate(config, adj, 0.5, eps,
-                                lambda est: check_simple_bound(est, config.points, eps.upper, 0.5),
-                                tmp_path, "g", man)
+        got = presets._estimate(config, adj, 0.5, eps, tmp_path, "g", man)
         assert man["g.components"] == components
         assert got.keep.tolist() == keep
         assert man["g.n_embedded"] == len(keep)
@@ -574,6 +572,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.count(f"{path}: ") == 2 and captured.err.count(match) == 2
         assert "(-1) entries" not in captured.err
+        assert captured.out == "" and not any(out.iterdir())
+
+    @pytest.mark.parametrize("name, text, where", [
+        ("ragged.csv", "0,1\n1,0,2\n", ":2: expected 2 numbers"),
+        ("text.csv", "0,a\na,0\n", ":1: expected 2 numbers"),
+        ("abc.txt", "n=abc\n0 1\n", ":1: expected an 'n=<count>' header"),
+        ("negative.txt", "n=-3\n", ":1: expected an 'n=<count>' header"),
+    ], ids=["ragged-csv", "text-csv", "text-count", "negative-count"])
+    def test_malformed_text_file_is_exit_2_with_its_line(self, tmp_path, capsys, name, text, where):
+        path = tmp_path / name
+        path.write_text(text)
+        fileio.write_points_csv(tmp_path / "points.csv", self.SQUARE[:2])
+        out = tmp_path / "out"
+        args = (["check", "--estimate", str(path), "--truth", f"{tmp_path}/points.csv",
+                 "--eps", "0.5", "--r", "1"] if name.endswith(".csv") else
+                ["hops", "--adjacency", str(path)])
+        assert cli_main(["--out", str(out), *args]) == 2
+        captured = capsys.readouterr()
+        assert f"{path}{where}" in captured.err
         assert captured.out == "" and not any(out.iterdir())
 
     def test_unknown_command_is_an_error(self, tmp_path):
