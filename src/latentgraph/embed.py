@@ -41,6 +41,8 @@ _SMACOF_REL_TOL = 1e-6
 _SMACOF_MAX_ITER = 500
 # SMACOF steps x + _SMACOF_RELAX (G(x) - x); below 2, see smacof
 _SMACOF_RELAX = 1.9
+# SMACOF tries an extrapolated point (RRE) after every this many steps
+_SMACOF_RRE_STEPS = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,6 +258,32 @@ def _pair_ends(pj: np.ndarray, deg_i: np.ndarray, deg_j: np.ndarray) -> tuple[cs
     return tuple(ends)
 
 
+def _extrapolate(history: list[np.ndarray]) -> np.ndarray | None:
+    """The reduced-rank extrapolation (RRE) of the iterates ``x_0..x_k`` in
+    ``history``, centered; None when the history is degenerate.
+
+    With ``u_i = x_(i+1) - x_i`` the ``k`` differences, the weights ``gamma``
+    minimize ``|sum gamma_i u_i|`` subject to ``sum gamma_i = 1``: ``gamma``
+    is ``G^-1 1`` normalized to sum 1, ``G`` the k-by-k Gram matrix of the
+    differences plus a ridge of ``1e-14 trace(G)``, and the point is
+    ``sum gamma_i x_i`` over ``x_0..x_(k-1)`` (Sidi, *Vector Extrapolation
+    Methods with Applications*, SIAM 2017).  A singular ``G`` (the iterates
+    do not move), weights summing to 0 and an overflow give None."""
+    xs = np.stack(history)
+    u = np.diff(xs, axis=0).reshape(len(xs) - 1, -1)
+    # a degenerate history shows as a non-finite point, not as a warning
+    with np.errstate(all="ignore"):
+        gram = u @ u.T
+        gram.flat[:: len(gram) + 1] += 1e-14 * np.trace(gram)
+        try:
+            w = np.linalg.solve(gram, np.ones(len(gram)))
+        except np.linalg.LinAlgError:
+            return None
+        y = np.tensordot(w / w.sum(), xs[:-1], axes=1)
+        y -= y.mean(axis=0)
+    return y if np.isfinite(y).all() else None
+
+
 def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     """Metric stress majorization with binary weights on the present pairs.
 
@@ -268,6 +296,19 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     for any ``alpha`` in [0, 2].  Overshooting the minimum cuts the
     iterations by about two fifths; at ``alpha = 2`` the iterate reflects
     across the minimum and the stress barely falls, hence 1.9.
+
+    After every ``_SMACOF_RRE_STEPS`` (5) steps, the one that meets the stop
+    rule included, the last six iterates give a reduced-rank extrapolation
+    of the fixed point (``_extrapolate``; Rosman, Bronstein, Bronstein, Sidi
+    & Kimmel, 2008).  The safeguard evaluates its stress once and keeps it
+    only when that is strictly below the current iterate's, so the stress
+    trace stays non-increasing; either way the history restarts from the
+    current point.  A kept point is one more trace row (the trace holds the
+    start, each step and each kept point) but no iteration: ``iterations``
+    counts the steps, and only steps use up ``_SMACOF_MAX_ITER``.  It takes
+    about half the steps on ``hole-local``.  The trial frees the iterate's
+    pair arrays before building its own and rebuilds them when it is
+    rejected, so it adds no pair arrays to the peak.
 
     Works on the present pairs ``partial.i < partial.j`` only: each
     iterate's pair differences and distances are evaluated once and give
@@ -287,7 +328,7 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     ends (CSR, built once per solve from the node counts that also give
     V's diagonal and the connectivity check's pair graph), which sum each
     node's terms in pair order, bitwise like ``bincount``.  Stops after ``_SMACOF_MAX_ITER``
-    steps or when the relative stress decrease falls below
+    steps or when a step's relative stress decrease falls below
     ``_SMACOF_REL_TOL``.
     """
     n = partial.n
@@ -319,10 +360,14 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
     # finite when returned: a non-positive or NaN pivot raises LinAlgError, a ValueError
     factor = cho_factor(vmat.T, lower=True, overwrite_a=True)
 
+    def stress(dis):
+        return float(((dis - delta) ** 2).sum())
+
     x = x - x.mean(axis=0)
     diff, dis = _pair_distances(x, pi, pj)
-    trace = [float(((dis - delta) ** 2).sum())]
+    trace = [stress(dis)]
     iterations = 0
+    history = [x]  # the iterates since the last extrapolation trial
     ends_i, ends_j = _pair_ends(pj, deg_i, deg_j)
     bx = np.empty((dim, n))
     for it in range(1, _SMACOF_MAX_ITER + 1):
@@ -338,11 +383,28 @@ def smacof(partial: PartialDissimilarity, init: np.ndarray) -> EmbeddingResult:
         x = x + _SMACOF_RELAX * (cho_solve(factor, bx.T, check_finite=False) - x)
         x = x - x.mean(axis=0)
         diff, dis = _pair_distances(x, pi, pj)
-        s = float(((dis - delta) ** 2).sum())
+        s = stress(dis)
         trace.append(s)
         iterations = it
         prev = trace[-2]
-        if prev <= 0 or (prev - s) / prev < _SMACOF_REL_TOL:
+        stop = prev <= 0 or (prev - s) / prev < _SMACOF_REL_TOL
+        history.append(x)
+        # a due trial runs before the stop rule ends the loop
+        if len(history) > _SMACOF_RRE_STEPS:
+            y, history = _extrapolate(history), [x]
+            if y is not None:
+                # x's pair arrays go before y's are built, and are rebuilt if y is
+                # rejected: never more than one iterate's pair arrays at a time
+                del diff, dis
+                diff, dis = _pair_distances(y, pi, pj)
+                s = stress(dis)
+                if s < trace[-1]:
+                    x, history = y, [y]
+                    trace.append(s)
+                else:
+                    del diff, dis
+                    diff, dis = _pair_distances(x, pi, pj)
+        if stop:
             break
     return EmbeddingResult(
         coords=x,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -55,6 +56,8 @@ __all__ = [
 _MAGIC_ADJ = b"LGA1"
 _MAGIC_HOP = b"LGH1"
 _MAGIC_DEN = b"LGD1"
+# an edge line as np.loadtxt reads it into int64: two ASCII integers
+_EDGE_LINE = re.compile(r"\s*([+-]?\d+)\s+([+-]?\d+)\s*", re.ASCII)
 
 
 def write_csv(path: str | Path, header: str | None, rows) -> None:
@@ -120,7 +123,28 @@ def write_edge_list(path: str | Path, adj: Adjacency) -> None:
             del i, j, text
 
 
+def _edge_line_error(path: str | Path, lines: list[str], n: int) -> ValueError:
+    """The error for the first edge line of ``lines`` (the header first) that
+    is not two integers ``i j`` with ``0 <= i < j < n``, or that repeats an
+    earlier edge, named by its file line."""
+    first_seen = {}
+    for line_no, line in enumerate(lines[1:], start=2):
+        pair = _EDGE_LINE.fullmatch(line)
+        if pair is None:
+            return ValueError(f"{path}:{line_no}: expected two integers 'i j', got {line!r}")
+        i, j = int(pair[1]), int(pair[2])
+        if not 0 <= i < j < n:
+            return ValueError(f"{path}:{line_no}: edge {i} {j} does not satisfy 0 <= i < j < n={n}")
+        if (i, j) in first_seen:
+            return ValueError(f"{path}:{line_no}: repeated edge {i} {j} (first on line {first_seen[i, j]})")
+        first_seen[i, j] = line_no
+    return ValueError(f"{path}: malformed edge list")
+
+
 def read_edge_list(path: str | Path) -> Adjacency:
+    """The graph of an edge list written by ``write_edge_list``.  A valid file
+    is parsed in one ``np.loadtxt`` call; a malformed one is rejected with
+    the file line of its first bad edge line, found only then."""
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     count = lines[0][2:] if lines and lines[0].startswith("n=") else ""
     if not (count.isascii() and count.isdigit()):
@@ -130,16 +154,16 @@ def read_edge_list(path: str | Path) -> Adjacency:
     if len(lines) > 1:
         try:
             edges = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        except ValueError:
+            raise _edge_line_error(path, lines, n) from None
     if edges.shape != (len(lines) - 1, 2):
-        raise ValueError(f"{path}: every edge line must hold exactly two integers 'i j'")
+        raise _edge_line_error(path, lines, n)
     i, j = edges[:, 0], edges[:, 1]
     if not ((0 <= i) & (i < j) & (j < n)).all():
-        raise ValueError(f"{path}: every edge must satisfy 0 <= i < j < n={n}")
+        raise _edge_line_error(path, lines, n)
     adj = Adjacency.from_edges(n, edges)
     if adj.edge_count() != len(edges):
-        raise ValueError(f"{path}: repeated edge")
+        raise _edge_line_error(path, lines, n)
     return adj
 
 

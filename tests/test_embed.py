@@ -88,10 +88,27 @@ def hole_fixture(n=150, r=0.35, seed=9):
     return localize(hops, 2, r=r), scale_hops(hops, r).rows(0, hops.n)
 
 
-def flat_bin_smacof(partial, init, relax=embed._SMACOF_RELAX):
+def rre_point(history):
+    """The reduced-rank extrapolation of the iterates ``history``: weights
+    summing to 1 that minimize the norm of the combined differences (Gram
+    matrix with a ridge of 1e-14 of its trace), applied to all iterates but
+    the last, then centered."""
+    xs = np.array(history)
+    u = (xs[1:] - xs[:-1]).reshape(len(xs) - 1, -1)
+    gram = u @ u.T
+    gram += 1e-14 * np.trace(gram) * np.eye(len(gram))
+    w = np.linalg.solve(gram, np.ones(len(gram)))
+    y = np.tensordot(w / w.sum(), xs[:-1], axes=1)
+    return y - y.mean(axis=0)
+
+
+def flat_bin_smacof(partial, init, relax=embed._SMACOF_RELAX, rre_steps=embed._SMACOF_RRE_STEPS):
     """SMACOF with row-major pair differences and the Guttman right-hand side
     scattered over the flat bins ``i*dim + k`` (the row-major reference),
-    relaxed by ``embed._SMACOF_RELAX`` (1 gives the plain Guttman step)."""
+    relaxed by ``embed._SMACOF_RELAX`` (1 gives the plain Guttman step).
+    After every ``rre_steps`` steps, the stopping step too, it tries
+    ``rre_point`` of the iterates since the last try and keeps it when its
+    stress is lower (0: never)."""
     n, pi, pj, delta = partial.n, partial.i, partial.j, partial.values
     x = np.array(init, dtype=np.float64)
     dim = x.shape[1]
@@ -109,6 +126,7 @@ def flat_bin_smacof(partial, init, relax=embed._SMACOF_RELAX):
     x = x - x.mean(axis=0)
     diff, dis = evaluate(x)
     trace = [float(((dis - delta) ** 2).sum())]
+    history = [x]
     for _ in range(embed._SMACOF_MAX_ITER):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(dis > 0, delta / dis, 0.0)
@@ -119,7 +137,16 @@ def flat_bin_smacof(partial, init, relax=embed._SMACOF_RELAX):
         diff, dis = evaluate(x)
         trace.append(float(((dis - delta) ** 2).sum()))
         prev = trace[-2]
-        if prev <= 0 or (prev - trace[-1]) / prev < embed._SMACOF_REL_TOL:
+        stop = prev <= 0 or (prev - trace[-1]) / prev < embed._SMACOF_REL_TOL
+        history.append(x)
+        if len(history) == rre_steps + 1:
+            y, history = rre_point(history), [x]
+            y_diff, y_dis = evaluate(y)
+            y_stress = float(((y_dis - delta) ** 2).sum())
+            if y_stress < trace[-1]:
+                x, diff, dis, history = y, y_diff, y_dis, [y]
+                trace.append(y_stress)
+        if stop:
             break
     return x, tuple(trace)
 
@@ -494,24 +521,36 @@ class TestSmacof:
         assert res.stress == pytest.approx(recomputed, rel=1e-12, abs=0)
 
     def test_one_distance_matrix_per_iterate(self, monkeypatch):
-        # an iterate's distances give both its stress and the next Guttman step
+        # an iterate's distances give both its stress and the next Guttman
+        # step; an extrapolation trial adds its own, and a rejected one
+        # rebuilds the current iterate's
         from latentgraph import embed
 
-        calls = []
-        real = embed._pair_distances
+        calls, trials = [], []
+        real, real_extrapolate = embed._pair_distances, embed._extrapolate
 
         def counting(x, pi, pj):
             calls.append(x.shape)
             return real(x, pi, pj)
 
+        def counting_extrapolate(history):
+            y = real_extrapolate(history)
+            trials.append(y is not None)
+            return y
+
         monkeypatch.setattr(embed, "_pair_distances", counting)
+        monkeypatch.setattr(embed, "_extrapolate", counting_extrapolate)
         cfg = sample_uniform(rectangle(2, 1), 80, seed=4)
         hops = all_pairs_hops(generate_graph(cfg, Indicator(0.4), seed=0))
         part = localize(hops, 2, r=0.4)
         assert part.i.size < part.n * (part.n - 1) // 2
         res = smacof(part, classical_mds(scale_hops(hops, 0.4).rows(0, hops.n), v=2).coords)
+        kept = len(res.stress_trace) - 1 - res.iterations
+        tried = sum(trials)
         assert res.iterations > 1
-        assert len(calls) == res.iterations + 1
+        assert len(trials) == res.iterations // embed._SMACOF_RRE_STEPS
+        assert 0 < kept < tried  # both outcomes happen on this input
+        assert len(calls) == res.iterations + 1 + tried + (tried - kept)
 
     def test_guttman_step_exact_for_nearly_coincident_points(self, monkeypatch):
         # two start points one ulp apart give a pair ratio delta/dis near
@@ -611,6 +650,28 @@ class TestSmacof:
         res = smacof(part, init)
         coords, trace = flat_bin_smacof(part, init)
         assert res.iterations > 1
+        assert len(trace) - 1 > res.iterations  # an extrapolated point was kept
+        assert res.stress_trace == trace
+        assert res.coords.tobytes() == coords.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_extrapolation_stops_no_higher_than_the_steps_alone(self, seed):
+        part, est = hole_fixture(seed=seed)
+        init = classical_mds(est, v=2).coords
+        res = smacof(part, init)
+        _, steps_only = flat_bin_smacof(part, init, rre_steps=0)
+        assert res.iterations < len(steps_only) - 1
+        assert res.stress <= steps_only[-1] * (1 + 1e-6)
+
+    def test_rejected_trials_leave_the_steps_bitwise(self, monkeypatch):
+        # a trial point 5 steps back has a higher stress: each trial is
+        # rejected, and the rebuilt pair arrays give the run without trials
+        monkeypatch.setattr(embed, "_extrapolate", lambda history: history[0])
+        part, est = hole_fixture()
+        init = classical_mds(est, v=2).coords
+        res = smacof(part, init)
+        coords, trace = flat_bin_smacof(part, init, rre_steps=0)
+        assert res.iterations > embed._SMACOF_RRE_STEPS
         assert res.stress_trace == trace
         assert res.coords.tobytes() == coords.tobytes()
 
@@ -624,6 +685,28 @@ class TestSmacof:
         assert res.iterations < len(plain) - 1
         assert res.stress <= plain[-1] * (1 + embed._SMACOF_REL_TOL)
         assert np.all(np.diff(res.stress_trace) <= 1e-9)
+
+    def test_extrapolation_of_a_linear_sequence_is_its_limit(self):
+        # x_i = x* + c^i e converges linearly; RRE weights cancel c^i e
+        rng = np.random.default_rng(5)
+        limit, e = rng.standard_normal((2, 30, 2))
+        limit -= limit.mean(axis=0)
+        e -= e.mean(axis=0)
+        history = [limit + 0.8 ** i * e for i in range(6)]
+        y = embed._extrapolate(history)
+        assert np.abs(y - limit).max() < 1e-6 * np.abs(e).max()
+        assert np.abs(history[-1] - limit).max() > 0.3 * np.abs(e).max()
+
+    def test_degenerate_history_skips_the_trial(self, monkeypatch):
+        # no warning either: the suite turns warnings into errors
+        still = [np.ones((10, 2))] * 6
+        assert embed._extrapolate(still) is None  # singular Gram matrix
+        huge = [np.full((10, 2), (-1.0) ** k * 1e300) for k in range(6)]
+        assert embed._extrapolate(huge) is None  # the Gram matrix overflows
+        moving = [np.arange(20.0).reshape(10, 2) * k for k in range(6)]
+        assert embed._extrapolate(moving) is not None
+        monkeypatch.setattr(np.linalg, "solve", lambda g, b: np.array([1.0, -1.0, 0.0, 0.0, 0.0]))
+        assert embed._extrapolate(moving) is None  # weights summing to 0
 
     @pytest.mark.parametrize("shape", [(5,), (4, 2), (6, 2)])
     def test_init_of_the_wrong_shape_rejected(self, shape):
@@ -663,4 +746,32 @@ class TestSmacof:
         p = part.i.size
         assert res.iterations == 3
         assert 0 < p < n * (n - 1) // 2
+        assert peak < n * n * 8 + 13 * 8 * p
+
+    def test_extrapolation_trial_adds_no_pair_arrays(self, monkeypatch):
+        # the same cap with two trials run, one of them rejected: a trial
+        # frees the iterate's pair arrays before it builds its own
+        steps = embed._SMACOF_RRE_STEPS
+        monkeypatch.setattr(embed, "_SMACOF_MAX_ITER", 2 * steps + 1)
+        real, trials = embed._extrapolate, []
+
+        def first_rejected(history):
+            trials.append(len(history))
+            return history[0] if len(trials) == 1 else real(history)
+
+        monkeypatch.setattr(embed, "_extrapolate", first_rejected)
+        n = 2000
+        part, est = hole_fixture(n=n, r=0.2, seed=3)
+        init = classical_mds(est, v=2).coords
+        del est
+        tracemalloc.start()
+        try:
+            res = smacof(part, init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        p = part.i.size
+        assert res.iterations == 2 * steps + 1
+        assert trials == [steps + 1, steps + 1]
+        assert len(res.stress_trace) == res.iterations + 2  # the second trial was kept
         assert peak < n * n * 8 + 13 * 8 * p

@@ -97,6 +97,27 @@ class TestEdgeList:
         with pytest.raises(ValueError):
             fileio.read_edge_list(path)
 
+    @pytest.mark.parametrize("body, line", [
+        ("0 1\n1 x\n", 3),         # not an integer
+        ("0 1\n1 2 3\n", 3),       # three integers
+        ("0 1\n\n1 2\n", 3),       # blank line
+        ("0 1\n1_0 2\n", 3),       # np.loadtxt reads no digit separators
+        ("0 1\n1 2\n2 9\n", 4),    # j >= n
+        ("0 1\n2 1\n", 3),         # i > j
+        ("0 1\n1 2\n0 1\n", 4),    # repeated pair
+    ])
+    def test_malformed_line_named_by_its_file_line(self, tmp_path, body, line):
+        path = tmp_path / "edges.txt"
+        path.write_text("n=4\n" + body)
+        with pytest.raises(ValueError, match=rf"edges\.txt:{line}: "):
+            fileio.read_edge_list(path)
+
+    def test_repeated_edge_names_both_lines(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("n=4\n0 1\n1 2\n2 3\n+1 2\n")
+        with pytest.raises(ValueError, match=r"edges\.txt:5: repeated edge 1 2 \(first on line 3\)"):
+            fileio.read_edge_list(path)
+
     def test_no_edges(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("n=3\n")
