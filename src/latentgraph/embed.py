@@ -8,6 +8,9 @@ global bias introduced by non-convex domains.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .geometry import _pair_distances, _readonly
-from .hopdist import INF_HOPS, HopMatrix, _row_blocks, _upper_rows
+from .hopdist import INF_HOPS, HopMatrix, _upper_rows
 
 __all__ = [
     "EmbeddingResult",
@@ -35,6 +38,12 @@ _NOT_FINITE = "array must not contain infs or NaNs"
 # rows per block of classical scaling's operator: the block's float64
 # squares stay in cache (128 rows and more fall out of it)
 _MATVEC_ROWS = 16
+# a product of classical scaling's operator runs on one thread below this
+# many entries (n = 3548): below it, two threads took no less time than one
+# (measured on 2 vCPUs from n = 724 to 3300)
+_POOL_MIN_ENTRIES = 3 << 22
+# the side of the square tiles the symmetry check compares
+_SYMMETRY_TILE = 256
 # SMACOF stops once an iteration lowers the stress by less than this fraction,
 # or after this many iterations
 _SMACOF_REL_TOL = 1e-6
@@ -61,30 +70,53 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 
 
 def _is_symmetric(d: np.ndarray) -> bool:
-    # a block of rows against the matching block of columns, with no n-by-n
-    # temporary
-    n = d.shape[0]
-    return all(np.array_equal(d[lo:hi, lo:], d[lo:, lo:hi].T)
-               for lo, hi in _row_blocks(np.arange(n + 1) * n))
+    # square tiles on and above the diagonal, each against its mirror tile
+    # transposed: both stay in cache, and there is no n-by-n temporary
+    n, t = d.shape[0], _SYMMETRY_TILE
+    return all(np.array_equal(d[lo:lo + t, co:co + t], d[co:co + t, lo:lo + t].T)
+               for lo in range(0, n, t) for co in range(lo, n, t))
 
 
-def _centered_squares(d: np.ndarray, scale: float) -> LinearOperator:
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _centered_squares(d: np.ndarray, scale: float, pool: ThreadPoolExecutor | None = None,
+                      workers: int = 1) -> LinearOperator:
     """``-1/2 J (scale * d)∘(scale * d) J`` as an operator that reads ``d`` a
-    block of rows at a time and stores nothing n-by-n."""
-    n = d.shape[0]
-    buf = np.empty((min(_MATVEC_ROWS, n), n))
+    block of ``_MATVEC_ROWS`` rows at a time and stores nothing n-by-n.
 
-    def matvec(y):
-        y = np.ravel(y)
-        z = y - y.mean()
-        out = np.empty(n)
-        for lo in range(0, n, _MATVEC_ROWS):
+    A block is copied into a float64 buffer, scaled, squared and multiplied
+    by the centered vector.  With a ``pool``, each product splits its blocks
+    over ``workers`` threads: the caller is worker 0 and the pool runs the
+    others; worker k takes blocks k, k + workers, ..., in a buffer of its
+    own, and writes only those blocks' entries of the product.  The copy, the
+    two passes and the gemv release the GIL.  Every row is computed by the
+    same operations on the same block whichever thread runs it, so the
+    product has the same bits for any worker count."""
+    n = d.shape[0]
+    bufs = [np.empty((min(_MATVEC_ROWS, n), n)) for _ in range(workers)]
+
+    def blocks(k, z, out):
+        buf = bufs[k]
+        for lo in range(k * _MATVEC_ROWS, n, workers * _MATVEC_ROWS):
             hi = min(lo + _MATVEC_ROWS, n)
             b = buf[:hi - lo]
             np.copyto(b, d[lo:hi])  # exact, and faster than a casting multiply
             b *= scale
             np.square(b, out=b)
             np.dot(b, z, out=out[lo:hi])
+
+    def matvec(y):
+        y = np.ravel(y)
+        z = y - y.mean()
+        out = np.empty(n)
+        others = [pool.submit(blocks, k, z, out) for k in range(1, workers)]
+        blocks(0, z, out)
+        for f in others:
+            f.result()
         out *= -0.5
         out -= out.mean()
         return out
@@ -102,19 +134,32 @@ def classical_mds(d: np.ndarray, v: int, scale: float = 1.0) -> EmbeddingResult:
     not exactly symmetric.
 
     Matrix-free: Lanczos (``eigsh``) applies ``-1/2 J D∘D J``, with ``D =
-    scale * d`` and ``J`` the centering, to one vector at a time, and each
-    product reads ``d`` a block of ``_MATVEC_ROWS`` rows at a time: the
-    block is scaled and squared in a small float64 buffer and multiplied by
-    the centered vector.  Nothing n-by-n is formed and the input is never
-    written, so the uint16 hops with ``scale=r`` embed with no float64 copy,
-    bitwise like the float64 estimate ``r * hops`` (each entry is scaled,
-    then squared, in the same order); the hop sentinel 0xFFFF is infinity
-    and is rejected like any non-finite entry.  Lanczos starts from a fixed
-    centered vector (a centered standard normal draw of
-    ``default_rng(0)``), since the constant vector lies in the null space
-    of ``J``, and draws its restarts from a fixed generator.  ``eigh`` runs
-    on the dense matrix built from the operator only when ``v >= n - 1``,
-    where ``eigsh`` cannot, or when ARPACK fails.
+    scale * d`` and ``J`` the centering, to one vector at a time
+    (``_centered_squares``), and each product reads ``d`` a block of
+    ``_MATVEC_ROWS`` rows at a time: the block is scaled and squared in a
+    small float64 buffer and multiplied by the centered vector.  Nothing
+    n-by-n is formed and the input is never written, so the uint16 hops with
+    ``scale=r`` embed with no float64 copy, bitwise like the float64
+    estimate ``r * hops`` (each entry is scaled, then squared, in the same
+    order); the hop sentinel 0xFFFF is infinity and is rejected like any
+    non-finite entry.  Lanczos starts from a fixed centered vector (a
+    centered standard normal draw of ``default_rng(0)``), since the constant
+    vector lies in the null space of ``J``, and draws its restarts from a
+    fixed generator.  ``eigh`` runs on the dense matrix built from the
+    operator only when ``v >= n - 1``, where ``eigsh`` cannot, or when
+    ARPACK fails.
+
+    The products are the cost, so the Krylov space is sized to converge at
+    ARPACK's first restart check: ``ncv = min(n, max(2v + 1, 14))`` vectors
+    and ``tol = 1e-12``, which bounds each Ritz residual by ``1e-12 |λ|``
+    (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, 1998).  For v = 2 a
+    hop matrix takes 15 products, where the defaults (``ncv = 20``,
+    ``tol`` at machine precision) take 21; the eigenvalues move by rounding
+    only.  From ``_POOL_MIN_ENTRIES`` entries on, each product splits its
+    row blocks over one thread per usable CPU, from a pool that lives for
+    this call alone and ends with it, on every exit path.  Each row is
+    computed the same way whichever thread runs it, so the result has the
+    same bits for any worker count and either BLAS thread pool.
     """
     d = np.asarray(d)
     n = d.shape[0]
@@ -130,22 +175,28 @@ def classical_mds(d: np.ndarray, v: int, scale: float = 1.0) -> EmbeddingResult:
         raise ValueError("scale must be positive and finite")
     if v < 1:
         raise ValueError("need v >= 1")
+    if v > n:
+        raise ValueError(f"need v <= n, got v={v} for n={n} points")
     if not _is_symmetric(d):
         raise ValueError("dissimilarities must be symmetric")
     if not d.any():  # ARPACK cannot start on the zero matrix
         raise ValueError(_NO_SPECTRUM)
-    op = _centered_squares(d, scale)
-    if v >= n - 1:
-        w, u = eigh(op @ np.eye(n))
-    else:
-        # fixed centered start vector, and a fixed generator for the restarts
-        # ARPACK draws when its Krylov space closes early: deterministic
-        v0 = np.random.default_rng(0).standard_normal(n)
-        v0 -= v0.mean()
-        try:
-            w, u = eigsh(op, k=v, which="LA", v0=v0, rng=0)
-        except ArpackError:
+    workers = _usable_cpus() if n * n >= _POOL_MIN_ENTRIES else 1
+    # the pool's threads end with the call, whichever way it leaves
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+        op = _centered_squares(d, scale, pool, workers)
+        if v >= n - 1:
             w, u = eigh(op @ np.eye(n))
+        else:
+            # fixed centered start vector, and a fixed generator for the restarts
+            # ARPACK draws when its Krylov space closes early: deterministic
+            v0 = np.random.default_rng(0).standard_normal(n)
+            v0 -= v0.mean()
+            try:
+                w, u = eigsh(op, k=v, which="LA", v0=v0, rng=0,
+                             ncv=min(n, max(2 * v + 1, 14)), tol=1e-12)
+            except ArpackError:
+                w, u = eigh(op @ np.eye(n))
     order = np.argsort(w)[::-1][:v]
     lam, u = w[order], u[:, order]
     if np.all(lam <= 0):

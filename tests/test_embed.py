@@ -1,11 +1,13 @@
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.spatial.distance import cdist, pdist
 
 from latentgraph import embed, hopdist
@@ -68,6 +70,33 @@ def out_of_place_classical_mds(d, v):
         return coords_from(w, u, np.argsort(w)[::-1][:v])
     w, u = eigsh(b, k=v, which="LA", v0=centered_start(n), rng=0)
     return coords_from(w, u, np.argsort(w)[::-1])
+
+
+def pooled(monkeypatch, workers):
+    """Split every product of classical scaling over ``workers`` threads,
+    whatever its size."""
+    monkeypatch.setattr(embed, "_POOL_MIN_ENTRIES", 0)
+    monkeypatch.setattr(embed, "_usable_cpus", lambda: workers)
+
+
+def record_products(monkeypatch):
+    """A list that gains, for each product of classical scaling's operator,
+    the number of live threads just after it."""
+    seen = []
+    build = embed._centered_squares
+
+    def counted(*args):
+        op = build(*args)
+
+        def matvec(y):
+            out = op.matvec(y)
+            seen.append(threading.active_count())
+            return out
+
+        return LinearOperator(op.shape, matvec=matvec, dtype=np.float64)
+
+    monkeypatch.setattr(embed, "_centered_squares", counted)
+    return seen
 
 
 def symmetric_noise(rng, n, size):
@@ -215,6 +244,10 @@ class TestClassicalMds:
             classical_mds(np.zeros((3, 4)), v=1)
         with pytest.raises(ValueError, match="need v >= 1"):
             classical_mds(pairwise_distances(np.eye(3)), v=0)
+        path = pairwise_distances(np.arange(4.0)[:, None])
+        with pytest.raises(ValueError, match=r"need v <= n, got v=10 for n=4 points"):
+            classical_mds(path, v=10)
+        assert classical_mds(path, v=4).coords.shape == (4, 4)
 
     def test_arpack_failure_falls_back_to_eigh(self):
         # the squares of 1e-200 underflow to 0: the operator is zero although
@@ -251,7 +284,7 @@ class TestClassicalMds:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.uint16])
     def test_asymmetric_input_rejected(self, dtype):
-        # one entry off, in the second strip of the symmetry check
+        # one entry off, below the diagonal
         d = pairwise_distances(np.arange(70.0)[:, None]).astype(dtype)
         d[69, 3] += 1
         with pytest.raises(ValueError, match="dissimilarities must be symmetric"):
@@ -297,6 +330,80 @@ class TestClassicalMds:
         runs = [classical_mds(square, v=2) for _ in range(3)]
         assert len({r.coords.tobytes() for r in runs}) == 1
         assert np.allclose(runs[0].eigenvalues, [1.0, 1.0])
+
+    @pytest.mark.parametrize("tile", [embed._SYMMETRY_TILE, 64])
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float64])
+    def test_tiled_symmetry_check_finds_one_changed_entry(self, monkeypatch, dtype, n, tile):
+        # one entry changed at each pair of rows and columns on either side
+        # of a tile edge: in a diagonal tile, in an off-diagonal tile, and in
+        # the last tile, partial unless tile divides n
+        monkeypatch.setattr(embed, "_SYMMETRY_TILE", tile)
+        d = pairwise_distances(np.arange(n, dtype=np.float64)[:, None]).astype(dtype)
+        assert embed._is_symmetric(d)
+        edges = sorted({e + s for e in range(0, n, tile) for s in (-1, 0)} - {-1} | {n - 1})
+        last = (n - 1) // tile * tile
+        kinds = set()
+        for i in edges:
+            for j in edges:
+                if i == j:
+                    continue
+                kinds.add("diagonal" if i // tile == j // tile else "off-diagonal")
+                if max(i, j) >= last:
+                    kinds.add("last")
+                e = d.copy()
+                e[i, j] += 1
+                assert not embed._is_symmetric(e), (i, j)
+        assert kinds >= {"diagonal", "last"}
+        assert ("off-diagonal" in kinds) == (n > tile)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float64])
+    def test_same_bits_for_any_worker_count(self, monkeypatch, dtype):
+        # 1000 rows are 62.5 blocks of 16, not a whole number of rounds for
+        # any worker count here; the partial last block goes to worker 62 % w
+        n = 1000
+        points = sample_uniform(rectangle(2, 1), n, seed=5)
+        d = np.rint(20 * pairwise_distances(points)).astype(dtype)  # hop-like counts
+        sizes = []
+        monkeypatch.setattr(embed, "ThreadPoolExecutor",
+                            lambda workers: sizes.append(workers) or ThreadPoolExecutor(workers))
+        runs = []
+        for workers in (1, 2, 3):
+            pooled(monkeypatch, workers)
+            emb = classical_mds(d, v=3, scale=0.137)
+            runs.append(emb.coords.tobytes() + emb.eigenvalues.tobytes())
+        assert runs[0] == runs[1] == runs[2]
+        assert sizes == [1, 2]  # the calling thread is the first worker
+
+    def test_pool_threads_end_with_the_call(self, monkeypatch):
+        # a normal return, the "no positive spectrum" error after a dense
+        # eigh, and the same error after ARPACK fails and eigh takes over;
+        # the pool starts its threads as products need them
+        pooled(monkeypatch, 3)
+        seen = record_products(monkeypatch)
+        start = threading.active_count()
+        classical_mds(pairwise_distances(sample_uniform(rectangle(2, 1), 60, seed=1)), v=2)
+        assert max(seen) > start and threading.active_count() == start
+        underflow = np.full((6, 6), 1e-200)
+        np.fill_diagonal(underflow, 0.0)
+        for v in (5, 2):
+            seen.clear()
+            with pytest.raises(ValueError, match="no positive spectrum"):
+                classical_mds(underflow, v=v)
+            assert max(seen) > start and threading.active_count() == start
+
+    def test_fifteen_products_for_two_dimensions(self, monkeypatch):
+        # the 2500-node hop fixture of the BLAS-pool classical scaling script
+        # in test_presets; the defaults (ncv = 20, tol = 0) took 21 products
+        config = sample_uniform(rectangle(2, 1), 2500, seed=1)
+        hops = all_pairs_hops(generate_graph(config, Indicator(0.1), seed=1))
+        seen = record_products(monkeypatch)
+        counts = []
+        for _ in range(2):
+            seen.clear()
+            classical_mds(hops.hops, v=2, scale=0.1)
+            counts.append(len(seen))
+        assert counts[0] == counts[1] <= 15, counts
 
     def test_holds_no_matrix_beside_its_input(self):
         # the operator's row block and Lanczos' basis, both O(n): 0.032 of

@@ -525,6 +525,15 @@ class TestCli:
                          "--matrix", f"{tmp_path}/zero.bin", "--dim", "2"]) == 2
         assert "no positive spectrum" in capsys.readouterr().err
 
+    def test_embed_in_more_dimensions_than_points_is_exit_2(self, tmp_path, capsys):
+        mat = pairwise_distances(np.arange(4.0)[:, None])
+        fileio.write_matrix_csv(tmp_path / "path.csv", EstimateMatrix(mat))
+        out = tmp_path / "out"
+        assert cli_main(["--out", str(out), "embed",
+                         "--matrix", f"{tmp_path}/path.csv", "--dim", "10"]) == 2
+        assert "need v <= n, got v=10 for n=4 points" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_embed_of_asymmetric_matrix_is_exit_2(self, tmp_path, capsys):
         mat = pairwise_distances(np.arange(5.0)[:, None])
         mat[1, 4] += 0.5
