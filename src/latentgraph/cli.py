@@ -167,6 +167,9 @@ def _run(args) -> int:
             raise ValueError("matrix contains disconnected (-1) entries; embed a component")
         # a malformed target fails before anything is written
         target = fileio.read_points_csv(args.align_to) if args.align_to else None
+        if target is not None and target.shape != (len(mat), args.dim):
+            raise ValueError(f"{args.align_to}: target has shape {target.shape}, "
+                             f"the embedding has shape {(len(mat), args.dim)}")
         emb = classical_mds(mat, args.dim)
         fileio.write_points_csv(out / "embedded.csv", emb.coords)
         print(f"wrote embedded.csv (top eigenvalues: {emb.eigenvalues})")

@@ -83,8 +83,8 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _centered_squares(d: np.ndarray, scale: float, pool: ThreadPoolExecutor | None = None,
-                      workers: int = 1) -> LinearOperator:
+def _centered_squares(d: np.ndarray, scale: float, pool: ThreadPoolExecutor | None,
+                      workers: int) -> LinearOperator:
     """``-1/2 J (scale * d)∘(scale * d) J`` as an operator that reads ``d`` a
     block of ``_MATVEC_ROWS`` rows at a time and stores nothing n-by-n.
 
@@ -281,9 +281,11 @@ def localize(hops: HopMatrix, max_hops: int, r: float) -> PartialDissimilarity:
         raise ValueError("scale must be positive and finite")
     # blocks of rows from the diagonal on (no n-by-n mask); n = 0 has none, hence the empty starts
     n = hops.n
+    # below the sentinel 0xFFFF (no path), which a max_hops >= 0xFFFF would otherwise keep
+    limit = min(max_hops, int(INF_HOPS) - 1)
     rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for lo, hi, upper in _upper_rows(n):
-        ii, jj = np.nonzero(upper & (hops.hops[lo:hi, lo:] <= max_hops))
+        ii, jj = np.nonzero(upper & (hops.hops[lo:hi, lo:] <= limit))
         rows.append(ii + lo)
         cols.append(jj + lo)
     i, j = np.concatenate(rows), np.concatenate(cols)

@@ -75,23 +75,29 @@ def write_points_csv(path: str | Path, points: np.ndarray) -> None:
     write_csv(path, ",".join(f"x{k}" for k in range(pts.shape[1])), pts.tolist())
 
 
+def _csv_rows(path: str | Path, lines: list[str], start: int, width: int, finite: bool) -> np.ndarray:
+    """``lines``, file lines ``start`` on, as rows of ``width`` numbers, all
+    finite when ``finite`` is set; the first line that is not is rejected."""
+    what = f"{width} finite coordinates" if finite else f"{width} numbers"
+    rows = []
+    for line_no, line in enumerate(lines, start=start):
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != width or (finite and not np.isfinite(row).all()):
+            raise ValueError(f"{path}:{line_no}: expected {what}, got {line!r}")
+        rows.append(row)
+    return np.array(rows)
+
+
 def read_points_csv(path: str | Path) -> np.ndarray:
     """Points of a CSV written by ``write_points_csv``: every row holds one
     finite value per header column, or the file is rejected with its line."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not text or not text[0].startswith("x0"):
         raise ValueError(f"{path}: expected a point CSV with an x0,... header")
-    dim = len(text[0].split(","))
-    rows = []
-    for line_no, line in enumerate(text[1:], start=2):
-        try:
-            row = [float(v) for v in line.split(",")]
-        except ValueError:
-            row = []
-        if len(row) != dim or not np.isfinite(row).all():
-            raise ValueError(f"{path}:{line_no}: expected {dim} finite coordinates, got {line!r}")
-        rows.append(row)
-    return np.array(rows)
+    return _csv_rows(path, text[1:], 2, len(text[0].split(",")), finite=True)
 
 
 def _upper_pairs(adj: Adjacency):
@@ -161,7 +167,10 @@ def read_edge_list(path: str | Path) -> Adjacency:
     i, j = edges[:, 0], edges[:, 1]
     if not ((0 <= i) & (i < j) & (j < n)).all():
         raise _edge_line_error(path, lines, n)
-    adj = Adjacency.from_edges(n, edges)
+    try:
+        adj = Adjacency.from_edges(n, edges)
+    except ValueError as exc:  # the edges passed above: only the header's n is left to fail
+        raise ValueError(f"{path}:1: {exc}") from None
     if adj.edge_count() != len(edges):
         raise _edge_line_error(path, lines, n)
     return adj
@@ -276,16 +285,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     are not checked; a NaN or an infinity is read as written."""
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     width = len(lines[0].split(",")) if lines else 0
-    rows = []
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            row = [float(v) for v in line.split(",")]
-        except ValueError:
-            row = []
-        if len(row) != width:
-            raise ValueError(f"{path}:{line_no}: expected {width} numbers, got {line!r}")
-        rows.append(row)
-    return np.array(rows)
+    return _csv_rows(path, lines, 1, width, finite=False)
 
 
 def write_stress_trace(path: str | Path, trace) -> None:

@@ -12,6 +12,10 @@ point's nearest candidates, whose distances are then recomputed by
 ``cdist``'s formula, so every decision sees the same bits as
 ``pairwise_distances``.  Edge pairs are sorted straight into the neighbour
 lists of an ``Adjacency``; no builder, nor the denoiser, forms an n×n array.
+
+Each pair (i, j), i < j, draws its uniform from a Philox stream keyed by
+(seed, i), at position j - i - 1, so an edge depends on (seed, i, j) alone,
+never on the order in which pairs are visited.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from ._rng import pair_uniform_row
 # pairwise_distances is no longer used here; it stays importable because
 # perfbench/tracing.py wraps linkgraph.pairwise_distances by name
 from .geometry import Domain, PointConfig, _pair_distances, _readonly, pairwise_distances  # noqa: F401
@@ -94,8 +97,8 @@ class PolynomialEdge:
             raise ValueError("radius must be positive")
         if not 0 < self.c0 <= 1:
             raise ValueError("need 0 < c0 <= 1")
-        if not self.alpha >= 0:
-            raise ValueError("need alpha >= 0")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"need 0 <= alpha < inf, got alpha={self.alpha}")
 
     def __call__(self, d):
         d = np.asarray(d, dtype=np.float64)
@@ -226,6 +229,8 @@ def _from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> Adjacency:
     The keys ``v * n + w`` of both orientations, sorted with repeats dropped,
     are the neighbour lists in row-major order.
     """
+    if int(n) ** 2 > np.iinfo(np.intp).max:
+        raise ValueError(f"n={n} is too large: the pair keys v * n + w overflow intp")
     m = len(i)
     # intp keys: the int32 neighbours of a KnnAdjacency overflow above n = 46 341
     keys = np.empty(2 * m, dtype=np.intp)
@@ -250,6 +255,14 @@ def _pairs_within(points: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]
     return np.divmod(key, n)
 
 
+def _pair_uniform_row(seed: int, i: int, n: int) -> np.ndarray:
+    """Uniforms in [0, 1) for the pairs (i, i+1), ..., (i, n-1): the Philox
+    stream keyed by (seed, i), pair (i, j) at position j - i - 1, so each
+    depends on (seed, i, j) alone and a smaller ``n`` reads a prefix."""
+    bitgen = np.random.Philox(key=(int(seed) << 64) + int(i))
+    return np.random.Generator(bitgen).random(n - 1 - i)
+
+
 def _pair_outcomes(seed: int, i: np.ndarray, j: np.ndarray, p) -> np.ndarray:
     """``u_ij < p`` for pairs ``i < j`` in row-major order, with ``u_ij`` the
     pair's keyed uniform in [0, 1).  A pair with p = 1 or p = 0 needs no draw;
@@ -261,7 +274,7 @@ def _pair_outcomes(seed: int, i: np.ndarray, j: np.ndarray, p) -> np.ndarray:
     for row, run in zip(rows.tolist(), np.split(drawn, starts[1:])):
         cols = j[run]
         # the first cols[-1] - row uniforms of the row's stream
-        u = pair_uniform_row(seed, row, int(cols[-1]) + 1)
+        u = _pair_uniform_row(seed, row, int(cols[-1]) + 1)
         keep[run] = u[cols - row - 1] < p[run]
     return keep
 
@@ -282,7 +295,7 @@ def generate_graph(config: PointConfig, link: LinkFunction, seed: int) -> Adjace
         for row in range(n - 1):
             # one row of distances at a time; each equals its pairwise_distances entry
             d = cdist(pts[row : row + 1], pts[row + 1 :])[0]
-            hit = np.flatnonzero(pair_uniform_row(seed, row, n) < link(d)) + (row + 1)
+            hit = np.flatnonzero(_pair_uniform_row(seed, row, n) < link(d)) + (row + 1)
             i.append(np.full(hit.size, row))
             j.append(hit)
         return _from_pairs(n, np.concatenate(i), np.concatenate(j))

@@ -66,7 +66,7 @@ def _evaluate(x: np.ndarray, a: np.ndarray, b: np.ndarray, mu: float):
 def _algebraic_connectivity(n: int, a: np.ndarray, b: np.ndarray) -> float:
     lap = np.diag(np.bincount(np.concatenate([a, b]), minlength=n).astype(np.float64))
     lap[a, b] = lap[b, a] = -1.0
-    return float(np.sort(eigh(lap, eigvals_only=True))[1])
+    return float(eigh(lap, eigvals_only=True)[1])
 
 
 def solve_mvu(

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from latentgraph import Adjacency, KnnAdjacency
-from latentgraph._rng import pair_uniform_row
+from latentgraph.linkgraph import _pair_uniform_row
 
 
 def dense_adjacency(dense: np.ndarray) -> Adjacency:
@@ -52,7 +52,7 @@ def row_loop_generate_graph(config, link, seed: int) -> Adjacency:
     dense = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):
         d = cdist(pts[i : i + 1], pts[i + 1 :])[0]
-        u = pair_uniform_row(seed, i, n)
+        u = _pair_uniform_row(seed, i, n)
         dense[i, i + 1 :] = u < link(d)
     return dense_adjacency(dense)
 
@@ -62,7 +62,7 @@ def dense_couple_thin(adj: Adjacency, keep_prob: float, seed: int) -> Adjacency:
     n = adj.n
     out = np.zeros_like(dense)
     for i in range(n - 1):
-        u = pair_uniform_row(seed, i, n)
+        u = _pair_uniform_row(seed, i, n)
         out[i, i + 1 :] = dense[i, i + 1 :] & (u < keep_prob)
     return dense_adjacency(out)
 

@@ -419,8 +419,6 @@ def test_criterion_9_localized_majorization(tmp_path):
     """Stress is non-increasing along the localization preset's stress trace
     (its steps and kept extrapolations), and its final aligned error beats
     plain classical scaling on the same instance."""
-    from latentgraph import fileio
-
     out = tmp_path / "hole-local"
     man = run_preset("hole-local", seed=5, out_dir=out, scale_n=1200)
     stress = []

@@ -13,6 +13,7 @@ from scipy.spatial.distance import cdist, pdist
 from latentgraph import embed, hopdist
 from latentgraph import (
     INF_HOPS,
+    Adjacency,
     Box,
     Indicator,
     PartialDissimilarity,
@@ -523,6 +524,15 @@ class TestLocalize:
         # later, on the dissimilarities it made
         with pytest.raises(ValueError, match=message):
             localize(self.make_hops(), max_hops, r=r)
+
+    @pytest.mark.parametrize("max_hops", [2, 65534, 65535, 10**6])
+    def test_disconnected_pairs_are_never_kept(self, max_hops):
+        # the sentinel 0xFFFF of a pair with no path is no hop count, however
+        # high the limit: the two components stay apart
+        hops = all_pairs_hops(Adjacency.from_edges(4, [[0, 1], [2, 3]]))
+        part = localize(hops, max_hops, r=0.1)
+        assert part.i.tolist() == [0, 2] and part.j.tolist() == [1, 3]
+        assert part.values.tolist() == [0.1, 0.1]
 
     def test_pairs_match_dense_triu_reference(self, monkeypatch):
         # localize scans blocks of rows: one row, 9 rows (the last one 3)

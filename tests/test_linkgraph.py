@@ -29,7 +29,7 @@ from latentgraph import (
     unit_ball_volume,
 )
 from latentgraph import geometry, linkgraph
-from latentgraph._rng import pair_uniform_row
+from latentgraph.linkgraph import _pair_uniform_row
 from tests.conftest import random_graph
 from tests.reference_graphs import (
     dense_adjacency,
@@ -157,7 +157,7 @@ class TestGenerateGraph:
         d = pairwise_distances(cfg)
         dense = adj.dense()
         for i in (0, 13, 38):
-            u = pair_uniform_row(5, i, cfg.n)
+            u = _pair_uniform_row(5, i, cfg.n)
             expect = u < link(d[i, i + 1 :])
             assert np.array_equal(dense[i, i + 1 :], expect)
 
@@ -215,6 +215,24 @@ class TestCoupleThin:
         adj = random_graph(10, 0.5, seed=0)
         with pytest.raises(ValueError):
             couple_thin(adj, 0.0, seed=1)
+
+    # float.hex of the first three uniforms of the keyed stream (seed, row i),
+    # those of the pairs (i, i+1), (i, i+2) and (i, i+3)
+    GOLDEN = {
+        (0, 0): ["0x1.7a5d3204726c0p-7", "0x1.eeb1585ce5460p-3", "0x1.c8667a55d9028p-4"],
+        (2**40 + 3, 7): ["0x1.7e17ec5e920c7p-1", "0x1.ef0397c473fdcp-2", "0x1.28ed605600221p-1"],
+    }
+
+    @pytest.mark.parametrize("seed, i", sorted(GOLDEN))
+    def test_outcomes_pin_the_keyed_stream_by_value(self, seed, i):
+        # edge (i, i+1+k) is kept exactly when u_k < keep_prob: dropped at
+        # keep_prob u_k and kept at the next float up, so u_k is pinned bitwise
+        u = [float.fromhex(h) for h in self.GOLDEN[seed, i]]
+        adj = Adjacency.from_edges(i + 4, [[i, i + 1 + k] for k in range(3)])
+        for p in u:
+            for keep_prob in (p, np.nextafter(p, 1.0)):
+                kept = couple_thin(adj, keep_prob, seed=seed).edges()[:, 1] - (i + 1)
+                assert kept.tolist() == [k for k in range(3) if u[k] < keep_prob]
 
 
 class TestKnn:

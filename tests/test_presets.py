@@ -534,6 +534,20 @@ class TestCli:
         assert "need v <= n, got v=10 for n=4 points" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("rows, dim", [(3, 2), (30, 3)], ids=["3-row-target", "2-column-target"])
+    def test_embed_against_a_misshapen_target_is_exit_2(self, tmp_path, capsys, rows, dim):
+        # the target's shape is checked before the embedding is written
+        pts = sample_uniform(rectangle(2, 1), 30, seed=0).points
+        fileio.write_matrix_binary(tmp_path / "estimate.bin", EstimateMatrix(pairwise_distances(pts)))
+        fileio.write_points_csv(tmp_path / "target.csv", pts[:rows])
+        out = tmp_path / "out"
+        assert cli_main(["--out", str(out), "embed", "--matrix", f"{tmp_path}/estimate.bin",
+                         "--dim", str(dim), "--align-to", f"{tmp_path}/target.csv"]) == 2
+        captured = capsys.readouterr()
+        shapes = f"target has shape ({rows}, 2), the embedding has shape (30, {dim})"
+        assert f"target.csv: {shapes}" in captured.err
+        assert captured.out == "" and not any(out.iterdir())
+
     def test_embed_of_asymmetric_matrix_is_exit_2(self, tmp_path, capsys):
         mat = pairwise_distances(np.arange(5.0)[:, None])
         mat[1, 4] += 0.5
@@ -588,7 +602,10 @@ class TestCli:
         ("text.csv", "0,a\na,0\n", ":1: expected 2 numbers"),
         ("abc.txt", "n=abc\n0 1\n", ":1: expected an 'n=<count>' header"),
         ("negative.txt", "n=-3\n", ":1: expected an 'n=<count>' header"),
-    ], ids=["ragged-csv", "text-csv", "text-count", "negative-count"])
+        # counts whose n * n, the range of the pair keys v * n + w, exceeds intp
+        ("huge.txt", "n=99999999999999999999\n0 1\n", ":1: n=99999999999999999999 is too large"),
+        ("tera.txt", "n=1000000000000\n0 1\n", ":1: n=1000000000000 is too large"),
+    ], ids=["ragged-csv", "text-csv", "text-count", "negative-count", "huge-count", "tera-count"])
     def test_malformed_text_file_is_exit_2_with_its_line(self, tmp_path, capsys, name, text, where):
         path = tmp_path / name
         path.write_text(text)
@@ -636,6 +653,13 @@ class TestCli:
         # a NaN radius or exponent is a validation error, not an empty graph
         assert cli_main(["--out", str(tmp_path), "generate", "--domain", "rectangle:2,1",
                          "--n", "50", "--link", link]) == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_infinite_poly_exponent_is_exit_2(self, tmp_path, capsys):
+        # the exponent must be finite; an infinite radius, the Erdős–Rényi limit, stays legal
+        assert cli_main(["--out", str(tmp_path), "generate", "--domain", "rectangle:2,1",
+                         "--n", "50", "--link", "poly:0.3,1,inf"]) == 2
+        assert "need 0 <= alpha < inf, got alpha=inf" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     # one well-formed spec per entry of the CLI's domain and link tables
