@@ -86,7 +86,8 @@ class ScaledIndicator:
 
 @dataclass(frozen=True)
 class PolynomialEdge:
-    """phi(d) = c0 (1 - d/r)^alpha on [0, r], 0 beyond."""
+    """phi(d) = c0 (1 - d/r)^alpha on [0, r], 0 beyond; c0 at every distance,
+    infinity included, when r is infinite (the Erdős–Rényi limit)."""
 
     r: float
     c0: float
@@ -102,6 +103,8 @@ class PolynomialEdge:
 
     def __call__(self, d):
         d = np.asarray(d, dtype=np.float64)
+        if self.r == np.inf:  # d / r would read inf / inf = nan at d = inf
+            return np.full(d.shape, self.c0)
         ramp = np.clip(1.0 - d / self.r, 0.0, None)
         return np.where(d <= self.r, self.c0 * ramp ** self.alpha, 0.0)
 

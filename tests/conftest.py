@@ -6,9 +6,15 @@ hop distances, a dense rotation sweep for procrustes, plain loops elsewhere.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import latentgraph
 from latentgraph import INF_HOPS, Adjacency, HopMatrix
 from tests.reference_graphs import dense_adjacency
 
@@ -21,6 +27,18 @@ def floyd_warshall_hops(adj: Adjacency) -> np.ndarray:
     for k in range(n):
         d = np.minimum(d, d[:, k, None] + d[None, k, :])
     return d
+
+
+def run_under_one_and_two_blas_threads(script, tmp_path, *args):
+    """Run ``script`` with output path ``tmp_path/<threads>`` in two
+    subprocesses, with one and two BLAS threads set in the children only."""
+    src = str(Path(latentgraph.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / threads), *args],
+                       env=env, check=True, timeout=120)
+    return tmp_path / "1", tmp_path / "2"
 
 
 def float_hops(hops: HopMatrix) -> np.ndarray:

@@ -118,6 +118,14 @@ class TestLinkFunctions:
                      PolynomialEdge(np.inf, 0.5, 1.0), TwoLevel(np.inf, 0.5, 0.1)):
             assert link.r == np.inf
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
+    def test_polynomial_infinite_radius_is_c0_everywhere(self, alpha):
+        # the Erdős–Rényi limit, as Indicator(inf) and ScaledIndicator(inf, p)
+        # give 1 and p; (1 - d/r)^alpha once read inf/inf = nan at d = inf
+        d = np.array([0.0, 0.3, 1e300, np.inf])
+        assert np.array_equal(PolynomialEdge(np.inf, 0.4, alpha)(d), np.full(4, 0.4))
+        assert PolynomialEdge(np.inf, 0.4, alpha)(np.inf) == 0.4
+
 
 class TestGenerateGraph:
     def test_indicator_equals_threshold_bitwise(self):
@@ -129,6 +137,12 @@ class TestGenerateGraph:
         assert np.array_equal(adj.dense(), expect)
         # no randomness: another seed gives the same graph
         assert adj == generate_graph(cfg, Indicator(0.3), seed=100)
+
+    def test_infinite_polynomial_radius_links_every_pair(self):
+        cfg = sample_uniform(rectangle(2, 1), 30, seed=4)
+        assert generate_graph(cfg, PolynomialEdge(np.inf, 1.0, 2.0), seed=0).edge_count() == 435
+        half = generate_graph(cfg, PolynomialEdge(np.inf, 0.5, 2.0), seed=0)
+        assert half == generate_graph(cfg, ScaledIndicator(np.inf, 0.5), seed=0)
 
     def test_zero_distance_pair_linked(self):
         pts = np.array([[0.5, 0.5], [0.5, 0.5], [0.9, 0.9]])

@@ -1,18 +1,13 @@
 import argparse
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-import latentgraph
 from latentgraph import (
     INF_HOPS,
     Adjacency,
@@ -34,6 +29,7 @@ from latentgraph import (
 from latentgraph.cli import main as cli_main
 from latentgraph.plotdata import emit_plotdata, svg_scatter, write_scatter_csv
 from tests import reference_graphs
+from tests.conftest import run_under_one_and_two_blas_threads
 
 
 def run_small(name, tmp_path, seed=3, scale_n=250, cities_csv=None, sub="out"):
@@ -309,18 +305,6 @@ for name in sys.argv[2:]:
 """
 
 
-def run_under_one_and_two_blas_threads(script, tmp_path, *args):
-    """Run ``script`` with output path ``tmp_path/<threads>`` in two
-    subprocesses, with one and two BLAS threads set in the children only."""
-    src = str(Path(latentgraph.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        subprocess.run([sys.executable, "-c", script, str(tmp_path / threads), *args],
-                       env=env, check=True, timeout=120)
-    return tmp_path / "1", tmp_path / "2"
-
-
 def test_outputs_under_one_and_two_blas_threads(tmp_path):
     one, two = run_under_one_and_two_blas_threads(_POOL_SCRIPT, tmp_path, *_POOL_PRESETS)
     files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
@@ -454,6 +438,13 @@ class TestCli:
                          "--adjacency", f"{out}/edges.txt", "--rank", "3"]) == 0
         trace = (tmp_path / "mvu_trace.csv").read_text().splitlines()
         assert trace[0] == "stage,iter,objective,max_violation"
+
+    def test_mvu_path_has_no_edge_violation(self, tmp_path, capsys):
+        # the final snap leaves no edge longer than one, not even by an ulp
+        fileio.write_edge_list(tmp_path / "path.txt", Adjacency.from_edges(3, [[0, 1], [1, 2]]))
+        assert cli_main(["--out", str(tmp_path), "mvu", "--adjacency", str(tmp_path / "path.txt"),
+                         "--rank", "2"]) == 0
+        assert "max edge violation=0)" in capsys.readouterr().out
 
     def test_strict_check_failure_is_exit_3(self, tmp_path):
         out = str(tmp_path)
@@ -661,6 +652,13 @@ class TestCli:
                          "--n", "50", "--link", "poly:0.3,1,inf"]) == 2
         assert "need 0 <= alpha < inf, got alpha=inf" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_infinite_poly_radius_links_every_pair(self, tmp_path):
+        # phi is c0 at every distance; this suite turns the inf/inf warning it
+        # once printed into an error
+        assert cli_main(["--out", str(tmp_path), "generate", "--domain", "rectangle:2,1",
+                         "--n", "30", "--link", "poly:inf,1,2"]) == 0
+        assert fileio.read_edge_list(tmp_path / "edges.txt").edge_count() == 30 * 29 // 2
 
     # one well-formed spec per entry of the CLI's domain and link tables
     DOMAIN_SPECS = {"rectangle": "rectangle:2,1", "interval": "interval:3",
